@@ -10,10 +10,7 @@
 //! ```
 
 use incremental_cfg_patching::audit::{render_text, to_sarif};
-use incremental_cfg_patching::chaos::{
-    parse_floor, run_campaign, run_kill_campaign, run_net_campaign, CampaignConfig, CaseStatus,
-    KillCampaignConfig, NetCampaignConfig,
-};
+use incremental_cfg_patching::chaos::{parse_floor, run_campaign, CampaignConfig, FaultAxis};
 use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, FuncStatus};
 use incremental_cfg_patching::core::{
     apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, parse_store_url,
@@ -107,14 +104,20 @@ is skipped with a typed Budget failure and degrades through the
 ladder instead of hanging the run. `--journal FILE` records each
 ladder round durably; after a crash or kill, rerunning with
 `--resume` replays the journal and redoes only the unfinished rounds,
-producing byte-identical output. `chaos --kill-resume` sweeps every
-journal boundary of each case with a kill + resume and checks that
-oracle. `chaos --net` sweeps network faults (delays, drops, torn and
-bit-flipped replies, lease expiry, server kill mid-PUT) against a
-live in-process store server: output bytes must match a cold run,
-every lookup must be accounted exactly once, and a second fault-free
-client against the warm server must miss strictly less than the
-first.
+producing byte-identical output.
+
+`chaos` sweeps workloads × arches × modes × seeds over one fault
+axis. By default each seed's fault plan hits the analyses, and every
+case must end in a verified rewrite that emulates identically.
+`--kill-resume` kills every journal boundary of each case and checks
+that the resume is byte-identical and redoes strictly less work.
+`--net` sweeps network faults (delays, drops, torn and bit-flipped
+replies, lease expiry, server kill mid-PUT) against a live in-process
+store server: output bytes must match a cold run, every lookup must be
+accounted exactly once, and a second fault-free client against the
+warm server must miss strictly less than the first. On those two axes
+`--cache-dir` is a scratch root whose case subdirectories are cleared
+before use. `--seeds 0` and `--kill-resume --net` are usage errors.
 
 `fleet` rewrites a batch of near-identical binaries over one shared
 warm cache store: fragment and emitted-code entries are keyed
@@ -775,181 +778,25 @@ fn cmd_verify(args: &[String]) -> Result<u8, String> {
     Ok(code)
 }
 
-/// `icfgp chaos --kill-resume` — sweep every journal boundary of each
-/// case with a deterministic kill + resume and check byte-identity.
-fn cmd_chaos_kill(args: &[String]) -> Result<u8, String> {
-    let mut config = KillCampaignConfig::default();
-    if let Some(n) = arg_value(args, "--seeds") {
-        let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
-        config.seeds = (1..=n).collect();
-    }
-    if let Some(w) = arg_value(args, "--workloads") {
-        config.workloads = w.split(',').map(str::to_string).collect();
-    }
-    if has_flag(args, "--arch") {
-        config.arches = vec![parse_arch(args)];
-    }
-    if let Some(m) = arg_value(args, "--mode") {
-        config.modes = vec![match m.as_str() {
-            "dir" => RewriteMode::Dir,
-            "jt" => RewriteMode::Jt,
-            "func-ptr" => RewriteMode::FuncPtr,
-            other => return Err(format!("unknown --mode {other}")),
-        }];
-    }
-    if let Some(i) = arg_value(args, "--intensity") {
-        if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}"));
-        }
-        config.intensity = i;
-    }
-    if let Some(floor) = arg_value(args, "--floor") {
-        config.policy.floor = parse_floor(&floor)?;
-    }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.policy.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
-    }
-    if let Some(dir) = cache_dir(args) {
-        config.dir = dir;
-    }
-    let quiet = is_quiet(args);
-    let json = has_flag(args, "--json");
-    let tpath = trace_path(args);
-    let spine = tpath.as_ref().map(|_| Trace::recording());
-    config.trace = spine.clone();
-    let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
-    let report = run_kill_campaign(&config, |case| {
-        if !json && !quiet {
-            println!(
-                "{}/{}/{} seed {}: {} [{} round(s), {} kill point(s)]{}",
-                case.workload,
-                case.arch,
-                case.mode,
-                case.seed,
-                if case.passed { "ok" } else { "FAILED" },
-                case.rounds,
-                case.kill_points,
-                if case.detail.is_empty() {
-                    String::new()
-                } else {
-                    format!(" — {}", case.detail)
-                },
-            );
-        }
-    })?;
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if !quiet {
-        if json {
-            println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
-        } else {
-            println!();
-            println!("{}", report.render());
-        }
-    }
-    if let (Some(t), Some(p)) = (&spine, &tpath) {
-        write_trace(t, p)?;
-    }
-    Ok(report.exit_code())
-}
-
-/// `icfgp chaos --net` — sweep network faults against a live
-/// in-process store server and check the degradation oracles.
-fn cmd_chaos_net(args: &[String]) -> Result<u8, String> {
-    let mut config = NetCampaignConfig::default();
-    if let Some(n) = arg_value(args, "--seeds") {
-        let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
-        config.seeds = (1..=n).collect();
-    }
-    if let Some(w) = arg_value(args, "--workloads") {
-        config.workloads = w.split(',').map(str::to_string).collect();
-    }
-    if has_flag(args, "--arch") {
-        config.arches = vec![parse_arch(args)];
-    }
-    if let Some(m) = arg_value(args, "--mode") {
-        config.modes = vec![match m.as_str() {
-            "dir" => RewriteMode::Dir,
-            "jt" => RewriteMode::Jt,
-            "func-ptr" => RewriteMode::FuncPtr,
-            other => return Err(format!("unknown --mode {other}")),
-        }];
-    }
-    if let Some(i) = arg_value(args, "--intensity") {
-        if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}"));
-        }
-        config.intensity = i;
-    }
-    if let Some(floor) = arg_value(args, "--floor") {
-        config.policy.floor = parse_floor(&floor)?;
-    }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.policy.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
-    }
-    if let Some(dir) = cache_dir(args) {
-        config.dir = dir;
-    }
-    let quiet = is_quiet(args);
-    let json = has_flag(args, "--json");
-    let tpath = trace_path(args);
-    let spine = tpath.as_ref().map(|_| Trace::recording());
-    config.trace = spine.clone();
-    let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
-    let report = run_net_campaign(&config, |case| {
-        if !json && !quiet {
-            println!(
-                "{}/{}/{} seed {}: {}{}",
-                case.workload,
-                case.arch,
-                case.mode,
-                case.seed,
-                if case.passed { "ok" } else { "FAILED" },
-                if case.detail.is_empty() {
-                    format!(
-                        " [{} injected, {} retries, {} trip(s), warm {} -> {}]",
-                        case.injected,
-                        case.retries,
-                        case.breaker_trips,
-                        case.warm_first_misses,
-                        case.warm_second_misses,
-                    )
-                } else {
-                    format!(" — {}", case.detail)
-                },
-            );
-        }
-    })?;
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if !quiet {
-        if json {
-            println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
-        } else {
-            println!();
-            println!("{}", report.render());
-        }
-    }
-    if let (Some(t), Some(p)) = (&spine, &tpath) {
-        write_trace(t, p)?;
-    }
-    Ok(report.exit_code())
-}
-
+/// `icfgp chaos` — one campaign runner; `--kill-resume` and `--net`
+/// select the fault axis.
 fn cmd_chaos(args: &[String]) -> Result<u8, String> {
-    if has_flag(args, "--kill-resume") {
-        return cmd_chaos_kill(args);
-    }
-    if has_flag(args, "--net") {
-        return cmd_chaos_net(args);
-    }
-    let mut config = CampaignConfig::default();
+    let axis = match (has_flag(args, "--kill-resume"), has_flag(args, "--net")) {
+        (true, true) => {
+            eprintln!("error: chaos sweeps one fault axis: --kill-resume or --net, not both");
+            return Ok(64);
+        }
+        (true, false) => FaultAxis::KillResume,
+        (false, true) => FaultAxis::Net,
+        (false, false) => FaultAxis::Seed,
+    };
+    let mut config = CampaignConfig::new(axis);
     if let Some(n) = arg_value(args, "--seeds") {
         let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
+        if n == 0 {
+            eprintln!("error: chaos --seeds 0 sweeps no cases; pass at least 1");
+            return Ok(64);
+        }
         config.seeds = (1..=n).collect();
     }
     if let Some(w) = arg_value(args, "--workloads") {
@@ -979,7 +826,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
         config.policy.max_below_floor =
             budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
     }
-    config.cache_dir = cache_dir(args);
+    config.dir = cache_dir(args);
     let quiet = is_quiet(args);
     let json = has_flag(args, "--json");
     let tpath = trace_path(args);
@@ -988,23 +835,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
     let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
     let report = run_campaign(&config, |case| {
         if !json && !quiet {
-            let note = match &case.status {
-                CaseStatus::LadderFailed(w) | CaseStatus::EmulationDiverged(w) => {
-                    format!(" ({w})")
-                }
-                _ => String::new(),
-            };
-            println!(
-                "{}/{}/{} seed {}: {}{note} [{} round(s), {}/{} degraded]",
-                case.workload,
-                case.arch,
-                case.mode,
-                case.seed,
-                case.status.cell(),
-                case.rounds,
-                case.degraded_funcs,
-                case.funcs,
-            );
+            println!("{}", case.line(axis));
         }
     })?;
     if let Some(s) = run_span {
@@ -1015,7 +846,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
             println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
         } else {
             println!();
-            println!("{}", report.render_matrix(&config.seeds));
+            println!("{}", report.render());
         }
     }
     if let (Some(t), Some(p)) = (&spine, &tpath) {

@@ -15,13 +15,18 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn icfgp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_icfgp"))
 }
 
+/// A scratch path no other call in this process shares: tests run in
+/// parallel, and each deletes its files when it finishes.
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("icfgp-exit-{}-{name}", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("icfgp-exit-{}-{n}-{name}", std::process::id()))
 }
 
 fn gen_switch_demo() -> PathBuf {
@@ -213,6 +218,48 @@ fn chaos_smoke_reports_no_failures() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("0 failed"), "{text}");
+}
+
+#[test]
+fn chaos_reruns_over_one_scratch_dir_pass() {
+    // Each case empties its scratch subdirectories first, so a second
+    // campaign over the same --cache-dir starts as cold as the first.
+    for (axis, seeds) in [("--kill-resume", "2"), ("--net", "1")] {
+        let dir = tmp("chaos-rerun");
+        for run in 1..=2 {
+            let out = icfgp()
+                .args(["chaos", axis, "--workloads", "small", "--arch", "x86-64"])
+                .args(["--mode", "jt", "--seeds", seeds, "--cache-dir"])
+                .arg(&dir)
+                .output()
+                .expect("chaos runs");
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{axis} run {run}: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn chaos_rejects_vacuous_and_conflicting_sweeps() {
+    // Zero seeds would sweep no cases and still print a clean verdict.
+    let none = icfgp().args(["chaos", "--seeds", "0"]).output().expect("chaos runs");
+    assert_eq!(none.status.code(), Some(64), "{}", String::from_utf8_lossy(&none.stderr));
+    assert!(none.stdout.is_empty(), "{}", String::from_utf8_lossy(&none.stdout));
+    assert!(String::from_utf8_lossy(&none.stderr).contains("--seeds"));
+
+    // A campaign sweeps one fault axis; two is a usage error.
+    let both = icfgp()
+        .args(["chaos", "--kill-resume", "--net", "--seeds", "1"])
+        .output()
+        .expect("chaos runs");
+    assert_eq!(both.status.code(), Some(64), "{}", String::from_utf8_lossy(&both.stderr));
+    assert!(both.stdout.is_empty(), "{}", String::from_utf8_lossy(&both.stdout));
+    assert!(String::from_utf8_lossy(&both.stderr).contains("--kill-resume"));
 }
 
 #[test]
