@@ -81,7 +81,7 @@ pub struct FaultPlan {
     pub store_bit_flip: f64,
     /// Probability a store segment load is cut short (short read).
     pub store_short_read: f64,
-    /// Probability a store flush simulates writer-lock contention and
+    /// Probability a store flush finds the directory lock busy and
     /// defers (records stay pending).
     pub store_lock_contention: f64,
     /// Probability a store-decoded shared fragment/emission payload is

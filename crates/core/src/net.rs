@@ -21,14 +21,15 @@
 //!
 //! # Epoch-fenced leases
 //!
-//! The local store's advisory PID lock cannot span machines, so the
-//! server arbitrates writers with **leases**: one writer at a time
-//! holds a token and a monotonically increasing **fence** number,
-//! bumped on every grant. Every `PUT` carries the writer's fence; the
-//! server rejects any fence that is not the *current, unexpired* one —
-//! so a paused writer whose lease lapsed (and was re-granted to
-//! someone else) can never interleave stale writes, no matter how late
-//! its packets arrive. A rejected `PUT` writes nothing.
+//! The local store's directory lock is a kernel lock and cannot span
+//! machines, so the server arbitrates writers with **leases**: one
+//! writer at a time holds a token and a monotonically increasing
+//! **fence** number, bumped on every grant. Every `PUT` carries the
+//! writer's fence; the server rejects any fence that is not the
+//! *current, unexpired* one — so a paused writer whose lease lapsed
+//! (and was re-granted to someone else) can never interleave stale
+//! writes, no matter how late its packets arrive. A rejected `PUT`
+//! writes nothing.
 //!
 //! # Degradation ladder
 //!
@@ -47,7 +48,7 @@
 
 use crate::retry::{RetryPolicy, Transience};
 use crate::store::{
-    encode_frame, lock_timeout, scan_frames, CacheStore, FaultRng, Stage, StoreBackend,
+    encode_frame, scan_frames, CacheStore, FaultRng, Stage, StoreBackend,
     StoreEvent, StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
 };
 use crate::trace::{StoreOp, StoreSrc, Trace, TraceEvent};
@@ -981,12 +982,7 @@ impl RemoteStore {
     ) -> RemoteStore {
         let trace = opts.trace.clone().unwrap_or_default();
         let local = opts.overflow_dir.as_deref().map(|d| {
-            Arc::new(CacheStore::open_traced(
-                d,
-                lock_timeout(),
-                Arc::clone(&trace),
-                StoreSrc::Hedge,
-            ))
+            Arc::new(CacheStore::open_traced(d, Arc::clone(&trace), StoreSrc::Hedge))
         });
         let store = RemoteStore {
             url,

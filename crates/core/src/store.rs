@@ -17,12 +17,9 @@
 //!   segment, written to a temp file and atomically `rename`d into
 //!   place, so readers only ever observe whole segments (a crash
 //!   mid-flush leaves a `tmp-*` file that is ignored and reaped).
-//! * `INDEX` — an advisory JSON index (segment names, record counts,
-//!   whole-segment checksums). The index is *never trusted for
-//!   correctness*: loads always scan the segment files themselves;
-//!   the index only accelerates `icfgp cache stats` and lets `verify`
-//!   tell "segment modified" apart from "index stale".
-//! * `LOCK` — advisory writer lock (see below).
+//! * `*.quarantined` — segments whose header failed validation, moved
+//!   out of the scan set for post-mortem inspection.
+//! * `LOCK` — an empty file that carries the directory lock (below).
 //!
 //! Segment layout: a 20-byte header (`magic, format version, key
 //! epoch`) followed by records. Each record is framed as
@@ -39,7 +36,7 @@
 //! | per-record checksum mismatch (bit flip) | record quarantined, scan continues |
 //! | truncated segment / short read (torn write) | valid prefix kept, tail quarantined |
 //! | payload fails to deserialise | record quarantined at lookup time |
-//! | lock timeout (concurrent writer) | store opens **read-only**; flushes are deferred |
+//! | directory lock busy (another writer) | flush retried, then deferred; records stay pending |
 //! | any I/O error | logged, store degrades to miss-everything |
 //!
 //! Every one of these produces a structured [`StoreEvent`] and bumps a
@@ -49,13 +46,22 @@
 //!
 //! # Lock protocol
 //!
-//! Writers hold `LOCK`, created with `O_CREAT|O_EXCL` and containing
-//! the owner's PID. Acquisition polls up to a timeout
-//! (`ICFGP_STORE_LOCK_MS`, default 2000); stale locks (owner PID dead
-//! on Linux, or mtime older than 10 minutes elsewhere) are broken.
-//! Readers need no lock: segments are immutable after rename, so a
-//! reader racing a writer sees either the old or the new segment set,
-//! both self-validating.
+//! Any number of stores, in any number of processes, may have one
+//! directory open. The directory changes only under an exclusive
+//! kernel lock (`flock` on Linux, via [`std::fs::File::try_lock`]) on
+//! `LOCK`, which is created on first use and never truncated or
+//! removed. The lock is held only while the directory changes: for
+//! open-time maintenance (reap `tmp-*`, sweep stale-epoch quarantine,
+//! relocate bad segments), for each flush (choose the segment name,
+//! write the temp file, rename), and for `compact_dir` and
+//! `clear_dir`. Nobody waits for it: a busy lock skips open-time
+//! maintenance (the load then only skips bad segments) and turns a
+//! flush into a transient failure that the retry policy re-attempts
+//! and then defers, records kept pending for the next flush. The
+//! kernel drops the lock when its holder exits, so a crashed writer
+//! never blocks anyone. Readers need no lock: segments are immutable
+//! after rename, so a reader racing a writer sees either the old or the
+//! new segment set, both self-validating.
 
 use crate::trace::{SpanKind, StoreOp, StoreSrc, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -63,7 +69,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Segment file magic.
 const MAGIC: &[u8; 8] = b"ICFGPST\x01";
@@ -182,10 +188,9 @@ pub enum StoreEventKind {
     VersionMismatch,
     /// A persisted payload failed to deserialise at lookup time.
     DecodeFailure,
-    /// The writer lock could not be acquired in time; read-only mode.
+    /// The directory lock (or a remote lease) was busy; the flush was
+    /// deferred.
     LockTimeout,
-    /// A stale writer lock (dead owner) was broken.
-    StaleLockBroken,
     /// Pending records were flushed to a new segment.
     Flushed,
     /// An I/O error degraded the operation to a no-op.
@@ -248,7 +253,8 @@ pub struct StoreStats {
     pub flushes: u64,
     /// I/O errors absorbed.
     pub io_errors: u64,
-    /// Writer-lock acquisition timeouts.
+    /// Flush attempts deferred because the directory lock (or a
+    /// remote lease) was busy, injected contention included.
     pub lock_timeouts: u64,
     /// Transient-failure retries run by the backoff policy (contended
     /// flushes re-attempted, short reads re-read, remote requests
@@ -332,7 +338,7 @@ pub struct StoreFaults {
     pub bit_flip: f64,
     /// Probability a segment load is cut short (simulated short read).
     pub short_read: f64,
-    /// Probability a flush simulates writer-lock contention and defers.
+    /// Probability a flush finds the directory lock busy and defers.
     pub lock_contention: f64,
 }
 
@@ -374,32 +380,6 @@ impl FaultRng {
     }
 }
 
-/// Advisory index sidecar (`INDEX`): accelerates stats and lets
-/// `verify` distinguish stale indexes from modified segments. Never
-/// trusted for record data.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StoreIndex {
-    /// On-disk format version at write time.
-    pub version: u32,
-    /// Key-derivation epoch at write time.
-    pub key_epoch: u64,
-    /// Per-segment summaries.
-    pub segments: Vec<SegmentSummary>,
-}
-
-/// One segment's advisory summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SegmentSummary {
-    /// Segment file name.
-    pub name: String,
-    /// Records the segment held when written.
-    pub records: u64,
-    /// Segment length in bytes when written.
-    pub bytes: u64,
-    /// Checksum of the whole segment file when written.
-    pub checksum: u64,
-}
-
 struct Pending {
     stage: Stage,
     key: u64,
@@ -438,8 +418,6 @@ pub struct CacheStore {
     inner: Mutex<Inner>,
     trace: Arc<Trace>,
     src: StoreSrc,
-    /// Writer role: the advisory lock was acquired at open.
-    writer: bool,
     /// Hard-disabled after an unrecoverable I/O error at open.
     disabled: bool,
 }
@@ -448,7 +426,6 @@ impl std::fmt::Debug for CacheStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheStore")
             .field("dir", &self.dir)
-            .field("writer", &self.writer)
             .field("disabled", &self.disabled)
             .field("stats", &self.stats())
             .finish()
@@ -478,17 +455,6 @@ pub fn env_millis(var: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
         .map_err(|_| format!("{var} must be a non-negative integer (milliseconds), got {raw:?}"))
 }
 
-/// The writer-lock acquisition timeout: `ICFGP_STORE_LOCK_MS`
-/// (milliseconds), default 2000. Invalid values fall back to the
-/// default here; the CLI rejects them up front with usage exit 64 via
-/// [`env_millis`].
-#[must_use]
-pub fn lock_timeout() -> Duration {
-    let raw = std::env::var("ICFGP_STORE_LOCK_MS").ok();
-    let ms = env_millis("ICFGP_STORE_LOCK_MS", raw.as_deref()).ok().flatten().unwrap_or(2000);
-    Duration::from_millis(ms)
-}
-
 impl CacheStore {
     /// Open (creating if necessary) the store at `dir` and load every
     /// valid record. Never fails hard: unusable directories produce a
@@ -496,13 +462,7 @@ impl CacheStore {
     /// [`CacheStore::events`].
     #[must_use]
     pub fn open(dir: &Path) -> CacheStore {
-        CacheStore::open_with_timeout(dir, lock_timeout())
-    }
-
-    /// [`CacheStore::open`] with an explicit lock timeout (tests).
-    #[must_use]
-    pub fn open_with_timeout(dir: &Path, lock_wait: Duration) -> CacheStore {
-        CacheStore::open_traced(dir, lock_wait, Trace::new(), StoreSrc::Local)
+        CacheStore::open_traced(dir, Trace::new(), StoreSrc::Local)
     }
 
     /// Open the store onto an existing trace spine, attributing its
@@ -510,18 +470,12 @@ impl CacheStore {
     /// shares one registry with its local hedge store while keeping
     /// the two backends' [`StoreStats`] separate.
     #[must_use]
-    pub fn open_traced(
-        dir: &Path,
-        lock_wait: Duration,
-        trace: Arc<Trace>,
-        src: StoreSrc,
-    ) -> CacheStore {
+    pub fn open_traced(dir: &Path, trace: Arc<Trace>, src: StoreSrc) -> CacheStore {
         let mut store = CacheStore {
             dir: dir.to_path_buf(),
             inner: Mutex::new(Inner::default()),
             trace,
             src,
-            writer: false,
             disabled: false,
         };
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -530,8 +484,8 @@ impl CacheStore {
             store.emit(StoreOp::IoError);
             return store;
         }
-        store.writer = store.acquire_lock(lock_wait);
-        if store.writer {
+        // Open-time maintenance: only with the lock, never waiting.
+        if let Some(_lock) = store.lock_dir() {
             store.reap_temp_files();
             let swept = sweep_stale_quarantine(dir);
             if swept > 0 {
@@ -544,14 +498,7 @@ impl CacheStore {
         let loaded_before = store.trace.registry().store_stats(store.src).records_loaded;
         store.load_all();
         let loaded = store.trace.registry().store_stats(store.src).records_loaded - loaded_before;
-        store.event(
-            StoreEventKind::Opened,
-            format!(
-                "{} ({}, {loaded} record(s))",
-                dir.display(),
-                if store.writer { "writer" } else { "read-only" },
-            ),
-        );
+        store.event(StoreEventKind::Opened, format!("{} ({loaded} record(s))", dir.display()));
         store
     }
 
@@ -571,12 +518,6 @@ impl CacheStore {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Whether this process holds the writer lock (flushes persist).
-    #[must_use]
-    pub fn is_writer(&self) -> bool {
-        self.writer
     }
 
     /// Counter snapshot — the registry projection for this store's
@@ -637,52 +578,15 @@ impl CacheStore {
 
     // ----- lock protocol -------------------------------------------------
 
-    fn lock_path(&self) -> PathBuf {
-        self.dir.join("LOCK")
-    }
-
-    fn acquire_lock(&self, wait: Duration) -> bool {
-        let path = self.lock_path();
-        let deadline = Instant::now() + wait;
-        loop {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    let _ = writeln!(f, "{}", std::process::id());
-                    let _ = f.sync_all();
-                    return true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if lock_file_is_stale(&path) {
-                        let _ = std::fs::remove_file(&path);
-                        self.event(
-                            StoreEventKind::StaleLockBroken,
-                            format!("{}", path.display()),
-                        );
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        self.emit(StoreOp::LockTimeout);
-                        self.event(
-                            StoreEventKind::LockTimeout,
-                            format!("{} held by another process; read-only", path.display()),
-                        );
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => {
-                    self.emit(StoreOp::IoError);
-                    self.event(StoreEventKind::IoError, format!("lock: {e}"));
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn release_lock(&self) {
-        if self.writer {
-            let _ = std::fs::remove_file(self.lock_path());
-        }
+    /// Take the directory lock without waiting. `None` when another
+    /// holder has it or `LOCK` cannot be opened (counted as an I/O
+    /// error).
+    fn lock_dir(&self) -> Option<std::fs::File> {
+        lock_dir(&self.dir).unwrap_or_else(|e| {
+            self.emit(StoreOp::IoError);
+            self.event(StoreEventKind::IoError, format!("lock: {e}"));
+            None
+        })
     }
 
     fn reap_temp_files(&self) {
@@ -718,8 +622,21 @@ impl CacheStore {
         if self.disabled {
             return;
         }
-        for name in Self::segment_names(&self.dir) {
-            self.load_segment(&name);
+        let bad: Vec<String> = Self::segment_names(&self.dir)
+            .into_iter()
+            .filter(|name| !self.load_segment(name))
+            .collect();
+        if bad.is_empty() {
+            return;
+        }
+        // Relocating needs the lock; without it bad segments are only
+        // skipped.
+        let Some(_lock) = self.lock_dir() else { return };
+        for name in bad {
+            let to = format!("{name}.quarantined");
+            if std::fs::rename(self.dir.join(&name), self.dir.join(&to)).is_ok() {
+                self.event(StoreEventKind::Quarantined, format!("{name} -> {to}"));
+            }
         }
     }
 
@@ -740,7 +657,9 @@ impl CacheStore {
         self.load_all();
     }
 
-    fn load_segment(&self, name: &str) {
+    /// Load one segment's valid records. Returns `false` when its
+    /// header failed validation, so the caller can relocate it.
+    fn load_segment(&self, name: &str) -> bool {
         let path = self.dir.join(name);
         // Short reads are transient: re-read up to the retry budget
         // before accepting a torn view of the segment.
@@ -753,7 +672,7 @@ impl CacheStore {
                 Err(e) => {
                     self.emit(StoreOp::IoError);
                     self.event(StoreEventKind::IoError, format!("read {name}: {e}"));
-                    return;
+                    return true;
                 }
             };
             // Injected short read: drop a suffix before parsing.
@@ -799,7 +718,7 @@ impl CacheStore {
                     StoreEventKind::Quarantined
                 };
                 self.event(kind, format!("{name}: {reason}"));
-                self.quarantine_segment(name);
+                false
             }
             SegmentScan::Records { records, corrupt_records, truncated } => {
                 let mut inner = self.inner.lock().expect("store poisoned");
@@ -824,18 +743,8 @@ impl CacheStore {
                         format!("{name}: torn tail dropped"),
                     );
                 }
+                true
             }
-        }
-    }
-
-    fn quarantine_segment(&self, name: &str) {
-        if !self.writer {
-            return; // readers only skip; the writer relocates.
-        }
-        let from = self.dir.join(name);
-        let to = self.dir.join(format!("{name}.quarantined"));
-        if std::fs::rename(&from, &to).is_ok() {
-            self.event(StoreEventKind::Quarantined, format!("{name} -> {name}.quarantined"));
         }
     }
 
@@ -937,20 +846,16 @@ impl CacheStore {
     // ----- flush ---------------------------------------------------------
 
     /// Write every pending record into a fresh segment (temp file +
-    /// atomic rename) and update the advisory index. Returns the
-    /// number of records persisted; 0 when there is nothing pending,
-    /// the store is read-only, or a failure deferred the flush
-    /// (records stay pending — never lost, never torn). Transient
-    /// failures — lock contention, I/O errors — are retried with
-    /// jittered backoff up to the [`RetryPolicy`] attempt budget
-    /// before deferring.
+    /// atomic rename, under the directory lock). Returns the number of
+    /// records persisted; 0 when there is nothing pending or a failure
+    /// deferred the flush (records stay pending — never lost, never
+    /// torn). Transient failures — a busy lock, I/O errors — are
+    /// retried with jittered backoff up to the [`RetryPolicy`] attempt
+    /// budget before deferring.
     ///
     /// [`RetryPolicy`]: crate::retry::RetryPolicy
     pub fn flush(&self) -> usize {
-        if self.disabled || !self.writer {
-            return 0;
-        }
-        if self.pending_len() == 0 {
+        if self.disabled || self.pending_len() == 0 {
             return 0;
         }
         let span = self.trace.span(SpanKind::StoreFlush);
@@ -980,20 +885,15 @@ impl CacheStore {
     }
 
     fn flush_once(&self) -> FlushOnce {
-        let (pending, torn_at, flip) = {
+        let (contended, torn_at, flip) = {
             let mut inner = self.inner.lock().expect("store poisoned");
             if inner.pending.is_empty() {
                 return FlushOnce::Done(0);
             }
-            // Injected lock contention: behave exactly like a writer
-            // that lost the lock — defer, keep pending.
-            let mut defer = false;
-            let mut torn_at = None;
-            let mut flip = None;
+            let (mut contended, mut torn_at, mut flip) = (false, None, None);
             if let Some((f, rng)) = &mut inner.faults {
-                if rng.chance(f.lock_contention) {
-                    defer = true;
-                } else {
+                contended = rng.chance(f.lock_contention);
+                if !contended {
                     if rng.chance(f.torn_write) {
                         torn_at = Some(rng.next());
                     }
@@ -1002,22 +902,32 @@ impl CacheStore {
                     }
                 }
             }
-            if defer {
-                drop(inner);
+            (contended, torn_at, flip)
+        };
+        // Injected contention takes the same path as a busy lock.
+        let held = if contended { Ok(None) } else { lock_dir(&self.dir) };
+        let _lock = match held {
+            Ok(Some(lock)) => lock,
+            Ok(None) => {
                 self.emit(StoreOp::LockTimeout);
                 self.event(
-                    StoreEventKind::FaultInjected,
-                    "injected lock contention: flush deferred".to_string(),
+                    StoreEventKind::LockTimeout,
+                    format!("{}: lock busy, flush deferred", self.dir.display()),
                 );
                 return FlushOnce::Transient;
             }
-            (std::mem::take(&mut inner.pending), torn_at, flip)
+            Err(e) => {
+                self.emit(StoreOp::IoError);
+                self.event(StoreEventKind::IoError, format!("lock: {e}"));
+                return FlushOnce::Transient;
+            }
         };
+        let pending = std::mem::take(&mut self.inner.lock().expect("store poisoned").pending);
+        if pending.is_empty() {
+            return FlushOnce::Done(0); // a concurrent flush took them
+        }
 
-        let mut body = Vec::with_capacity(1 << 16);
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
+        let mut body = segment_header();
         for p in &pending {
             encode_record(&mut body, p.stage, p.key, &p.payload);
         }
@@ -1044,13 +954,8 @@ impl CacheStore {
             }
         }
 
-        let next = Self::segment_names(&self.dir)
-            .iter()
-            .filter_map(|n| n[4..10].parse::<u64>().ok())
-            .max()
-            .map_or(0, |n| n + 1);
-        let name = format!("seg-{next:06}.seg");
-        match self.write_atomically(&name, &body) {
+        let name = next_segment_name(&Self::segment_names(&self.dir));
+        match write_atomic(&self.dir, &name, &body) {
             Ok(()) => {
                 // The flushed records are now on disk; keep them
                 // queryable in memory.
@@ -1064,7 +969,6 @@ impl CacheStore {
                     StoreEventKind::Flushed,
                     format!("{records} record(s) -> {name}"),
                 );
-                self.write_index();
                 FlushOnce::Done(records)
             }
             Err(e) => {
@@ -1078,33 +982,12 @@ impl CacheStore {
             }
         }
     }
-
-    fn write_atomically(&self, name: &str, body: &[u8]) -> std::io::Result<()> {
-        write_atomic(&self.dir, name, body)
-    }
-
-    fn write_index(&self) {
-        if let Err(e) = write_index_file(&self.dir) {
-            self.emit(StoreOp::IoError);
-            self.event(StoreEventKind::IoError, format!("index: {e}"));
-        }
-    }
-
-    /// Read the advisory index, if present and parseable.
-    #[must_use]
-    pub fn read_index(dir: &Path) -> Option<StoreIndex> {
-        let data = std::fs::read(dir.join("INDEX")).ok()?;
-        serde_json::from_slice(&data).ok()
-    }
 }
 
 impl Drop for CacheStore {
     fn drop(&mut self) {
         // Flush-on-exit: best effort, never panics.
-        if self.writer && !self.disabled {
-            self.flush();
-        }
-        self.release_lock();
+        self.flush();
     }
 }
 
@@ -1213,26 +1096,52 @@ impl StoreBackend for CacheStore {
     }
 }
 
-/// Whether a `LOCK` file belongs to a dead owner. On Linux the owner
-/// PID is recorded in the file; elsewhere (or when unreadable) fall
-/// back to age.
-fn lock_file_is_stale(path: &Path) -> bool {
-    if let Ok(content) = std::fs::read_to_string(path) {
-        if let Ok(pid) = content.trim().parse::<u32>() {
-            // A live owner (including another store in this very
-            // process) is never stale.
-            if cfg!(target_os = "linux") {
-                return !Path::new(&format!("/proc/{pid}")).exists();
-            }
-        }
+/// Take the directory lock on `dir/LOCK` without waiting: `Ok(None)`
+/// when another holder (in this process or another) has it. The lock
+/// lives until the returned file is dropped, or its holder exits. This
+/// is the only code that touches `LOCK`; nothing truncates or removes
+/// it, so every holder locks the same inode.
+fn lock_dir(dir: &Path) -> std::io::Result<Option<std::fs::File>> {
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join("LOCK"))?;
+    match file.try_lock() {
+        Ok(()) => Ok(Some(file)),
+        Err(std::fs::TryLockError::WouldBlock) => Ok(None),
+        Err(std::fs::TryLockError::Error(e)) => Err(e),
     }
-    match std::fs::metadata(path).and_then(|m| m.modified()) {
-        Ok(mtime) => match mtime.elapsed() {
-            Ok(age) => age > Duration::from_secs(600),
-            Err(_) => false,
-        },
-        Err(_) => false,
+}
+
+/// The directory lock for offline maintenance: a busy lock is an
+/// error, a missing directory is `Ok(None)` (nothing to maintain).
+fn lock_for_maintenance(dir: &Path) -> Result<Option<std::fs::File>, String> {
+    match lock_dir(dir) {
+        Ok(Some(lock)) => Ok(Some(lock)),
+        Ok(None) => Err(format!("{}: store locked by another process", dir.display())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("{}: lock: {e}", dir.display())),
     }
+}
+
+/// A fresh segment image holding only the header.
+fn segment_header() -> Vec<u8> {
+    let mut body = Vec::with_capacity(1 << 16);
+    body.extend_from_slice(MAGIC);
+    body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
+    body
+}
+
+/// The segment name numbered above every name in `names`.
+fn next_segment_name(names: &[String]) -> String {
+    let next = names
+        .iter()
+        .filter_map(|n| n.get(4..10)?.parse::<u64>().ok())
+        .max()
+        .map_or(0, |n| n + 1);
+    format!("seg-{next:06}.seg")
 }
 
 /// Write `body` to `dir/name` via a temp file and atomic rename.
@@ -1245,31 +1154,6 @@ fn write_atomic(dir: &Path, name: &str, body: &[u8]) -> std::io::Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, &path)
-}
-
-/// Rebuild the advisory `INDEX` from the segment files on disk.
-fn write_index_file(dir: &Path) -> std::io::Result<()> {
-    let mut index = StoreIndex {
-        version: FORMAT_VERSION,
-        key_epoch: KEY_EPOCH,
-        segments: Vec::new(),
-    };
-    for name in CacheStore::segment_names(dir) {
-        let Ok(data) = std::fs::read(dir.join(&name)) else { continue };
-        let records = match scan_segment(&data) {
-            SegmentScan::Records { records, .. } => records.len() as u64,
-            SegmentScan::BadHeader(_) => 0,
-        };
-        index.segments.push(SegmentSummary {
-            name,
-            records,
-            bytes: data.len() as u64,
-            checksum: checksum64(&[&data]),
-        });
-    }
-    let json = serde_json::to_vec(&index)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    write_atomic(dir, "INDEX", &json)
 }
 
 fn encode_record(out: &mut Vec<u8>, stage: Stage, key: u64, payload: &[u8]) {
@@ -1397,12 +1281,10 @@ pub struct StoreVerifyReport {
     /// Previously-quarantined segment files present.
     pub quarantined_files: u64,
     /// Total bytes held by quarantined files (bounded by sweeps at
-    /// writer open, `cache compact` and `cache clear`).
+    /// open, `cache compact` and `cache clear`).
     #[serde(default)]
     pub quarantined_bytes: u64,
-    /// The advisory index matches the segment files.
-    pub index_consistent: bool,
-    /// Total store size in bytes (segments + index).
+    /// Total segment bytes.
     pub total_bytes: u64,
     /// Per-segment human-readable problems.
     pub problems: Vec<String>,
@@ -1423,10 +1305,8 @@ impl StoreVerifyReport {
 /// run concurrently with a writer).
 #[must_use]
 pub fn verify_dir(dir: &Path) -> StoreVerifyReport {
-    let mut report = StoreVerifyReport { index_consistent: true, ..StoreVerifyReport::default() };
-    let index = CacheStore::read_index(dir);
-    let names = CacheStore::segment_names(dir);
-    for name in &names {
+    let mut report = StoreVerifyReport::default();
+    for name in &CacheStore::segment_names(dir) {
         let path = dir.join(name);
         let Ok(data) = std::fs::read(&path) else {
             report.problems.push(format!("{name}: unreadable"));
@@ -1452,32 +1332,8 @@ pub fn verify_dir(dir: &Path) -> StoreVerifyReport {
                 }
             }
         }
-        if let Some(index) = &index {
-            match index.segments.iter().find(|s| &s.name == name) {
-                Some(s) if s.checksum == checksum64(&[&data]) => {}
-                _ => report.index_consistent = false,
-            }
-        }
     }
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let n = entry.file_name().to_string_lossy().into_owned();
-            if n.ends_with(".quarantined") {
-                report.quarantined_files += 1;
-                if let Ok(m) = entry.metadata() {
-                    report.quarantined_bytes += m.len();
-                }
-            }
-            if n == "INDEX" {
-                if let Ok(m) = entry.metadata() {
-                    report.total_bytes += m.len();
-                }
-            }
-        }
-    }
-    if index.is_none() && !names.is_empty() {
-        report.index_consistent = false;
-    }
+    (report.quarantined_files, report.quarantined_bytes) = quarantine_usage(dir);
     report
 }
 
@@ -1508,7 +1364,8 @@ pub fn quarantine_usage(dir: &Path) -> (u64, u64) {
 /// on there is nothing left to learn from them — without a sweep they
 /// accumulate forever. Current-epoch quarantined files (recent damage)
 /// are kept for inspection until `cache compact`/`clear` removes every
-/// quarantined file. Runs at writer open. Returns the number removed.
+/// quarantined file. Runs at open, under the directory lock. Returns
+/// the number removed.
 pub fn sweep_stale_quarantine(dir: &Path) -> u64 {
     let mut removed = 0u64;
     let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
@@ -1534,27 +1391,26 @@ pub fn sweep_stale_quarantine(dir: &Path) -> u64 {
     removed
 }
 
-/// Delete every store file in `dir` (segments, index, quarantined
-/// files, stale temp files). Returns the number of files removed.
+/// Delete every store file in `dir` (segments, quarantined files,
+/// stale temp files, and the `INDEX` an older build wrote), under the
+/// directory lock. `LOCK` stays: removing it would let a later holder
+/// lock a different inode than a current one. Returns the number of
+/// files removed.
 ///
 /// # Errors
 ///
-/// The first I/O error encountered while listing the directory
-/// (missing directories count as already clear).
-pub fn clear_dir(dir: &Path) -> Result<usize, std::io::Error> {
+/// A message when the lock is busy or I/O fails (a missing directory
+/// counts as already clear).
+pub fn clear_dir(dir: &Path) -> Result<usize, String> {
+    let Some(_lock) = lock_for_maintenance(dir)? else { return Ok(0) };
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut removed = 0usize;
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
     for entry in entries.flatten() {
         let n = entry.file_name().to_string_lossy().into_owned();
         let is_store_file = (n.starts_with("seg-") && n.ends_with(".seg"))
             || n.ends_with(".quarantined")
             || n.starts_with("tmp-")
-            || n == "INDEX"
-            || n == "LOCK";
+            || n == "INDEX";
         if is_store_file && std::fs::remove_file(entry.path()).is_ok() {
             removed += 1;
         }
@@ -1589,52 +1445,19 @@ pub struct CompactReport {
 /// Compact the store at `dir`: merge every live record
 /// (last-writer-wins across segments) into one fresh segment, publish
 /// it atomically, then delete the old segments, quarantined files and
-/// stale temp files, and rebuild the advisory index.
+/// stale temp files.
 ///
-/// Takes the writer lock for the duration — compaction must not race a
-/// flushing writer. Crash-safe at every step: the fresh segment is
-/// published (rename) *above* the old ones before anything is deleted,
-/// so a crash in between leaves duplicates that the normal
-/// last-writer-wins load resolves to the same records.
+/// Holds the directory lock throughout, so no flush interleaves.
+/// Crash-safe at every step: the fresh segment is published (rename)
+/// *above* the old ones before anything is deleted, so a crash in
+/// between leaves duplicates that the normal last-writer-wins load
+/// resolves to the same records.
 ///
 /// # Errors
 ///
-/// A message when the lock is held by a live writer or I/O fails.
+/// A message when the lock is busy or I/O fails.
 pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
-    let lock_path = dir.join("LOCK");
-    let deadline = Instant::now() + lock_timeout();
-    loop {
-        match std::fs::OpenOptions::new().write(true).create_new(true).open(&lock_path) {
-            Ok(mut f) => {
-                let _ = writeln!(f, "{}", std::process::id());
-                break;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                if lock_file_is_stale(&lock_path) {
-                    let _ = std::fs::remove_file(&lock_path);
-                    continue;
-                }
-                if Instant::now() >= deadline {
-                    return Err(format!(
-                        "{}: store locked by another process",
-                        dir.display()
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // No store directory at all: nothing to compact.
-                return Ok(CompactReport::default());
-            }
-            Err(e) => return Err(format!("{}: lock: {e}", dir.display())),
-        }
-    }
-    let result = compact_locked(dir);
-    let _ = std::fs::remove_file(&lock_path);
-    result
-}
-
-fn compact_locked(dir: &Path) -> Result<CompactReport, String> {
+    let Some(_lock) = lock_for_maintenance(dir)? else { return Ok(CompactReport::default()) };
     let names = CacheStore::segment_names(dir);
     let mut report =
         CompactReport { segments_before: names.len() as u64, ..CompactReport::default() };
@@ -1657,16 +1480,8 @@ fn compact_locked(dir: &Path) -> Result<CompactReport, String> {
     }
     report.records_kept = live.len() as u64;
     if !live.is_empty() {
-        let next = names
-            .iter()
-            .filter_map(|n| n[4..10].parse::<u64>().ok())
-            .max()
-            .map_or(0, |n| n + 1);
-        let new_name = format!("seg-{next:06}.seg");
-        let mut body = Vec::with_capacity(1 << 16);
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
+        let new_name = next_segment_name(&names);
+        let mut body = segment_header();
         let mut entries: Vec<((Stage, u64), Vec<u8>)> = live.into_iter().collect();
         entries.sort_by_key(|e| (e.0 .0.tag(), e.0 .1));
         for ((stage, key), payload) in &entries {
@@ -1690,7 +1505,6 @@ fn compact_locked(dir: &Path) -> Result<CompactReport, String> {
             }
         }
     }
-    write_index_file(dir).map_err(|e| format!("index: {e}"))?;
     Ok(report)
 }
 
@@ -1775,7 +1589,6 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         {
             let store = CacheStore::open(&dir);
-            assert!(store.is_writer());
             store.put(Stage::Func, 1, b"alpha".to_vec());
             store.put(Stage::Emit, 2, b"beta".to_vec());
             assert_eq!(store.flush(), 2);
@@ -1866,7 +1679,7 @@ mod tests {
         assert_eq!(store.stats().records_loaded, 0);
         assert_eq!(store.stats().quarantined_segments, 1);
         assert!(store.get(Stage::Func, 7).is_none());
-        // The writer relocated the bad segment out of the scan set.
+        // The open relocated the bad segment out of the scan set.
         assert!(CacheStore::segment_names(&dir).is_empty());
         let report = verify_dir(&dir);
         assert_eq!(report.quarantined_files, 1);
@@ -1874,18 +1687,31 @@ mod tests {
     }
 
     #[test]
-    fn second_opener_is_read_only_until_lock_released() {
+    fn second_opener_persists_once_the_first_is_gone() {
         let dir = tmp_dir("lock");
-        let writer = CacheStore::open(&dir);
-        assert!(writer.is_writer());
-        let reader = CacheStore::open_with_timeout(&dir, Duration::from_millis(50));
-        assert!(!reader.is_writer());
-        assert_eq!(reader.stats().lock_timeouts, 1);
-        reader.put(Stage::Func, 1, b"never-written".to_vec());
-        assert_eq!(reader.flush(), 0, "read-only store must not write");
-        drop(writer);
-        let again = CacheStore::open_with_timeout(&dir, Duration::from_millis(50));
-        assert!(again.is_writer(), "lock released on drop");
+        let a = CacheStore::open(&dir);
+        let b = CacheStore::open(&dir);
+        b.put(Stage::Func, 1, b"from-b".to_vec());
+        drop(a);
+        assert!(b.flush() > 0, "a store that opened second must still persist");
+        drop(b);
+        let warm = CacheStore::open(&dir);
+        assert_eq!(warm.get(Stage::Func, 1).as_deref(), Some(&b"from-b"[..]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn busy_lock_defers_the_flush_until_it_frees() {
+        let dir = tmp_dir("busy");
+        let store = CacheStore::open(&dir);
+        store.set_retry_policy(crate::retry::RetryPolicy::none());
+        store.put(Stage::Func, 1, b"one".to_vec());
+        let held = lock_dir(&dir).unwrap().expect("lock is free");
+        assert_eq!(store.flush(), 0, "a busy lock must defer the flush");
+        assert_eq!(store.pending_len(), 1, "deferred records stay pending");
+        assert_eq!(store.stats().lock_timeouts, 1);
+        drop(held);
+        assert_eq!(store.flush(), 1, "the next flush lands the deferred record");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1893,12 +1719,12 @@ mod tests {
     fn crashed_writer_lock_is_broken_as_stale() {
         let dir = tmp_dir("stale");
         std::fs::create_dir_all(&dir).unwrap();
-        // A lock owned by a PID that cannot exist.
+        // A lock file left by an older build, naming a PID that cannot
+        // exist.
         std::fs::write(dir.join("LOCK"), "4294967294\n").unwrap();
-        let store = CacheStore::open_with_timeout(&dir, Duration::from_millis(200));
-        if cfg!(target_os = "linux") {
-            assert!(store.is_writer(), "dead-owner lock must be broken");
-        }
+        let store = CacheStore::open(&dir);
+        store.put(Stage::Func, 1, b"one".to_vec());
+        assert_eq!(store.flush(), 1, "a leftover LOCK file must not block");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1914,22 +1740,21 @@ mod tests {
         let clean = verify_dir(&dir);
         assert!(clean.is_clean(), "{clean:?}");
         assert_eq!(clean.valid_records, 2);
-        assert!(clean.index_consistent);
         corrupt_dir(&dir, CorruptKind::BitFlip, 3).unwrap();
         let dirty = verify_dir(&dir);
         assert!(!dirty.is_clean());
-        assert!(clear_dir(&dir).unwrap() >= 1);
+        std::fs::write(dir.join("INDEX"), b"{}").unwrap();
+        assert!(clear_dir(&dir).unwrap() >= 2);
         assert_eq!(CacheStore::segment_names(&dir).len(), 0);
+        assert!(!dir.join("INDEX").exists(), "an older build's INDEX is cleared");
+        assert!(dir.join("LOCK").exists(), "clear never removes LOCK");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A hand-built segment image (bypasses the put-dedup so tests can
     /// create cross-segment duplicates the way concurrent writers do).
     fn raw_segment(records: &[(Stage, u64, &[u8])]) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(MAGIC);
-        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
+        let mut body = segment_header();
         for (stage, key, payload) in records {
             encode_record(&mut body, *stage, *key, payload);
         }
@@ -1961,7 +1786,6 @@ mod tests {
         assert_eq!(CacheStore::segment_names(&dir), vec!["seg-000002.seg".to_string()]);
         let check = verify_dir(&dir);
         assert!(check.is_clean(), "{check:?}");
-        assert!(check.index_consistent);
         // Last writer won.
         let store = CacheStore::open(&dir);
         assert_eq!(store.get(Stage::Func, 1).as_deref(), Some(&b"new"[..]));
@@ -1994,13 +1818,11 @@ mod tests {
     #[test]
     fn compact_refuses_while_locked() {
         let dir = tmp_dir("compact-locked");
-        let writer = CacheStore::open(&dir);
-        assert!(writer.is_writer());
-        std::env::set_var("ICFGP_STORE_LOCK_MS", "50");
+        std::fs::create_dir_all(&dir).unwrap();
+        let held = lock_dir(&dir).unwrap().expect("lock is free");
         let err = compact_dir(&dir);
-        std::env::remove_var("ICFGP_STORE_LOCK_MS");
         assert!(err.is_err(), "compaction must not race a live writer");
-        drop(writer);
+        drop(held);
         assert!(compact_dir(&dir).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,15 +2,15 @@
 //!
 //! Every telemetry surface in the workspace — [`RewriteStats`],
 //! [`StoreStats`], the `--stats` text block, the chaos/fleet JSON
-//! counter sections, `bench-rewrite` stage timings — is a *projection*
-//! of one stream of typed [`TraceEvent`]s collected by a shared
-//! [`Trace`]. Subsystems emit events (cache hit/miss/quarantine,
-//! store flush, retry, breaker trip, lease fence, ladder demotion,
-//! journal append) and open structural [`SpanKind`] spans (run, round,
-//! rewrite, pipeline stage, store flush); the [`Registry`] folds the
-//! stream into counters as it arrives and derives every legacy stats
-//! shape on demand, so the conservation laws between counters are
-//! checked in exactly one place ([`Registry::check`]).
+//! counter sections — is a *projection* of one stream of typed
+//! [`TraceEvent`]s collected by a shared [`Trace`]. Subsystems emit
+//! events (cache hit/miss/quarantine, store flush, retry, breaker
+//! trip, lease fence, ladder demotion, journal append) and open
+//! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
+//! store flush); the [`Registry`] folds the stream into counters as it
+//! arrives and derives every legacy stats shape on demand, so the
+//! conservation laws between counters are checked in exactly one place
+//! ([`Registry::check`]).
 //!
 //! # Determinism rule
 //!

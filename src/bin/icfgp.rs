@@ -63,7 +63,6 @@ USAGE:
   icfgp cache corrupt --cache-dir DIR --kind <bit-flip|truncate|stale-version> [--seed N]
   icfgp trace summarize FILE
   icfgp trace diff A B
-  icfgp bench-rewrite [--quick] [-o FILE]   (default FILE: BENCH_rewrite.json)
   icfgp list-workloads
 
 `audit` runs the whole-binary static soundness audit (lint codes
@@ -82,7 +81,7 @@ superseded and quarantined records.
 timings and the five slowest functions; `ICFGP_THREADS=N` overrides
 the worker-pool width (output bytes are identical for any N; invalid
 values are rejected with exit code 64, as are non-integer
-`ICFGP_STORE_LOCK_MS` / `ICFGP_FUNC_TIMEOUT_MS` values).
+`ICFGP_FUNC_TIMEOUT_MS` values).
 
 `--trace FILE` (or `ICFGP_TRACE`) records the structured event spine
 — spans (run, rewrite, analysis rounds, store flushes), cache
@@ -538,17 +537,6 @@ fn cmd_audit(args: &[String]) -> Result<u8, String> {
     Ok(u8::from(!report.is_clean(mode)))
 }
 
-fn cmd_bench_rewrite(args: &[String]) -> Result<u8, String> {
-    let quick = has_flag(args, "--quick");
-    let out = arg_value(args, "-o").unwrap_or_else(|| "BENCH_rewrite.json".to_string());
-    let report = incremental_cfg_patching::bench_rewrite::run_bench(quick)?;
-    println!("{}", report.render());
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(if report.all_identical() { 0 } else { 2 })
-}
-
 fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
     let path = args.first().ok_or("missing FILE")?;
     let out = arg_value(args, "-o").ok_or("missing -o FILE")?;
@@ -922,17 +910,11 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
         .ok_or("missing --cache-dir DIR (or set ICFGP_CACHE_DIR)")?;
     match sub.as_str() {
         "stats" => {
-            // Open read-only-ish (we do take the lock briefly) to count
-            // usable records; the advisory index supplies segment info.
+            // Open the store to count usable records per stage.
             let tpath = trace_path(rest);
             let spine = tpath.as_ref().map(|_| Trace::recording());
             let store = match &spine {
-                Some(t) => CacheStore::open_traced(
-                    &dir,
-                    store::lock_timeout(),
-                    Arc::clone(t),
-                    StoreSrc::Local,
-                ),
+                Some(t) => CacheStore::open_traced(&dir, Arc::clone(t), StoreSrc::Local),
                 None => CacheStore::open(&dir),
             };
             let s = store.stats();
@@ -950,19 +932,6 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             println!("  key-epoch  : {} (this build)", store::KEY_EPOCH);
             for (stage, n) in store.entry_counts() {
                 println!("    {:<9}: {n}", stage.name());
-            }
-            match CacheStore::read_index(&dir) {
-                Some(index) => {
-                    let bytes: u64 = index.segments.iter().map(|s| s.bytes).sum();
-                    println!(
-                        "  index      : {} segment(s), {bytes} byte(s), \
-                         format v{} epoch {}",
-                        index.segments.len(),
-                        index.version,
-                        index.key_epoch
-                    );
-                }
-                None => println!("  index      : absent"),
             }
             for e in store.events() {
                 println!("  event      : {e}");
@@ -982,9 +951,6 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             for p in &report.problems {
                 println!("  problem: {p}");
             }
-            if !report.index_consistent {
-                println!("  problem: advisory index stale or missing");
-            }
             if report.quarantined_files > 0 {
                 println!("  {} quarantined file(s) present", report.quarantined_files);
             }
@@ -1001,7 +967,7 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             }
         }
         "clear" => {
-            let removed = store::clear_dir(&dir).map_err(|e| format!("clearing: {e}"))?;
+            let removed = store::clear_dir(&dir)?;
             println!("{}: removed {removed} file(s)", dir.display());
             Ok(0)
         }
@@ -1115,13 +1081,12 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(64);
     }
-    // Same contract for the millisecond knobs: an explicit-but-invalid
+    // Same contract for the watchdog knob: an explicit-but-invalid
     // override refuses to start instead of silently using a default.
-    for var in ["ICFGP_STORE_LOCK_MS", "ICFGP_FUNC_TIMEOUT_MS"] {
-        if let Err(e) = store::env_millis(var, std::env::var(var).ok().as_deref()) {
-            eprintln!("error: {e}");
-            return ExitCode::from(64);
-        }
+    let var = "ICFGP_FUNC_TIMEOUT_MS";
+    if let Err(e) = store::env_millis(var, std::env::var(var).ok().as_deref()) {
+        eprintln!("error: {e}");
+        return ExitCode::from(64);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     // And for the store URL: a garbage `--store-url`/`ICFGP_STORE_URL`
@@ -1146,7 +1111,6 @@ fn main() -> ExitCode {
         "chaos" => cmd_chaos(rest),
         "cache" => cmd_cache(rest),
         "trace" => cmd_trace(rest),
-        "bench-rewrite" => cmd_bench_rewrite(rest),
         "list-workloads" => {
             println!("small  firefox  docker  driverlib  switch_demo");
             for n in SPEC_NAMES {

@@ -568,12 +568,9 @@ fn stage_misses(stats: &[RewriteStats]) -> u64 {
 /// campaign trace when one is configured.
 fn open_case_store(dir: &Path, trace: Option<&Arc<Trace>>) -> Arc<CacheStore> {
     match trace {
-        Some(t) => Arc::new(CacheStore::open_traced(
-            dir,
-            icfgp_core::store::lock_timeout(),
-            Arc::clone(t),
-            icfgp_core::StoreSrc::Local,
-        )),
+        Some(t) => {
+            Arc::new(CacheStore::open_traced(dir, Arc::clone(t), icfgp_core::StoreSrc::Local))
+        }
         None => Arc::new(CacheStore::open(dir)),
     }
 }

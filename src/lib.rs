@@ -29,7 +29,6 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
-pub mod bench_rewrite;
 pub mod chaos;
 
 pub use icfgp_asm as asm;

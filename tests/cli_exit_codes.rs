@@ -294,36 +294,35 @@ fn invalid_icfgp_threads_is_a_usage_error() {
 
 #[test]
 fn invalid_millisecond_env_vars_are_usage_errors() {
-    // ICFGP_STORE_LOCK_MS and ICFGP_FUNC_TIMEOUT_MS follow the same
-    // contract as ICFGP_THREADS: explicit garbage refuses to start
-    // with exit 64 and an error naming the variable; valid values and
-    // empty (= unset) are accepted.
-    for var in ["ICFGP_STORE_LOCK_MS", "ICFGP_FUNC_TIMEOUT_MS"] {
-        for bad in ["banana", "-5", "1.5", "10ms"] {
-            let out = icfgp()
-                .env(var, bad)
-                .arg("list-workloads")
-                .output()
-                .expect("runs");
-            assert_eq!(
-                out.status.code(),
-                Some(64),
-                "{var}={bad} must be rejected: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert!(
-                String::from_utf8_lossy(&out.stderr).contains(var),
-                "error must name {var}"
-            );
-        }
-        for ok in ["0", "50", "2000", "", "  "] {
-            let out = icfgp()
-                .env(var, ok)
-                .arg("list-workloads")
-                .output()
-                .expect("runs");
-            assert_eq!(out.status.code(), Some(0), "{var}={ok:?} must be accepted");
-        }
+    // ICFGP_FUNC_TIMEOUT_MS follows the same contract as
+    // ICFGP_THREADS: explicit garbage refuses to start with exit 64
+    // and an error naming the variable; valid values and empty
+    // (= unset) are accepted.
+    let var = "ICFGP_FUNC_TIMEOUT_MS";
+    for bad in ["banana", "-5", "1.5", "10ms"] {
+        let out = icfgp()
+            .env(var, bad)
+            .arg("list-workloads")
+            .output()
+            .expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(64),
+            "{var}={bad} must be rejected: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(var),
+            "error must name {var}"
+        );
+    }
+    for ok in ["0", "50", "2000", "", "  "] {
+        let out = icfgp()
+            .env(var, ok)
+            .arg("list-workloads")
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(0), "{var}={ok:?} must be accepted");
     }
 }
 

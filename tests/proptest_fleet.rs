@@ -95,3 +95,55 @@ proptest! {
         );
     }
 }
+
+/// A fixed 3-variant fleet over one shared store: every output matches
+/// its variant's cold rewrite, each later variant misses strictly
+/// fewer fragments than the first, and variants 2..N serve at least
+/// half of their fragment and emit lookups from the shared records,
+/// flagged as cross-binary hits.
+#[test]
+fn three_variant_fleet_shares_across_variants() {
+    let rw = Rewriter::new(RewriteConfig::new(RewriteMode::FuncPtr));
+    let instr = Instrumentation::empty(Points::EveryBlock);
+    let binaries: Vec<_> = (0..3u64)
+        .map(|perturb| {
+            let mut p = GenParams::small("fleet", Arch::X64, 11);
+            p.filler_funcs = 24;
+            p.perturb = perturb;
+            generate(&p).binary
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("icfgp-fleet3-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let shared = RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
+    let outs: Vec<_> = binaries
+        .iter()
+        .map(|b| rw.rewrite_cached(b, &instr, &shared).expect("fleet variant"))
+        .collect();
+    drop(shared);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for (b, out) in binaries.iter().zip(&outs) {
+        let cold = rw.rewrite_cached(b, &instr, &RewriteCache::new()).expect("cold variant");
+        assert_eq!(cold.binary, out.binary, "fleet output must match the cold rewrite");
+    }
+    let first_misses = outs[0].stats.fragments.misses;
+    let (mut hits, mut total, mut shared_hits) = (0u64, 0u64, 0u64);
+    for o in &outs[1..] {
+        assert!(
+            o.stats.fragments.misses < first_misses,
+            "later variants must miss less: {:?} vs {first_misses}",
+            o.stats.fragments
+        );
+        hits += o.stats.fragments.hits + o.stats.emits.hits;
+        total += o.stats.fragments.total() + o.stats.emits.total();
+        shared_hits += o.stats.fragments.shared + o.stats.emits.shared;
+    }
+    let warm_hit_rate = if total == 0 { 1.0 } else { hits as f64 / total as f64 };
+    assert!(
+        warm_hit_rate >= 0.5,
+        "variants 2..N must serve >= 50% of fragment+emit lookups from the shared store: \
+         {hits}/{total}"
+    );
+    assert!(shared_hits > 0, "cross-binary hits must be flagged shared");
+}

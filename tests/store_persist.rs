@@ -8,7 +8,9 @@
 //! * a crash at **every write boundary** of a flushed segment — record
 //!   frame edges, mid-frame, mid-payload, and before the final rename —
 //!   leaves a store the next run loads cleanly, with byte-identical
-//!   output.
+//!   output;
+//! * two stores open on one directory at once both persist, each flush
+//!   into its own segment.
 
 use incremental_cfg_patching::core::{
     CacheStore, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter,
@@ -274,5 +276,63 @@ fn interrupted_flush_keeps_records_pending_and_retries() {
     // Retry without the fault: everything lands.
     store.arm_faults(StoreFaults::default());
     assert!(cache.flush_store() > 0, "retry must persist the deferred records");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_writers_share_one_directory() {
+    use incremental_cfg_patching::core::store::{clear_dir, compact_dir, verify_dir};
+    let dir = tmp_dir("two-writers");
+    let rw = rewriter();
+    let binaries = [small_binary(21), small_binary(22)];
+    assert_ne!(binaries[0], binaries[1]);
+    let colds: Vec<_> = binaries
+        .iter()
+        .map(|b| rw.rewrite_cached(b, &instr(), &RewriteCache::new()).expect("cold").binary)
+        .collect();
+
+    // Both stores are open on the directory before either rewrites,
+    // and both start flushing at once.
+    let stores = [Arc::new(CacheStore::open(&dir)), Arc::new(CacheStore::open(&dir))];
+    let barrier = std::sync::Barrier::new(stores.len());
+    std::thread::scope(|s| {
+        for (binary, store) in binaries.iter().zip(&stores) {
+            let (rw, barrier) = (&rw, &barrier);
+            s.spawn(move || {
+                let cache = RewriteCache::with_store(store.clone());
+                let _ = rw.rewrite_cached(binary, &instr(), &cache).expect("populate");
+                barrier.wait();
+                // A flush that meets the other writer's lock defers;
+                // a later flush lands the records.
+                for _ in 0..100 {
+                    if store.pending_len() == 0 {
+                        break;
+                    }
+                    cache.flush_store();
+                }
+                assert_eq!(store.pending_len(), 0, "every record must land");
+            });
+        }
+    });
+    let flushes: u64 = stores.iter().map(|s| s.stats().flushes).sum();
+    drop(stores);
+
+    let report = verify_dir(&dir);
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(
+        report.segments, flushes,
+        "every flush must land in its own segment (no rename overwrote another)"
+    );
+    for (binary, cold) in binaries.iter().zip(&colds) {
+        let cache = RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
+        let warm = rw.rewrite_cached(binary, &instr(), &cache).expect("warm");
+        assert_eq!(&warm.binary, cold, "warm output must match the cold rewrite");
+        assert!(warm.stats.store.hits > 0, "warm run must hit the store: {:?}", warm.stats.store);
+    }
+
+    compact_dir(&dir).expect("compact");
+    assert!(dir.join("LOCK").exists(), "compact must leave LOCK in place");
+    clear_dir(&dir).expect("clear");
+    assert!(dir.join("LOCK").exists(), "clear must leave LOCK in place");
     let _ = std::fs::remove_dir_all(&dir);
 }
