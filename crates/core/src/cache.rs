@@ -33,10 +33,12 @@
 //! # Persistence and cross-binary sharing
 //!
 //! A cache may be backed by a crash-safe on-disk
-//! [`CacheStore`] ([`RewriteCache::with_store`]): every stage lookup falls through to
-//! the store on an in-memory miss, and computed entries are buffered
-//! for the store's next flush. Store damage of any kind degrades to a
-//! recompute, never to different bytes.
+//! [`CacheStore`](crate::store::CacheStore) ([`RewriteCache::with_store`]):
+//! every stage lookup falls through to the store on an in-memory miss,
+//! and computed entries are buffered for the store's next flush. Store
+//! records use the positional binary codec of [`serde::to_bin`]. Store
+//! damage of any kind degrades to a recompute, never to different
+//! bytes.
 //!
 //! Function-analysis entries are keyed on the *function's own
 //! analysis inputs* (its address range and bytes, the environment
@@ -327,7 +329,7 @@ fn deps_hold(deps: &[FuncDep], binary: &Binary, binary_fp: u64) -> bool {
 
 /// The persisted form of one function-analysis entry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FuncPayload {
+pub(crate) struct FuncPayload {
     cfg: FuncCfg,
     deps: Vec<FuncDep>,
     /// Fingerprint of the binary this entry was first computed for —
@@ -366,7 +368,7 @@ impl Lookup {
 /// catches logically corrupted records, which are quarantined and
 /// recomputed instead of mis-relocating.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct FragPayload {
+pub(crate) struct FragPayload {
     frag: FuncFragment,
     cfg_fp: u64,
     origin_fp: u64,
@@ -383,9 +385,31 @@ struct FragEntry {
 /// The persisted form of one canonical (position-independent)
 /// emission. Validated against its fragment at every lookup.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct EmitPayload {
+pub(crate) struct EmitPayload {
     emit: RelocEmit,
     origin_fp: u64,
+}
+
+/// Decode a stored record payload as `stage`'s record type and
+/// re-encode it. The record codec is canonical, so every payload a
+/// store wrote comes back byte for byte; damaged bytes return the
+/// decoder's error, the one a lookup quarantines the record on.
+///
+/// # Errors
+///
+/// The [`serde::DeError`] of [`serde::from_bin`] when `payload` is not
+/// exactly one well-formed record of the stage's type.
+pub fn recode_payload(stage: Stage, payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
+    fn recode<T: Serialize + Deserialize>(payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
+        serde::from_bin::<T>(payload).map(|v| serde::to_bin(&v))
+    }
+    match stage {
+        Stage::Func => recode::<FuncPayload>(payload),
+        Stage::Liveness => recode::<LivenessResult>(payload),
+        Stage::Fragment => recode::<FragPayload>(payload),
+        Stage::Emit => recode::<EmitPayload>(payload),
+        Stage::Audit => recode::<icfgp_audit::AuditReport>(payload),
+    }
 }
 
 /// An in-memory emission entry (see [`EmitPayload`]).
@@ -443,7 +467,7 @@ struct Maps {
 /// share across threads, rewrites, ladder rounds and fault seeds —
 /// keys are self-describing, so reuse never changes results, only
 /// how fast they arrive. Optionally backed by a persistent
-/// [`CacheStore`] ([`RewriteCache::with_store`]).
+/// [`CacheStore`](crate::store::CacheStore) ([`RewriteCache::with_store`]).
 ///
 /// Every lookup emits a [`TraceEvent::CacheLookup`] onto the cache's
 /// trace spine; when the cache is backed by a store, the store's
@@ -584,15 +608,16 @@ impl RewriteCache {
         self.inner.lock().expect("cache poisoned")
     }
 
-    /// Persisted-store lookup: decode failures quarantine the record
-    /// and count as a miss, never an error.
+    /// Persisted-store lookup: payloads are the positional binary
+    /// encoding ([`serde::from_bin`]); decode failures quarantine the
+    /// record and count as a miss, never an error.
     fn store_get<T: serde::Deserialize>(&self, stage: Stage, key: u64) -> Option<T> {
         let store = self.store.as_ref()?;
         let payload = store.get(stage, key)?;
-        match serde_json::from_slice(&payload) {
+        match serde::from_bin(&payload) {
             Ok(v) => Some(v),
             Err(e) => {
-                store.quarantine_record(stage, key, &format!("{e:?}"));
+                store.quarantine_record(stage, key, &e.to_string());
                 None
             }
         }
@@ -600,9 +625,7 @@ impl RewriteCache {
 
     fn store_put<T: Serialize>(&self, stage: Stage, key: u64, value: &T) {
         if let Some(store) = &self.store {
-            if let Ok(bytes) = serde_json::to_vec(value) {
-                store.put(stage, key, bytes);
-            }
+            store.put(stage, key, serde::to_bin(value));
         }
     }
 

@@ -17,12 +17,15 @@
 //! (`tag ‖ key ‖ len ‖ checksum ‖ payload`). A torn tail — the frame
 //! being written when the process died — fails its checksum or length
 //! check and is dropped at load, exactly like a torn store segment.
+//! Payloads use the store's record codec, the positional binary form
+//! of [`serde::to_bin`]; the key epoch folds in their `SCHEMA`, so a
+//! build whose journal records changed shape refuses to resume.
 //!
-//! | tag | record | key | payload (JSON) |
-//! |-----|--------|-----|----------------|
+//! | tag | record | key | payload |
+//! |-----|--------|-----|---------|
 //! | 1 | header | binary fingerprint | [`JournalHeader`] |
 //! | 2 | round  | round number | [`RoundRecord`] |
-//! | 3 | complete | total rounds | `{"rounds": n}` |
+//! | 3 | complete | total rounds | the round count |
 //!
 //! # Resume invariants
 //!
@@ -85,7 +88,7 @@ pub struct RoundRecord {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct CompleteRecord {
+pub(crate) struct CompleteRecord {
     rounds: u32,
 }
 
@@ -146,9 +149,7 @@ impl RunJournal {
         body.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
         body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
         let header = JournalHeader { binary_fp, config_fp };
-        let payload = serde_json::to_vec(&header)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        body.extend_from_slice(&frame(TAG_HEADER, binary_fp, &payload));
+        body.extend_from_slice(&frame(TAG_HEADER, binary_fp, &serde::to_bin(&header)));
         file.write_all(&body)?;
         file.sync_all()?;
         Ok(RunJournal { path: path.to_path_buf(), file: Mutex::new(file) })
@@ -174,9 +175,7 @@ impl RunJournal {
     ///
     /// Any I/O error appending or syncing.
     pub fn append_round(&self, record: &RoundRecord) -> std::io::Result<()> {
-        let payload = serde_json::to_vec(record)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.append(TAG_ROUND, u64::from(record.round), &payload)
+        self.append(TAG_ROUND, u64::from(record.round), &serde::to_bin(record))
     }
 
     /// Append the completion record: the run finished after `rounds`
@@ -186,9 +185,11 @@ impl RunJournal {
     ///
     /// Any I/O error appending or syncing.
     pub fn append_complete(&self, rounds: u32) -> std::io::Result<()> {
-        let payload = serde_json::to_vec(&CompleteRecord { rounds })
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.append(TAG_COMPLETE, u64::from(rounds), &payload)
+        self.append(
+            TAG_COMPLETE,
+            u64::from(rounds),
+            &serde::to_bin(&CompleteRecord { rounds }),
+        )
     }
 
     /// Load a journal, dropping any torn tail. The replay is usable
@@ -218,7 +219,7 @@ impl RunJournal {
         let epoch = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
         if epoch != KEY_EPOCH {
             return Err(format!(
-                "{}: key epoch {epoch} (expected {KEY_EPOCH})",
+                "{}: key epoch {epoch:#x} (expected {KEY_EPOCH:#x})",
                 path.display()
             ));
         }
@@ -231,18 +232,18 @@ impl RunJournal {
         let mut damaged = scan.truncated || scan.corrupt > 0;
         for (tag, _key, payload) in scan.frames {
             match tag {
-                TAG_HEADER => match serde_json::from_slice::<JournalHeader>(&payload) {
+                TAG_HEADER => match serde::from_bin::<JournalHeader>(&payload) {
                     Ok(h) if header.is_none() => header = Some(h),
                     Ok(_) => damaged = true,
                     Err(_) => damaged = true,
                 },
-                TAG_ROUND => match serde_json::from_slice::<RoundRecord>(&payload) {
+                TAG_ROUND => match serde::from_bin::<RoundRecord>(&payload) {
                     // Rounds must arrive in order; anything else is a
                     // damaged (or foreign) journal.
                     Ok(r) if r.round as usize == rounds.len() + 1 => rounds.push(r),
                     _ => damaged = true,
                 },
-                TAG_COMPLETE => match serde_json::from_slice::<CompleteRecord>(&payload) {
+                TAG_COMPLETE => match serde::from_bin::<CompleteRecord>(&payload) {
                     Ok(c) if c.rounds as usize == rounds.len() => complete = true,
                     _ => damaged = true,
                 },

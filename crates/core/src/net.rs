@@ -7,7 +7,7 @@
 //! checksummed frame: a `u32` little-endian byte count followed by
 //! exactly one record frame in the store's segment encoding
 //! (`tag u8 · key u64 · len u32 · checksum u64 · payload[len]`, see
-//! `store.rs`). Reusing [`encode_frame`]/[`scan_frames`] means a torn
+//! `store.rs`). Reusing its `encode_frame`/`scan_frames` means a torn
 //! or bit-flipped response fails validation exactly like a damaged
 //! segment would — and gets the same answer: quarantine the exchange
 //! (a transport error), never trust the bytes.
@@ -600,7 +600,7 @@ impl ServerShared {
                     return Some((
                         RE_ERR,
                         0,
-                        format!("key epoch {epoch} (server has {KEY_EPOCH})").into_bytes(),
+                        format!("key epoch {epoch:#x} (server has {KEY_EPOCH:#x})").into_bytes(),
                     ));
                 }
                 match self.store.get_queued(stage, key) {
@@ -654,7 +654,7 @@ impl ServerShared {
                     return Some((
                         RE_ERR,
                         0,
-                        format!("key epoch {epoch} (server has {KEY_EPOCH})").into_bytes(),
+                        format!("key epoch {epoch:#x} (server has {KEY_EPOCH:#x})").into_bytes(),
                     ));
                 }
                 let mut lease = self.lease.lock().expect("lease poisoned");

@@ -25,8 +25,10 @@
 //! epoch`) followed by records. Each record is framed as
 //! `tag u8 · key u64 · len u32 · checksum u64 · payload[len]` with the
 //! checksum (FNV-1a/64 + avalanche finaliser) taken over
-//! `tag ‖ key ‖ payload`. Payloads are the serde-JSON encoding of the
-//! cached value.
+//! `tag ‖ key ‖ payload`. Payloads are the positional binary encoding of
+//! the cached value ([`serde::to_bin`]: fields in declaration order, no
+//! names, LEB128 integers), guarded by the schema fold in
+//! [`KEY_EPOCH`].
 //!
 //! # Failure semantics (all graceful)
 //!
@@ -76,18 +78,49 @@ const MAGIC: &[u8; 8] = b"ICFGPST\x01";
 /// On-disk format version; a mismatch quarantines the segment.
 pub const FORMAT_VERSION: u32 = 1;
 /// Cache-key derivation epoch. Keys come from the standard library's
-/// `DefaultHasher`, which is stable within one Rust release; bump this
-/// when the key derivation in `cache.rs` changes — or when a persisted
-/// payload type changes shape (epoch 3: `JumpTableDesc` gained bound
-/// evidence, `FpDef` gained pointer evidence; epoch 4:
-/// `AnalysisFailure` gained the watchdog `Budget` variant and
-/// `AnalysisConfig` gained budget knobs; epoch 5: fragment/emit
-/// stages re-keyed on the weak cross-binary identity and the emit
-/// payload became the position-independent `RelocEmit` — per-binary
-/// `Fragment`/`Emit` records from epoch 4 must not alias the new
-/// keys) — so stale stores are quarantined instead of silently never
-/// hitting or mass-failing decode.
-pub const KEY_EPOCH: u64 = 5;
+/// `DefaultHasher`, which is stable within one Rust release; bump the
+/// base number when the key derivation in `cache.rs` changes (epoch 3:
+/// `JumpTableDesc` gained bound evidence, `FpDef` gained pointer
+/// evidence; epoch 4: `AnalysisFailure` gained the watchdog `Budget`
+/// variant and `AnalysisConfig` gained budget knobs; epoch 5:
+/// fragment/emit stages re-keyed on the weak cross-binary identity and
+/// the emit payload became the position-independent `RelocEmit`;
+/// epoch 6: payloads became the positional binary form of
+/// [`serde::to_bin`]).
+///
+/// Binary payloads carry no field names, so a reordered or retyped
+/// field would decode as plausible garbage. The base number is
+/// therefore folded with the [`serde::Serialize::SCHEMA`] of every
+/// persisted payload type (the four per-function stages, audit reports
+/// and the run journal's records): a build whose payload shapes differ
+/// has a different epoch, so its stale segments are quarantined, the
+/// remote handshake rejects it and the journal refuses to resume —
+/// instead of silently never hitting or mass-failing decode.
+pub const KEY_EPOCH: u64 = fold_epoch(
+    6,
+    &[
+        <crate::cache::FuncPayload as Serialize>::SCHEMA,
+        <icfgp_cfg::LivenessResult as Serialize>::SCHEMA,
+        <crate::cache::FragPayload as Serialize>::SCHEMA,
+        <crate::cache::EmitPayload as Serialize>::SCHEMA,
+        <icfgp_audit::AuditReport as Serialize>::SCHEMA,
+        <crate::journal::JournalHeader as Serialize>::SCHEMA,
+        <crate::journal::RoundRecord as Serialize>::SCHEMA,
+        <crate::journal::CompleteRecord as Serialize>::SCHEMA,
+    ],
+);
+
+/// Fold an epoch number with payload schemas into one 64-bit epoch.
+const fn fold_epoch(epoch: u64, schemas: &[u64]) -> u64 {
+    let mut h = serde::schema_mix(serde::SCHEMA_SEED, epoch);
+    let mut i = 0;
+    while i < schemas.len() {
+        h = serde::schema_mix(h, schemas[i]);
+        i += 1;
+    }
+    h
+}
+
 /// Segment header length: magic + version + epoch.
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8;
 /// Per-record frame length before the payload: tag + key + len + checksum.
@@ -1005,8 +1038,9 @@ pub trait StoreBackend: Send + Sync {
     /// Buffer a freshly-computed record for the next [`StoreBackend::flush`].
     fn put(&self, stage: Stage, key: u64, payload: Vec<u8>);
     /// Convert an earlier hit whose payload proved unusable into a
-    /// quarantine (see [`CacheStore::quarantine_record`] for the
-    /// hit/miss/quarantine disjointness contract).
+    /// quarantine, and only a quarantine: the lookup is not also
+    /// counted as a miss, so hits, misses and lookup quarantines stay
+    /// disjoint and sum to the lookups.
     fn quarantine_record(&self, stage: Stage, key: u64, why: &str);
     /// Persist pending records; returns how many were persisted this
     /// call. Deferrals (lock contention, lost lease, dead server)
@@ -1248,7 +1282,7 @@ fn scan_segment(data: &[u8]) -> SegmentScan {
     }
     let epoch = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
     if epoch != KEY_EPOCH {
-        return SegmentScan::BadHeader(format!("key epoch {epoch} (expected {KEY_EPOCH})"));
+        return SegmentScan::BadHeader(format!("key epoch {epoch:#x} (expected {KEY_EPOCH:#x})"));
     }
     let scan = scan_frames(&data[HEADER_LEN..], |tag| Stage::from_tag(tag).is_some());
     let records = scan

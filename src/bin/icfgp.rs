@@ -853,7 +853,7 @@ fn cmd_cache_stats_remote(raw: &str) -> Result<u8, String> {
     println!("{url}:");
     println!("  segments   : {} on disk, {} record(s)", s.segments, s.records);
     println!("  quarantine : {} file(s), {} byte(s) on disk", s.quarantined_files, s.quarantined_bytes);
-    println!("  key-epoch  : {} (server), format v{}", s.key_epoch, s.format_version);
+    println!("  key-epoch  : {:#018x} (server), format v{}", s.key_epoch, s.format_version);
     println!(
         "  server     : {} conn(s), {} request(s), {} hit / {} miss, \
          {} put(s) accepted / {} rejected",
@@ -929,7 +929,7 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             );
             let (qfiles, qbytes) = store::quarantine_usage(&dir);
             println!("  quarantine : {qfiles} file(s), {qbytes} byte(s) on disk");
-            println!("  key-epoch  : {} (this build)", store::KEY_EPOCH);
+            println!("  key-epoch  : {:#018x} (this build)", store::KEY_EPOCH);
             for (stage, n) in store.entry_counts() {
                 println!("    {:<9}: {n}", stage.name());
             }
