@@ -113,10 +113,6 @@ pub struct FaultPlan {
     /// lying server; caught by validation).
     #[serde(default)]
     pub net_bit_flip_reply: f64,
-    /// Probability a `PUT`/`RENEW` reply is replaced by a lease-expiry
-    /// rejection.
-    #[serde(default)]
-    pub net_lease_expire: f64,
     /// Probability the server dies mid-`PUT` (reply dropped; later
     /// connections refused when the campaign wires the kill flag).
     #[serde(default)]
@@ -149,7 +145,6 @@ impl FaultPlan {
             net_drop: 0.0,
             net_torn_response: 0.0,
             net_bit_flip_reply: 0.0,
-            net_lease_expire: 0.0,
             net_kill_mid_put: 0.0,
         }
     }
@@ -199,7 +194,6 @@ impl FaultPlan {
             net_drop: 0.10,
             net_torn_response: 0.10,
             net_bit_flip_reply: 0.10,
-            net_lease_expire: 0.10,
             ..FaultPlan::none(seed)
         }
     }
@@ -230,7 +224,6 @@ impl FaultPlan {
             net_drop: 0.25,
             net_torn_response: 0.20,
             net_bit_flip_reply: 0.15,
-            net_lease_expire: 0.20,
             net_kill_mid_put: 0.02,
             ..FaultPlan::none(seed)
         }
@@ -273,8 +266,6 @@ impl FaultPlan {
             drop: self.net_drop,
             torn_response: self.net_torn_response,
             bit_flip_reply: self.net_bit_flip_reply,
-            lease_expire: self.net_lease_expire,
-            lease_expire_at: 0,
             kill_mid_put: self.net_kill_mid_put,
         }
     }

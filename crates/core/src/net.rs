@@ -12,24 +12,23 @@
 //! segment would — and gets the same answer: quarantine the exchange
 //! (a transport error), never trust the bytes.
 //!
-//! Requests: `GET` (key = record key, payload = stage tag + key
-//! epoch), `PUT` (payload = stage tag + lease fence + record bytes),
-//! `LEASE` (key = client nonce, payload = key epoch), `RENEW` /
-//! `RELEASE` (key = lease token), `STATS`. Responses: `HIT`/`MISS`,
-//! `OK`/`REJECTED`, `GRANT` (key = token, payload = fence + TTL ms) /
-//! `BUSY`, `STATS` (JSON [`ServerStats`]), `ERR`.
+//! Requests: `GET` (key = record key, payload = stage tag ‖ key
+//! epoch), `PUT` (key = record key, payload = stage tag ‖ key epoch ‖
+//! record bytes), `STATS`. Responses: `HIT`/`MISS`, `OK`, `STATS`
+//! (JSON [`ServerStats`]), `ERR`.
 //!
-//! # Epoch-fenced leases
+//! # Write protocol
 //!
-//! The local store's directory lock is a kernel lock and cannot span
-//! machines, so the server arbitrates writers with **leases**: one
-//! writer at a time holds a token and a monotonically increasing
-//! **fence** number, bumped on every grant. Every `PUT` carries the
-//! writer's fence; the server rejects any fence that is not the
-//! *current, unexpired* one — so a paused writer whose lease lapsed
-//! (and was re-granted to someone else) can never interleave stale
-//! writes, no matter how late its packets arrive. A rejected `PUT`
-//! writes nothing.
+//! The server process is the only writer of its directory, and it
+//! writes through the same [`CacheStore`] protocol as any local store:
+//! a `PUT` only queues the record, and the store takes the directory's
+//! kernel lock itself when it flushes — once `flush_threshold` records
+//! are queued, when a connection closes, and when the server stops
+//! cleanly. `GET`s see queued records before they are flushed. Any
+//! number of clients write at once: records are content-addressed and
+//! re-validated at lookup, so there is nothing to arbitrate. A `GET` or
+//! `PUT` whose header is short, names an unknown stage or carries a
+//! foreign key epoch is answered `ERR` and writes nothing.
 //!
 //! # Degradation ladder
 //!
@@ -37,19 +36,19 @@
 //! wrong bytes, never a hung run:
 //!
 //! 1. transient faults (timeout, refused connection, short read, torn
-//!    frame, checksum mismatch, lost lease) get deterministically
-//!    jittered bounded retries ([`RetryPolicy`]);
+//!    frame, checksum mismatch) get deterministically jittered bounded
+//!    retries ([`RetryPolicy`]);
 //! 2. a failed or missed read hedges to the read-only **local
 //!    overflow store** (the `--cache-dir`, when one is given);
-//! 3. enough *consecutive* transport failures trip the per-connection
-//!    **circuit breaker**, degrading the client to fully-local
-//!    operation for the rest of the run — pending records flush to the
-//!    overflow store instead.
+//! 3. enough *consecutive* transport failures or unexpected replies
+//!    trip the per-connection **circuit breaker**, degrading the client
+//!    to fully-local operation for the rest of the run — pending
+//!    records flush to the overflow store instead.
 
 use crate::retry::{RetryPolicy, Transience};
 use crate::store::{
-    encode_frame, scan_frames, CacheStore, FaultRng, Stage, StoreBackend,
-    StoreEvent, StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
+    encode_frame, push_event, scan_frames, CacheStore, FaultRng, Stage, StoreBackend, StoreEvent,
+    StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
 };
 use crate::trace::{StoreOp, StoreSrc, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -64,17 +63,11 @@ use std::time::{Duration, Instant};
 
 const OP_GET: u8 = 0x10;
 const OP_PUT: u8 = 0x11;
-const OP_LEASE: u8 = 0x12;
-const OP_RENEW: u8 = 0x13;
-const OP_RELEASE: u8 = 0x14;
 const OP_STATS: u8 = 0x15;
 
 const RE_HIT: u8 = 0x20;
 const RE_MISS: u8 = 0x21;
 const RE_OK: u8 = 0x22;
-const RE_GRANT: u8 = 0x23;
-const RE_BUSY: u8 = 0x24;
-const RE_REJECTED: u8 = 0x25;
 const RE_STATS: u8 = 0x26;
 const RE_ERR: u8 = 0x27;
 
@@ -82,12 +75,47 @@ const RE_ERR: u8 = 0x27;
 /// cause a huge allocation).
 const MAX_MESSAGE: u32 = 260 << 20;
 
+/// Length of the `stage ‖ key epoch` header that opens every `GET` and
+/// `PUT` payload.
+const RECORD_HEADER: usize = 1 + 8;
+
+/// Request frames carry a tag in `OP_GET..=OP_STATS`. The unused tags
+/// inside that range (`0x12..=0x14`, an older protocol's writer-lease
+/// ops) still frame cleanly and are answered `ERR`, so an old client
+/// degrades through its breaker instead of timing out.
 fn request_tag(tag: u8) -> bool {
     (OP_GET..=OP_STATS).contains(&tag)
 }
 
 fn response_tag(tag: u8) -> bool {
     (RE_HIT..=RE_ERR).contains(&tag)
+}
+
+/// The `stage ‖ KEY_EPOCH` header followed by `record`: the payload of
+/// a `GET` (empty `record`) or a `PUT`.
+fn record_body(stage: Stage, record: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(RECORD_HEADER + record.len());
+    body.push(stage.tag());
+    body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
+    body.extend_from_slice(record);
+    body
+}
+
+/// Split a `GET`/`PUT` payload into its stage and the bytes after the
+/// header. A short header, an unknown stage or a foreign key epoch is
+/// the `ERR` reason.
+fn split_record_body(payload: &[u8]) -> Result<(Stage, &[u8]), String> {
+    if payload.len() < RECORD_HEADER {
+        return Err(format!("{}-byte header (want {RECORD_HEADER})", payload.len()));
+    }
+    let Some(stage) = Stage::from_tag(payload[0]) else {
+        return Err(format!("unknown stage {:#04x}", payload[0]));
+    };
+    let epoch = u64::from_le_bytes(payload[1..RECORD_HEADER].try_into().expect("8 bytes"));
+    if epoch != KEY_EPOCH {
+        return Err(format!("key epoch {epoch:#x} (server has {KEY_EPOCH:#x})"));
+    }
+    Ok((stage, &payload[RECORD_HEADER..]))
 }
 
 // ----- framing -----------------------------------------------------------
@@ -220,12 +248,6 @@ pub struct NetFaults {
     /// Probability the response fails its frame checksum (a lying
     /// server or an on-path bit flip; caught by validation).
     pub bit_flip_reply: f64,
-    /// Probability a `PUT`/`RENEW` reply is replaced by `REJECTED`,
-    /// as if the lease expired under the writer.
-    pub lease_expire: f64,
-    /// Deterministic lease-expiry kill point: the Nth `PUT` of the run
-    /// (1-based) is rejected regardless of probability; 0 disables.
-    pub lease_expire_at: u64,
     /// Probability the server dies mid-`PUT`: the reply never arrives
     /// and (with an in-process server) every later connection is
     /// refused.
@@ -240,8 +262,6 @@ impl NetFaults {
             || self.drop > 0.0
             || self.torn_response > 0.0
             || self.bit_flip_reply > 0.0
-            || self.lease_expire > 0.0
-            || self.lease_expire_at > 0
             || self.kill_mid_put > 0.0
     }
 }
@@ -332,7 +352,6 @@ pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     faults: NetFaults,
     rng: FaultRng,
-    puts_seen: u64,
     injected: Arc<AtomicU64>,
     kill: Option<Arc<AtomicBool>>,
 }
@@ -351,7 +370,6 @@ impl FaultyTransport {
             inner,
             rng: FaultRng(faults.seed ^ 0x0051_570F_4E45_5400_u64),
             faults,
-            puts_seen: 0,
             injected: Arc::new(AtomicU64::new(0)),
             kill,
         }
@@ -387,11 +405,7 @@ impl Transport for FaultyTransport {
                 "injected connection drop",
             ));
         }
-        let is_put = tag == OP_PUT;
-        if is_put {
-            self.puts_seen += 1;
-        }
-        if is_put && self.rng.chance(f.kill_mid_put) {
+        if tag == OP_PUT && self.rng.chance(f.kill_mid_put) {
             self.inject();
             if let Some(k) = &self.kill {
                 k.store(true, Ordering::SeqCst);
@@ -405,13 +419,6 @@ impl Transport for FaultyTransport {
             ));
         }
         let reply = self.inner.exchange(tag, key, payload)?;
-        if (is_put || tag == OP_RENEW)
-            && ((is_put && f.lease_expire_at > 0 && self.puts_seen == f.lease_expire_at)
-                || self.rng.chance(f.lease_expire))
-        {
-            self.inject();
-            return Ok((RE_REJECTED, 0, Vec::new()));
-        }
         if self.rng.chance(f.torn_response) {
             self.inject();
             return Err(std::io::Error::new(
@@ -435,8 +442,6 @@ impl Transport for FaultyTransport {
 /// Server tuning knobs for [`serve`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// How long a granted lease lives without a renew.
-    pub lease_ttl: Duration,
     /// Flush the backing store once this many PUTs are pending.
     pub flush_threshold: usize,
     /// Per-connection read timeout (idle connections poll the stop
@@ -446,11 +451,7 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
-        ServeOptions {
-            lease_ttl: Duration::from_millis(2000),
-            flush_threshold: 64,
-            read_timeout: Duration::from_millis(250),
-        }
+        ServeOptions { flush_threshold: 64, read_timeout: Duration::from_millis(250) }
     }
 }
 
@@ -466,25 +467,16 @@ pub struct ServerStats {
     pub get_hits: u64,
     /// `GET`s answered with a miss.
     pub get_misses: u64,
-    /// `PUT`s accepted under a valid lease fence.
+    /// `PUT`s queued into the store.
     pub puts_accepted: u64,
-    /// `PUT`s rejected (bad fence, expired or missing lease). A
-    /// rejected `PUT` writes nothing.
+    /// `PUT`s answered `ERR` (short header, unknown stage or foreign
+    /// key epoch). A rejected `PUT` writes nothing.
     pub puts_rejected: u64,
-    /// Leases granted (each bumps the fence).
-    pub leases_granted: u64,
-    /// Lease requests refused because another writer holds it.
+    /// Always 0: no write is ever refused as busy. Kept because the
+    /// `icfgp-perf` benchmark reads it.
     pub leases_busy: u64,
-    /// Successful renews.
-    pub renews: u64,
-    /// Releases.
-    pub releases: u64,
-    /// Writes or renews that arrived after their lease expired.
-    pub fences_expired: u64,
     /// Messages dropped for framing or checksum damage.
     pub bad_frames: u64,
-    /// The current lease fence (0 when never granted).
-    pub fence: u64,
     /// Segment files in the store directory.
     pub segments: u64,
     /// Usable records loaded.
@@ -509,34 +501,12 @@ struct ServerCounters {
     get_misses: AtomicU64,
     puts_accepted: AtomicU64,
     puts_rejected: AtomicU64,
-    leases_granted: AtomicU64,
-    leases_busy: AtomicU64,
-    renews: AtomicU64,
-    releases: AtomicU64,
-    fences_expired: AtomicU64,
     bad_frames: AtomicU64,
-}
-
-/// The single writer lease: token identifies the holder, fence is the
-/// monotonic epoch PUTs are checked against.
-#[derive(Default)]
-struct LeaseSlot {
-    token: u64,
-    fence: u64,
-    deadline: Option<Instant>,
-    next_token: u64,
-}
-
-impl LeaseSlot {
-    fn holder_alive(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now <= d)
-    }
 }
 
 struct ServerShared {
     store: CacheStore,
     dir: PathBuf,
-    lease: Mutex<LeaseSlot>,
     c: ServerCounters,
     opts: ServeOptions,
     stop: Arc<AtomicBool>,
@@ -567,13 +537,8 @@ impl ServerShared {
             get_misses: self.c.get_misses.load(Ordering::Relaxed),
             puts_accepted: self.c.puts_accepted.load(Ordering::Relaxed),
             puts_rejected: self.c.puts_rejected.load(Ordering::Relaxed),
-            leases_granted: self.c.leases_granted.load(Ordering::Relaxed),
-            leases_busy: self.c.leases_busy.load(Ordering::Relaxed),
-            renews: self.c.renews.load(Ordering::Relaxed),
-            releases: self.c.releases.load(Ordering::Relaxed),
-            fences_expired: self.c.fences_expired.load(Ordering::Relaxed),
+            leases_busy: 0,
             bad_frames: self.c.bad_frames.load(Ordering::Relaxed),
-            fence: self.lease.lock().expect("lease poisoned").fence,
             segments,
             records,
             quarantined_files: qfiles,
@@ -584,129 +549,40 @@ impl ServerShared {
         }
     }
 
-    /// Dispatch one request; `None` closes the connection.
-    fn handle(&self, tag: u8, key: u64, payload: &[u8]) -> Option<(u8, u64, Vec<u8>)> {
+    /// Dispatch one request to its reply.
+    fn handle(&self, tag: u8, key: u64, payload: &[u8]) -> (u8, u64, Vec<u8>) {
         self.c.requests.fetch_add(1, Ordering::Relaxed);
         match tag {
-            OP_GET => {
-                if payload.len() != 9 {
-                    return Some((RE_ERR, 0, b"malformed GET".to_vec()));
-                }
-                let Some(stage) = Stage::from_tag(payload[0]) else {
-                    return Some((RE_ERR, 0, b"unknown stage".to_vec()));
-                };
-                let epoch = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-                if epoch != KEY_EPOCH {
-                    return Some((
-                        RE_ERR,
-                        0,
-                        format!("key epoch {epoch:#x} (server has {KEY_EPOCH:#x})").into_bytes(),
-                    ));
-                }
-                match self.store.get_queued(stage, key) {
+            OP_GET => match split_record_body(payload) {
+                Ok((stage, [])) => match self.store.get_queued(stage, key) {
                     Some(p) => {
                         self.c.get_hits.fetch_add(1, Ordering::Relaxed);
-                        Some((RE_HIT, key, p))
+                        (RE_HIT, key, p)
                     }
                     None => {
                         self.c.get_misses.fetch_add(1, Ordering::Relaxed);
-                        Some((RE_MISS, key, Vec::new()))
+                        (RE_MISS, key, Vec::new())
                     }
-                }
-            }
-            OP_PUT => {
-                if payload.len() < 9 {
-                    return Some((RE_ERR, 0, b"malformed PUT".to_vec()));
-                }
-                let Some(stage) = Stage::from_tag(payload[0]) else {
-                    return Some((RE_ERR, 0, b"unknown stage".to_vec()));
-                };
-                let fence = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-                let accept = {
-                    let lease = self.lease.lock().expect("lease poisoned");
-                    let current = lease.fence == fence && fence != 0;
-                    let alive = lease.holder_alive(Instant::now());
-                    if current && !alive {
-                        self.c.fences_expired.fetch_add(1, Ordering::Relaxed);
-                    }
-                    current && alive
-                };
-                if accept {
-                    self.store.put(stage, key, payload[9..].to_vec());
+                },
+                Ok(_) => (RE_ERR, 0, b"GET carries a record".to_vec()),
+                Err(why) => (RE_ERR, 0, why.into_bytes()),
+            },
+            OP_PUT => match split_record_body(payload) {
+                Ok((stage, record)) => {
+                    self.store.put(stage, key, record.to_vec());
                     self.c.puts_accepted.fetch_add(1, Ordering::Relaxed);
                     if self.store.pending_len() >= self.opts.flush_threshold {
                         self.store.flush();
                     }
-                    Some((RE_OK, key, Vec::new()))
-                } else {
-                    // The fence is stale or the lease lapsed: write
-                    // nothing — the client re-acquires and resends.
+                    (RE_OK, key, Vec::new())
+                }
+                Err(why) => {
                     self.c.puts_rejected.fetch_add(1, Ordering::Relaxed);
-                    Some((RE_REJECTED, key, Vec::new()))
+                    (RE_ERR, 0, why.into_bytes())
                 }
-            }
-            OP_LEASE => {
-                if payload.len() != 8 {
-                    return Some((RE_ERR, 0, b"malformed LEASE".to_vec()));
-                }
-                let epoch = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                if epoch != KEY_EPOCH {
-                    return Some((
-                        RE_ERR,
-                        0,
-                        format!("key epoch {epoch:#x} (server has {KEY_EPOCH:#x})").into_bytes(),
-                    ));
-                }
-                let mut lease = self.lease.lock().expect("lease poisoned");
-                let now = Instant::now();
-                if lease.holder_alive(now) {
-                    self.c.leases_busy.fetch_add(1, Ordering::Relaxed);
-                    return Some((RE_BUSY, 0, Vec::new()));
-                }
-                // Expired or never granted: bump the fence and grant.
-                lease.next_token += 1;
-                lease.token = lease.next_token ^ (key << 16);
-                lease.fence += 1;
-                lease.deadline = Some(now + self.opts.lease_ttl);
-                self.c.leases_granted.fetch_add(1, Ordering::Relaxed);
-                let mut body = Vec::with_capacity(16);
-                body.extend_from_slice(&lease.fence.to_le_bytes());
-                body.extend_from_slice(
-                    &(self.opts.lease_ttl.as_millis() as u64).to_le_bytes(),
-                );
-                Some((RE_GRANT, lease.token, body))
-            }
-            OP_RENEW => {
-                let mut lease = self.lease.lock().expect("lease poisoned");
-                let now = Instant::now();
-                if lease.token == key && lease.holder_alive(now) {
-                    lease.deadline = Some(now + self.opts.lease_ttl);
-                    self.c.renews.fetch_add(1, Ordering::Relaxed);
-                    Some((RE_OK, key, Vec::new()))
-                } else {
-                    if lease.token == key {
-                        self.c.fences_expired.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some((RE_REJECTED, key, Vec::new()))
-                }
-            }
-            OP_RELEASE => {
-                let mut lease = self.lease.lock().expect("lease poisoned");
-                if lease.token == key && lease.deadline.is_some() {
-                    lease.deadline = None;
-                    drop(lease);
-                    self.c.releases.fetch_add(1, Ordering::Relaxed);
-                    self.store.flush();
-                    Some((RE_OK, key, Vec::new()))
-                } else {
-                    Some((RE_REJECTED, key, Vec::new()))
-                }
-            }
-            OP_STATS => {
-                let json = serde_json::to_vec(&self.stats()).unwrap_or_default();
-                Some((RE_STATS, 0, json))
-            }
-            _ => Some((RE_ERR, 0, b"unknown request".to_vec())),
+            },
+            OP_STATS => (RE_STATS, 0, serde_json::to_vec(&self.stats()).unwrap_or_default()),
+            _ => (RE_ERR, 0, format!("unknown request {tag:#04x}").into_bytes()),
         }
     }
 }
@@ -783,7 +659,6 @@ pub fn serve(addr: &str, dir: &Path, opts: ServeOptions) -> std::io::Result<Serv
     let shared = Arc::new(ServerShared {
         store: CacheStore::open(dir),
         dir: dir.to_path_buf(),
-        lease: Mutex::new(LeaseSlot::default()),
         c: ServerCounters::default(),
         opts,
         stop: Arc::new(AtomicBool::new(false)),
@@ -829,9 +704,7 @@ fn serve_connection(shared: &ServerShared, mut stream: TcpStream) {
         }
         match read_message(&mut stream, request_tag) {
             Ok((tag, key, payload)) => {
-                let Some((rtag, rkey, rbody)) = shared.handle(tag, key, &payload) else {
-                    return;
-                };
+                let (rtag, rkey, rbody) = shared.handle(tag, key, &payload);
                 if shared.stop.load(Ordering::SeqCst) {
                     return;
                 }
@@ -894,20 +767,10 @@ impl Default for RemoteOptions {
     }
 }
 
-struct ClientLease {
-    token: u64,
-    fence: u64,
-    /// When to renew (half the server TTL — well before expiry).
-    renew_at: Instant,
-}
-
 fn op_name(tag: u8) -> &'static str {
     match tag {
         OP_GET => "get",
         OP_PUT => "put",
-        OP_LEASE => "lease",
-        OP_RENEW => "renew",
-        OP_RELEASE => "release",
         OP_STATS => "stats",
         _ => "other",
     }
@@ -928,8 +791,6 @@ pub struct RemoteStore {
     breaker_threshold: u32,
     consecutive: AtomicU32,
     degraded: AtomicBool,
-    lease: Mutex<Option<ClientLease>>,
-    nonce: u64,
     local: Option<Arc<CacheStore>>,
     pending: Mutex<Vec<(Stage, u64, Vec<u8>)>>,
     known: Mutex<HashSet<(Stage, u64)>>,
@@ -991,9 +852,7 @@ impl RemoteStore {
             breaker_threshold: opts.breaker_threshold.max(1),
             consecutive: AtomicU32::new(0),
             degraded: AtomicBool::new(false),
-            lease: Mutex::new(None),
             net_armed: AtomicBool::new(net_armed),
-            nonce: u64::from(std::process::id()) ^ 0x004C_4541_5345_u64, // "LEASE"
             local,
             pending: Mutex::new(Vec::new()),
             known: Mutex::new(HashSet::new()),
@@ -1012,20 +871,24 @@ impl RemoteStore {
     }
 
     fn event(&self, kind: StoreEventKind, detail: String) {
-        let mut events = self.events.lock().expect("events poisoned");
-        if events.len() >= 512 {
-            events.remove(0);
-        }
-        events.push(StoreEvent { kind, detail });
+        push_event(&mut self.events.lock().expect("events poisoned"), kind, detail);
     }
 
     fn emit(&self, op: StoreOp) {
         self.trace.emit(TraceEvent::Store { src: StoreSrc::Remote, op });
     }
 
-    /// One request with bounded, jittered retries. Any `Err` has
+    /// One request with bounded, jittered retries, answered by one of
+    /// the `expect`ed reply tags. Any `Err` — a transport fault, or a
+    /// reply outside `expect` (an `ERR`, epoch skew included) — has
     /// already been counted against the circuit breaker.
-    fn request(&self, tag: u8, key: u64, payload: &[u8]) -> std::io::Result<(u8, u64, Vec<u8>)> {
+    fn request(
+        &self,
+        tag: u8,
+        key: u64,
+        payload: &[u8],
+        expect: &[u8],
+    ) -> std::io::Result<(u8, Vec<u8>)> {
         let policy = *self.retry.lock().expect("retry poisoned");
         let mut transport = self.transport.lock().expect("transport poisoned");
         let started = Instant::now();
@@ -1042,9 +905,21 @@ impl RemoteStore {
             self.emit(StoreOp::Retry);
         }
         match result {
-            Ok(reply) => {
+            Ok((rtag, _, body)) if expect.contains(&rtag) => {
                 self.consecutive.store(0, Ordering::SeqCst);
-                Ok(reply)
+                Ok((rtag, body))
+            }
+            Ok((rtag, _, why)) => {
+                let e = std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "unexpected {} reply {rtag:#04x}: {}",
+                        op_name(tag),
+                        String::from_utf8_lossy(&why)
+                    ),
+                );
+                self.note_failure(&e);
+                Err(e)
             }
             Err(e) => {
                 self.note_failure(&e);
@@ -1060,7 +935,7 @@ impl RemoteStore {
         if failures >= self.breaker_threshold && !self.degraded.swap(true, Ordering::SeqCst) {
             self.emit(StoreOp::BreakerTrip);
             self.event(
-                StoreEventKind::LockTimeout,
+                StoreEventKind::IoError,
                 format!(
                     "circuit breaker tripped after {failures} consecutive transport \
                      failure(s); degraded to {}",
@@ -1078,57 +953,6 @@ impl RemoteStore {
         self.local.as_ref().and_then(|s| s.get(stage, key))
     }
 
-    /// Take (or renew) the writer lease. `Ok(Some)` is the current
-    /// `(token, fence)`, `Ok(None)` means another writer holds it
-    /// (defer the flush), `Err` is a transport fault.
-    fn ensure_lease(&self) -> std::io::Result<Option<(u64, u64)>> {
-        let mut lease = self.lease.lock().expect("lease poisoned");
-        if let Some(l) = lease.as_ref() {
-            if Instant::now() < l.renew_at {
-                return Ok(Some((l.token, l.fence)));
-            }
-            match self.request(OP_RENEW, l.token, &[])? {
-                (RE_OK, ..) => {
-                    let l = lease.as_mut().expect("lease present");
-                    l.renew_at = Instant::now() + Duration::from_millis(500);
-                    return Ok(Some((l.token, l.fence)));
-                }
-                _ => {
-                    // Expired under us (or fence re-granted): the old
-                    // token is dead, acquire a fresh lease below.
-                    self.event(
-                        StoreEventKind::LockTimeout,
-                        "lease lost; re-acquiring".to_string(),
-                    );
-                    *lease = None;
-                }
-            }
-        }
-        let mut epoch = Vec::with_capacity(8);
-        epoch.extend_from_slice(&KEY_EPOCH.to_le_bytes());
-        match self.request(OP_LEASE, self.nonce, &epoch)? {
-            (RE_GRANT, token, body) if body.len() == 16 => {
-                let fence = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-                let ttl = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-                *lease = Some(ClientLease {
-                    token,
-                    fence,
-                    renew_at: Instant::now() + Duration::from_millis((ttl / 2).max(1)),
-                });
-                self.emit(StoreOp::LeaseFence { fence });
-                Ok(Some((token, fence)))
-            }
-            (RE_BUSY, ..) => Ok(None),
-            (tag, _, body) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "unexpected lease reply {tag:#04x}: {}",
-                    String::from_utf8_lossy(&body)
-                ),
-            )),
-        }
-    }
-
     /// Flush `records` into the degraded path: the local overflow
     /// store becomes the writer of record.
     fn flush_local(&self, records: Vec<(Stage, u64, Vec<u8>)>) -> usize {
@@ -1143,80 +967,28 @@ impl RemoteStore {
         n
     }
 
-    /// Send `records` to the server under the lease fence. Returns how
-    /// many the server accepted; unsent or unacknowledged records go
-    /// back to `pending`.
+    /// Send `records` to the server. Returns how many it accepted;
+    /// unsent or unacknowledged records go back to `pending` (or, once
+    /// the breaker has tripped, to the overflow store).
     fn flush_remote(&self, mut records: Vec<(Stage, u64, Vec<u8>)>) -> usize {
-        match self.ensure_lease() {
-            Ok(Some(_)) => {}
-            Ok(None) => {
-                // Another writer holds the lease: defer, exactly like
-                // a local lock timeout.
-                self.emit(StoreOp::LockTimeout);
-                self.event(
-                    StoreEventKind::LockTimeout,
-                    "lease busy: flush deferred".to_string(),
-                );
-                self.pending.lock().expect("pending poisoned").extend(records);
-                return 0;
+        let mut sent = 0usize;
+        for (stage, key, payload) in &records {
+            if self.request(OP_PUT, *key, &record_body(*stage, payload), &[RE_OK]).is_err() {
+                break;
             }
-            Err(_) => {
-                if self.is_degraded() {
-                    return self.flush_local(records);
-                }
-                self.pending.lock().expect("pending poisoned").extend(records);
-                return 0;
-            }
+            sent += 1;
         }
-        let mut done = 0usize;
-        let mut lease_retry = true;
-        while let Some((stage, key, payload)) = records.first().cloned() {
-            let fence = {
-                let lease = self.lease.lock().expect("lease poisoned");
-                match lease.as_ref() {
-                    Some(l) => l.fence,
-                    None => break,
-                }
-            };
-            let mut body = Vec::with_capacity(9 + payload.len());
-            body.push(stage.tag());
-            body.extend_from_slice(&fence.to_le_bytes());
-            body.extend_from_slice(&payload);
-            match self.request(OP_PUT, key, &body) {
-                Ok((RE_OK, ..)) => {
-                    records.remove(0);
-                    done += 1;
-                }
-                Ok((RE_REJECTED, ..)) => {
-                    // Lease lost mid-write: the server wrote nothing.
-                    // Re-acquire once per flush, then give up and keep
-                    // the rest pending.
-                    *self.lease.lock().expect("lease poisoned") = None;
-                    self.event(
-                        StoreEventKind::LockTimeout,
-                        "PUT rejected: lease fence expired".to_string(),
-                    );
-                    if !lease_retry {
-                        break;
-                    }
-                    lease_retry = false;
-                    match self.ensure_lease() {
-                        Ok(Some(_)) => {}
-                        _ => break,
-                    }
-                }
-                Ok(_) | Err(_) => break,
-            }
-        }
-        if !records.is_empty() {
+        let rest = records.split_off(sent);
+        let mut done = sent;
+        if !rest.is_empty() {
             if self.is_degraded() {
-                done += self.flush_local(records);
+                done += self.flush_local(rest);
             } else {
-                self.pending.lock().expect("pending poisoned").extend(records);
+                self.pending.lock().expect("pending poisoned").extend(rest);
             }
         }
-        if done > 0 {
-            self.emit(StoreOp::Flushed { records: done as u64 });
+        if sent > 0 {
+            self.emit(StoreOp::Flushed { records: sent as u64 });
         }
         done
     }
@@ -1228,12 +1000,9 @@ impl RemoteStore {
     ///
     /// Transport faults, or an unparsable reply.
     pub fn server_stats(&self) -> Result<ServerStats, String> {
-        match self.request(OP_STATS, 0, &[]) {
-            Ok((RE_STATS, _, body)) => serde_json::from_slice(&body)
-                .map_err(|e| format!("unparsable server stats: {e}")),
-            Ok((tag, ..)) => Err(format!("unexpected stats reply {tag:#04x}")),
-            Err(e) => Err(format!("{}: {e}", self.url)),
-        }
+        let (_, body) =
+            self.request(OP_STATS, 0, &[], &[RE_STATS]).map_err(|e| format!("{}: {e}", self.url))?;
+        serde_json::from_slice(&body).map_err(|e| format!("unparsable server stats: {e}"))
     }
 }
 
@@ -1257,31 +1026,19 @@ impl StoreBackend for RemoteStore {
                 }
             };
         }
-        let mut body = Vec::with_capacity(9);
-        body.push(stage.tag());
-        body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
-        let outcome = match self.request(OP_GET, key, &body) {
-            Ok((RE_HIT, _, payload)) => {
+        let outcome = match self.request(OP_GET, key, &record_body(stage, &[]), &[RE_HIT, RE_MISS])
+        {
+            Ok((RE_HIT, payload)) => {
                 self.emit(StoreOp::RemoteHit);
                 Some(payload)
             }
-            Ok((RE_MISS, ..)) => {
+            Ok(_) => {
                 self.emit(StoreOp::RemoteMiss);
                 // Definite remote miss: hedge to the local overflow.
                 self.local_probe(stage, key)
             }
-            Ok((tag, _, why)) => {
-                // A lying or incompatible server (epoch skew reports
-                // here): count it against the breaker and hedge local.
-                self.note_failure(&std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "unexpected GET reply {tag:#04x}: {}",
-                        String::from_utf8_lossy(&why)
-                    ),
-                ));
-                self.local_probe(stage, key)
-            }
+            // A transport fault or a lying or incompatible server,
+            // already charged to the breaker: hedge local.
             Err(_) => self.local_probe(stage, key),
         };
         match outcome {
@@ -1394,14 +1151,8 @@ impl StoreBackend for RemoteStore {
 
 impl Drop for RemoteStore {
     fn drop(&mut self) {
-        // Best-effort: persist what we computed, hand the lease back.
+        // Best-effort: persist what we computed.
         StoreBackend::flush(self);
-        let token = self.lease.lock().expect("lease poisoned").as_ref().map(|l| l.token);
-        if let Some(token) = token {
-            if !self.is_degraded() {
-                let _ = self.request(OP_RELEASE, token, &[]);
-            }
-        }
     }
 }
 
@@ -1476,7 +1227,6 @@ mod tests {
         assert_eq!(b.get(Stage::Emit, 2).as_deref(), Some(&b"beta"[..]));
         let stats = server.stats();
         assert!(stats.puts_accepted == 2 && stats.puts_rejected == 0, "{stats:?}");
-        assert_eq!(stats.fence, 1, "one lease granted");
     }
 
     #[test]
@@ -1532,65 +1282,167 @@ mod tests {
     }
 
     #[test]
-    fn expired_fence_put_is_rejected_and_writes_nothing() {
-        let dir = tmp_dir("fence");
-        let server = serve(
-            "127.0.0.1:0",
-            &dir,
-            ServeOptions { lease_ttl: Duration::from_millis(60), ..ServeOptions::default() },
-        )
-        .unwrap();
-        let a = client(&server, None);
-        // Acquire by flushing once.
-        a.put(Stage::Func, 1, b"one".to_vec());
-        assert_eq!(StoreBackend::flush(&a), 1);
-        // Let the lease expire, then hand it to a second writer —
-        // bumping the fence past A's.
-        std::thread::sleep(Duration::from_millis(120));
-        let b = client(&server, None);
-        b.put(Stage::Func, 2, b"two".to_vec());
-        assert_eq!(StoreBackend::flush(&b), 1, "expired lease re-grants to B");
-        // A PUT carrying A's lapsed fence (1) must be rejected
-        // server-side and write nothing. Drive it raw so the client's
-        // own staleness check can't get in the way.
+    fn foreign_epoch_put_is_rejected_and_writes_nothing() {
+        let dir = tmp_dir("epoch");
+        let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
+        // Drive the PUT raw: a well-behaved client always sends the
+        // build's own epoch.
         let mut raw = TcpTransport::new(server.addr(), Duration::from_millis(500));
         let mut body = vec![Stage::Func.tag()];
-        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&(KEY_EPOCH ^ 1).to_le_bytes());
         body.extend_from_slice(b"stale");
         let (tag, ..) = raw.exchange(OP_PUT, 3, &body).unwrap();
-        assert_eq!(tag, RE_REJECTED, "stale fence must reject");
+        assert_eq!(tag, RE_ERR, "a foreign epoch must be rejected");
         let stats = server.stats();
-        assert!(stats.puts_rejected >= 1, "stale fence must reject: {stats:?}");
+        assert_eq!((stats.puts_rejected, stats.puts_accepted), (1, 0), "{stats:?}");
+        assert_eq!(stats.records, 0, "a rejected PUT must write nothing");
         assert_eq!(stats.store.quarantined_records, 0, "rejections quarantine nothing");
-        let mut probe = vec![Stage::Func.tag()];
-        probe.extend_from_slice(&KEY_EPOCH.to_le_bytes());
-        let (tag, ..) = raw.exchange(OP_GET, 3, &probe).unwrap();
-        assert_eq!(tag, RE_MISS, "rejected PUT must write nothing");
-        // Meanwhile the well-behaved client A notices its lease lapsed
-        // before writing: with B's lease live it defers to pending.
-        a.put(Stage::Func, 3, b"three".to_vec());
-        let n = StoreBackend::flush(&a);
-        assert!(n == 1 || a.pending_len() == 1, "rejected PUT must stay pending");
+        let (tag, ..) = raw.exchange(OP_GET, 3, &record_body(Stage::Func, &[])).unwrap();
+        assert_eq!(tag, RE_MISS, "a rejected PUT must write nothing");
     }
 
     #[test]
-    fn second_writer_defers_while_lease_is_busy() {
-        let dir = tmp_dir("busy");
-        let server = serve(
-            "127.0.0.1:0",
-            &dir,
-            ServeOptions { lease_ttl: Duration::from_secs(30), ..ServeOptions::default() },
-        )
-        .unwrap();
+    fn two_live_clients_both_persist() {
+        let dir = tmp_dir("two-clients");
+        let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
         let a = client(&server, None);
-        a.put(Stage::Func, 1, b"one".to_vec());
-        assert_eq!(StoreBackend::flush(&a), 1);
         let b = client(&server, None);
+        a.put(Stage::Func, 1, b"one".to_vec());
         b.put(Stage::Func, 2, b"two".to_vec());
-        assert_eq!(StoreBackend::flush(&b), 0, "lease busy: defer");
-        assert_eq!(b.pending_len(), 1, "deferred records stay pending");
-        assert_eq!(b.stats().lock_timeouts, 1);
-        assert_eq!(server.stats().leases_busy, 1);
+        assert_eq!(StoreBackend::flush(&a), 1);
+        assert_eq!(StoreBackend::flush(&b), 1, "a live first client must not defer the second");
+        assert_eq!((a.pending_len(), b.pending_len()), (0, 0));
+        assert_eq!(a.stats().lock_timeouts + b.stats().lock_timeouts, 0);
+        assert_eq!(b.get(Stage::Func, 1).as_deref(), Some(&b"one"[..]));
+        assert_eq!(a.get(Stage::Func, 2).as_deref(), Some(&b"two"[..]));
+        let stats = server.stats();
+        assert_eq!((stats.puts_accepted, stats.puts_rejected), (2, 0), "{stats:?}");
+    }
+
+    /// A server that answers everything `ERR`, like one built with a
+    /// different key epoch.
+    struct ErrServer;
+
+    impl Transport for ErrServer {
+        fn exchange(&mut self, _: u8, _: u64, _: &[u8]) -> std::io::Result<(u8, u64, Vec<u8>)> {
+            Ok((RE_ERR, 0, b"key epoch mismatch".to_vec()))
+        }
+    }
+
+    #[test]
+    fn err_replies_trip_the_breaker_as_io_errors() {
+        let store = RemoteStore::with_transport(
+            Box::new(ErrServer),
+            "icfgp://err:1".to_string(),
+            RemoteOptions { breaker_threshold: 3, ..RemoteOptions::default() },
+        );
+        store.put(Stage::Func, 1, b"x".to_vec());
+        assert_eq!(StoreBackend::flush(&store), 0, "an ERR reply is not an acknowledgement");
+        assert_eq!(store.pending_len(), 1, "unacknowledged records stay pending");
+        for key in 0..2 {
+            assert_eq!(store.get(Stage::Func, key), None);
+        }
+        assert!(store.is_degraded(), "three ERR replies in a row trip the breaker");
+        let s = store.stats();
+        assert_eq!((s.breaker_trips, s.io_errors, s.lock_timeouts), (1, 3, 0), "{s:?}");
+        let events = store.events();
+        assert!(
+            events.iter().any(|e| e.kind == StoreEventKind::IoError
+                && e.detail.starts_with("circuit breaker tripped")),
+            "{events:?}"
+        );
+        assert!(events.iter().all(|e| e.kind != StoreEventKind::LockTimeout), "{events:?}");
+    }
+
+    /// One length-prefixed request as a client writes it.
+    fn wire(tag: u8, key: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_message(&mut out, tag, key, payload).unwrap();
+        out
+    }
+
+    #[test]
+    fn hostile_request_frames_get_a_protocol_reply_or_a_closed_connection() {
+        let dir = tmp_dir("hostile");
+        let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
+        let shared = &server.shared;
+        let mut rng = FaultRng(0x4057_11E5);
+        let (mut answered, mut closed, mut rejected_puts) = (0u32, 0u32, 0u32);
+        for _ in 0..3000 {
+            // A well-framed request: a good GET, PUT or STATS, a
+            // retired lease op, a short GET/PUT header or a foreign
+            // key epoch.
+            let key = rng.below(16);
+            let stage = Stage::ALL[rng.below(Stage::ALL.len() as u64) as usize];
+            let record = vec![rng.next() as u8; rng.below(24) as usize];
+            let get_or_put = if rng.below(2) == 0 { OP_GET } else { OP_PUT };
+            let (tag, payload) = match rng.below(6) {
+                0 => (OP_GET, record_body(stage, &[])),
+                1 => (OP_PUT, record_body(stage, &record)),
+                2 => (OP_STATS, Vec::new()),
+                3 => (0x12 + rng.below(3) as u8, KEY_EPOCH.to_le_bytes().to_vec()),
+                4 => {
+                    let short = rng.below(RECORD_HEADER as u64) as usize;
+                    (get_or_put, record_body(stage, &record)[..short].to_vec())
+                }
+                _ => {
+                    let mut body = record_body(stage, &record);
+                    let foreign = KEY_EPOCH ^ rng.next().max(1);
+                    body[1..RECORD_HEADER].copy_from_slice(&foreign.to_le_bytes());
+                    (get_or_put, body)
+                }
+            };
+            // Then damage it on the way in.
+            let mut frame = wire(tag, key, &payload);
+            match rng.below(5) {
+                0 => {}
+                1 => {
+                    for _ in 0..=rng.below(3) {
+                        let bit = rng.below(frame.len() as u64 * 8) as usize;
+                        frame[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                2 => frame.truncate(rng.below(frame.len() as u64) as usize),
+                3 => {
+                    let len = u32::from_le_bytes(frame[..4].try_into().unwrap());
+                    let inflated = len + 1 + rng.below(1 << 16) as u32;
+                    frame[..4].copy_from_slice(&inflated.to_le_bytes());
+                }
+                _ => {
+                    let inflated = u32::MAX - rng.below(1 << 16) as u32;
+                    frame[..4].copy_from_slice(&inflated.to_le_bytes());
+                }
+            }
+            let before = shared.stats();
+            let Ok((tag, key, payload)) = read_message(&mut frame.as_slice(), request_tag) else {
+                closed += 1; // the connection would be dropped
+                continue;
+            };
+            answered += 1;
+            let (reply, ..) = shared.handle(tag, key, &payload);
+            assert!(
+                [RE_HIT, RE_MISS, RE_OK, RE_STATS, RE_ERR].contains(&reply),
+                "reply {reply:#04x} to request {tag:#04x}"
+            );
+            if tag == OP_PUT && reply == RE_ERR {
+                rejected_puts += 1;
+                let after = shared.stats();
+                assert_eq!(after.puts_rejected, before.puts_rejected + 1);
+                assert_eq!(after.records, before.records, "a rejected PUT must write nothing");
+            }
+        }
+        assert!(answered > 0 && closed > 0 && rejected_puts > 0, "{answered} {closed}");
+
+        // Over the wire, a retired lease op is answered, not dropped:
+        // an old client degrades through its breaker instead of timing
+        // out.
+        let mut raw = TcpTransport::new(server.addr(), Duration::from_millis(500));
+        for retired in 0x12..=0x14 {
+            let (tag, ..) = raw.exchange(retired, 1, &KEY_EPOCH.to_le_bytes()).unwrap();
+            assert_eq!(tag, RE_ERR);
+        }
+        let (tag, ..) = raw.exchange(OP_STATS, 0, &[]).unwrap();
+        assert_eq!(tag, RE_STATS, "the connection survives ERR replies");
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub(crate) const FRAME_LEN: usize = 1 + 8 + 4 + 8;
 /// Upper bound on a single record payload (corrupt length fields must
 /// not cause huge allocations).
 const MAX_PAYLOAD: u32 = 256 << 20;
-/// Cap on retained events (the overflow is counted, not kept).
+/// Cap on retained events (past it, the oldest are dropped).
 const MAX_EVENTS: usize = 512;
 
 /// The cached pipeline stage a record belongs to.
@@ -221,8 +221,7 @@ pub enum StoreEventKind {
     VersionMismatch,
     /// A persisted payload failed to deserialise at lookup time.
     DecodeFailure,
-    /// The directory lock (or a remote lease) was busy; the flush was
-    /// deferred.
+    /// The directory lock was busy; the flush was deferred.
     LockTimeout,
     /// Pending records were flushed to a new segment.
     Flushed,
@@ -239,6 +238,15 @@ pub struct StoreEvent {
     pub kind: StoreEventKind,
     /// Human-readable context (file name, key, error text).
     pub detail: String,
+}
+
+/// Append one event to a backend's bounded event log, dropping the
+/// oldest past [`MAX_EVENTS`].
+pub(crate) fn push_event(events: &mut Vec<StoreEvent>, kind: StoreEventKind, detail: String) {
+    if events.len() >= MAX_EVENTS {
+        events.remove(0);
+    }
+    events.push(StoreEvent { kind, detail });
 }
 
 impl std::fmt::Display for StoreEvent {
@@ -286,8 +294,8 @@ pub struct StoreStats {
     pub flushes: u64,
     /// I/O errors absorbed.
     pub io_errors: u64,
-    /// Flush attempts deferred because the directory lock (or a
-    /// remote lease) was busy, injected contention included.
+    /// Flush attempts deferred because the directory lock was busy,
+    /// injected contention included. Always 0 on a remote client.
     pub lock_timeouts: u64,
     /// Transient-failure retries run by the backoff policy (contended
     /// flushes re-attempted, short reads re-read, remote requests
@@ -429,7 +437,6 @@ struct Inner {
     /// Keys already persisted or pending (avoid duplicate appends).
     known: HashMap<(Stage, u64), ()>,
     events: Vec<StoreEvent>,
-    events_dropped: u64,
     faults: Option<(StoreFaults, FaultRng)>,
     retry: crate::retry::RetryPolicy,
 }
@@ -601,12 +608,7 @@ impl CacheStore {
     }
 
     fn event(&self, kind: StoreEventKind, detail: String) {
-        let mut inner = self.inner.lock().expect("store poisoned");
-        if inner.events.len() >= MAX_EVENTS {
-            inner.events.remove(0);
-            inner.events_dropped += 1;
-        }
-        inner.events.push(StoreEvent { kind, detail });
+        push_event(&mut self.inner.lock().expect("store poisoned").events, kind, detail);
     }
 
     // ----- lock protocol -------------------------------------------------
@@ -955,16 +957,24 @@ impl CacheStore {
                 return FlushOnce::Transient;
             }
         };
-        let pending = std::mem::take(&mut self.inner.lock().expect("store poisoned").pending);
-        if pending.is_empty() {
+        // Encode the pending records and move them into the loaded set
+        // in one critical section, so a concurrent lookup (a server
+        // GET) finds each record either pending or loaded, never
+        // neither, while the segment is written.
+        let mut body = segment_header();
+        let mut keys = Vec::new();
+        {
+            let mut inner = self.inner.lock().expect("store poisoned");
+            for p in std::mem::take(&mut inner.pending) {
+                encode_record(&mut body, p.stage, p.key, &p.payload);
+                keys.push((p.stage, p.key));
+                inner.records.insert((p.stage, p.key), p.payload);
+            }
+        }
+        if keys.is_empty() {
             return FlushOnce::Done(0); // a concurrent flush took them
         }
-
-        let mut body = segment_header();
-        for p in &pending {
-            encode_record(&mut body, p.stage, p.key, &p.payload);
-        }
-        let records = pending.len();
+        let records = keys.len();
 
         // Fault: tear the segment inside the record area.
         if let Some(r) = torn_at {
@@ -990,13 +1000,6 @@ impl CacheStore {
         let name = next_segment_name(&Self::segment_names(&self.dir));
         match write_atomic(&self.dir, &name, &body) {
             Ok(()) => {
-                // The flushed records are now on disk; keep them
-                // queryable in memory.
-                let mut inner = self.inner.lock().expect("store poisoned");
-                for p in pending {
-                    inner.records.insert((p.stage, p.key), p.payload);
-                }
-                drop(inner);
                 self.emit(StoreOp::Flushed { records: records as u64 });
                 self.event(
                     StoreEventKind::Flushed,
@@ -1007,7 +1010,11 @@ impl CacheStore {
             Err(e) => {
                 // Put the records back; a retry or later flush re-takes them.
                 let mut inner = self.inner.lock().expect("store poisoned");
-                inner.pending.extend(pending);
+                for (stage, key) in keys {
+                    if let Some(payload) = inner.records.remove(&(stage, key)) {
+                        inner.pending.push(Pending { stage, key, payload });
+                    }
+                }
                 drop(inner);
                 self.emit(StoreOp::IoError);
                 self.event(StoreEventKind::IoError, format!("flush {name}: {e}"));
@@ -1030,8 +1037,8 @@ impl Drop for CacheStore {
 /// [`RewriteCache`](crate::RewriteCache) talks to its store only
 /// through this trait, so every backend inherits the same hard
 /// invariant: store damage of any kind — disk corruption, a dead or
-/// lying server, a lost lease — may only ever cost a recompute, never
-/// change output bytes or hang the run.
+/// lying server — may only ever cost a recompute, never change output
+/// bytes or hang the run.
 pub trait StoreBackend: Send + Sync {
     /// Fetch a verified payload; `None` counts as a persisted miss.
     fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>>;
@@ -1043,8 +1050,8 @@ pub trait StoreBackend: Send + Sync {
     /// disjoint and sum to the lookups.
     fn quarantine_record(&self, stage: Stage, key: u64, why: &str);
     /// Persist pending records; returns how many were persisted this
-    /// call. Deferrals (lock contention, lost lease, dead server)
-    /// return 0 with the records kept pending.
+    /// call. Deferrals (lock contention, dead server) return 0 with
+    /// the records kept pending.
     fn flush(&self) -> usize;
     /// Counter snapshot.
     fn stats(&self) -> StoreStats;

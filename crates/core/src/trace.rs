@@ -5,7 +5,7 @@
 //! counter sections — is a *projection* of one stream of typed
 //! [`TraceEvent`]s collected by a shared [`Trace`]. Subsystems emit
 //! events (cache hit/miss/quarantine, store flush, retry, breaker
-//! trip, lease fence, ladder demotion, journal append) and open
+//! trip, ladder demotion, journal append) and open
 //! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
 //! store flush); the [`Registry`] folds the stream into counters as it
 //! arrives and derives every legacy stats shape on demand, so the
@@ -170,7 +170,7 @@ pub enum StoreOp {
     Retry,
     /// An I/O error was absorbed.
     IoError,
-    /// Writer lock/lease acquisition timed out or deferred.
+    /// The directory lock was busy; a flush was deferred.
     LockTimeout,
     /// A remote server answered a lookup with a hit over the wire.
     RemoteHit,
@@ -180,11 +180,6 @@ pub enum StoreOp {
     BreakerTrip,
     /// A lookup was served while degraded to fully-local operation.
     Degraded,
-    /// A writer lease was granted or renewed under `fence`.
-    LeaseFence {
-        /// The epoch fence of the lease.
-        fence: u64,
-    },
 }
 
 /// One record of the unified trace stream.
@@ -376,7 +371,6 @@ struct RegistryInner {
     store: [StoreCtr; 3],
     demotions: u64,
     journal_appends: u64,
-    lease_fences: u64,
     /// Per-function `(entry, ns)` samples from [`TraceEvent::FuncSpan`];
     /// the `slowest:` line is derived from the per-rewrite suffix.
     func_samples: Vec<(u64, u64)>,
@@ -448,7 +442,6 @@ impl RegistryInner {
                     StoreOp::RemoteMiss => c.remote_misses += 1,
                     StoreOp::BreakerTrip => c.breaker_trips += 1,
                     StoreOp::Degraded => c.degraded += 1,
-                    StoreOp::LeaseFence { .. } => self.lease_fences += 1,
                 }
             }
         }
@@ -1060,10 +1053,10 @@ impl TraceSummary {
                 ));
             }
         }
-        if r.demotions + r.journal_appends + r.lease_fences > 0 {
+        if r.demotions + r.journal_appends > 0 {
             out.push_str(&format!(
-                "ladder: {} demotion(s), {} journal append(s), {} lease fence(s)\n",
-                r.demotions, r.journal_appends, r.lease_fences
+                "ladder: {} demotion(s), {} journal append(s)\n",
+                r.demotions, r.journal_appends
             ));
         }
 
@@ -1218,7 +1211,7 @@ mod tests {
                 to: "jt".to_string(),
             },
             TraceEvent::JournalAppend { round: 2 },
-            TraceEvent::Store { src: StoreSrc::Remote, op: StoreOp::LeaseFence { fence: 7 } },
+            TraceEvent::Store { src: StoreSrc::Remote, op: StoreOp::Flushed { records: 7 } },
             TraceEvent::Store { src: StoreSrc::Local, op: StoreOp::Lookup { stage: Stage::Emit } },
         ];
         for ev in events {

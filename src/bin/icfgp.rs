@@ -85,9 +85,9 @@ values are rejected with exit code 64, as are non-integer
 
 `--trace FILE` (or `ICFGP_TRACE`) records the structured event spine
 — spans (run, rewrite, analysis rounds, store flushes), cache
-lookups, demotions, retries, breaker trips, lease fences, journal
-appends — as newline-delimited JSON. The stream is sealed into a
-deterministic address-ordered form: bytes are identical for any
+lookups, demotions, retries, breaker trips, journal appends — as
+newline-delimited JSON. The stream is sealed into a deterministic
+address-ordered form: bytes are identical for any
 `ICFGP_THREADS`, and rewriting output is identical with tracing on or
 off. `icfgp trace summarize FILE` folds a recorded stream back
 through the metrics registry (top spans, per-stage cache histogram,
@@ -111,10 +111,10 @@ case must end in a verified rewrite that emulates identically.
 `--kill-resume` kills every journal boundary of each case and checks
 that the resume is byte-identical and redoes strictly less work.
 `--net` sweeps network faults (delays, drops, torn and bit-flipped
-replies, lease expiry, server kill mid-PUT) against a live in-process
-store server: output bytes must match a cold run, every lookup must be
-accounted exactly once, and a second fault-free client against the
-warm server must miss strictly less than the first. On those two axes
+replies, server kill mid-PUT) against a live in-process store server:
+output bytes must match a cold run, every lookup must be accounted
+exactly once, and a second fault-free client against the warm server
+must miss strictly less than the first. On those two axes
 `--cache-dir` is a scratch root whose case subdirectories are cleared
 before use. `--seeds 0` and `--kill-resume --net` are usage errors.
 
@@ -137,13 +137,15 @@ damages a store for testing.
 
 `--store-url icfgp://HOST:PORT` (or `ICFGP_STORE_URL`) attaches a
 remote cache served by `icfgp cache serve`: lookups and flushes go
-over a length-prefixed checksummed TCP protocol, writes are fenced by
-an epoch-bumping lease, and transient faults are retried with bounded
-jittered backoff. When the server is unreachable or lying, the client
-hedges to the local `--cache-dir` overflow store and finally degrades
-to fully-local — a dead server only ever costs cache misses, never
-wrong bytes or a hung run. A malformed URL is a usage error (exit
-64). `icfgp cache stats --store-url U` queries a live server.
+over a length-prefixed checksummed TCP protocol, any number of clients
+write at once (the server queues their records and flushes them under
+the same directory lock as a local store), and transient faults are
+retried with bounded jittered backoff. When the server is unreachable
+or lying, the client hedges to the local `--cache-dir` overflow store
+and finally degrades to fully-local — a dead server only ever costs
+cache misses, never wrong bytes or a hung run. A malformed URL is a
+usage error (exit 64). `icfgp cache stats --store-url U` queries a
+live server.
 
 EXIT CODES: 0 clean, 1 degraded within budget, 2 budget exceeded
 (chaos: any case failed), 3 internal error, 64 usage.
@@ -858,11 +860,6 @@ fn cmd_cache_stats_remote(raw: &str) -> Result<u8, String> {
         "  server     : {} conn(s), {} request(s), {} hit / {} miss, \
          {} put(s) accepted / {} rejected",
         s.connections, s.requests, s.get_hits, s.get_misses, s.puts_accepted, s.puts_rejected,
-    );
-    println!(
-        "  leases     : fence {}, {} granted, {} busy, {} renew(s), {} release(s), \
-         {} fence(s) expired",
-        s.fence, s.leases_granted, s.leases_busy, s.renews, s.releases, s.fences_expired,
     );
     if s.bad_frames > 0 {
         println!("  bad frames : {}", s.bad_frames);

@@ -762,7 +762,6 @@ fn without_net_faults(plan: &FaultPlan) -> FaultPlan {
     p.net_drop = 0.0;
     p.net_torn_response = 0.0;
     p.net_bit_flip_reply = 0.0;
-    p.net_lease_expire = 0.0;
     p.net_kill_mid_put = 0.0;
     p
 }

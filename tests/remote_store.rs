@@ -2,7 +2,7 @@
 //! public API: a server warmed by one client serves a second client
 //! byte-identically; a dead server degrades to local-only (misses,
 //! never failures); and a local overflow directory hedges remote
-//! outages. Protocol-level behavior (frames, fences, breaker edges)
+//! outages. Protocol-level behavior (frames, key epochs, breaker edges)
 //! is covered by unit tests in `icfgp_core::net` — this file pins the
 //! composition a build farm actually runs.
 
@@ -43,7 +43,7 @@ fn second_client_is_served_warm_and_byte_identical() {
     assert_eq!(s1.remote_hits, 0, "cold server must serve no hits: {s1:?}");
     assert!(s1.remote_misses > 0);
     drop(cache1);
-    drop(first); // RELEASE flushes the queued PUTs into a segment
+    drop(first); // closing the connection flushes its queued PUTs
 
     let second = Arc::new(RemoteStore::connect(&url, RemoteOptions::default()));
     let cache2 = RewriteCache::with_store(second.clone());
