@@ -130,6 +130,40 @@ fn internal_error_exits_three() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
 }
 
+/// Malformed containers are internal errors (3) for every command that
+/// loads one, however deep they nest: the JSON reader bounds nesting
+/// at 128 levels instead of recursing until the stack overflows.
+#[test]
+fn malformed_containers_exit_three() {
+    let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+    let cases = [
+        // Not an object: refused at its first byte, before any nesting.
+        ("deep.json", deep.clone(), Some("expected object")),
+        // Under an unknown key, whose value is read and validated.
+        ("deep-key.json", format!(r#"{{"pad":{deep}}}"#), Some("nesting depth exceeds 128")),
+        ("truncated.json", r#"{"arch":"X64","kind":"#.to_string(), None),
+        ("surrogate.json", r#"{"arch":"\ud800\u0041"}"#.to_string(), Some("unpaired surrogate")),
+    ];
+    for (name, text, needle) in cases {
+        let path = tmp(name);
+        std::fs::write(&path, &text).unwrap();
+        for cmd in ["rewrite", "verify", "audit"] {
+            let mut c = icfgp();
+            c.arg(cmd).arg(&path);
+            if cmd == "rewrite" {
+                c.args(["-o"]).arg(tmp("never-written.json"));
+            }
+            let out = c.output().expect("runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(3), "{cmd} {name}: {stderr}");
+            if let Some(needle) = needle {
+                assert!(stderr.contains(needle), "{cmd} {name}: {stderr}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
 fn usage_error_exits_sixty_four() {
     let out = icfgp().arg("frobnicate").output().expect("runs");
