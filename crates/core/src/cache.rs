@@ -18,6 +18,15 @@
 //! * liveness results, the boundary pre-pass, and whole
 //!   [`BinaryAnalysis`] results.
 //!
+//! Every stage goes through one routine, `RewriteCache::lookup`:
+//! memory (validated outside the map's lock), then the store, then
+//! compute, then buffer for the store and insert, then one
+//! [`TraceEvent::CacheLookup`]. The persisted record *is* the
+//! in-memory entry (the `Record` trait: `FuncPayload`,
+//! `LivenessResult`, `FragPayload`, `EmitPayload`, `AuditReport`),
+//! shared as an `Arc` from a per-stage map, so a lookup never converts
+//! or clones between a stored and a cached form.
+//!
 //! There is no explicit invalidation: demoting a function on the
 //! ladder changes its keys (a miss) while every untouched function
 //! keeps hitting. [`analyze_incremental`] is the parallel analysis
@@ -70,9 +79,9 @@
 
 use crate::pool;
 use crate::relocate::{FuncFragment, RelocEmit};
-use crate::rewriter::RewriteError;
 use crate::store::{Stage, StoreBackend, StoreStats};
 use crate::trace::{StoreSrc, Trace, TraceEvent};
+use icfgp_audit::AuditReport;
 use icfgp_cfg::{
     analyze_function_isolated, assemble_analysis, prepass_boundaries, AnalysisConfig,
     BinaryAnalysis, FuncCfg, FuncStatus, LivenessResult,
@@ -81,6 +90,7 @@ use icfgp_obj::Binary;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -327,38 +337,58 @@ fn deps_hold(deps: &[FuncDep], binary: &Binary, binary_fp: u64) -> bool {
     })
 }
 
-/// The persisted form of one function-analysis entry.
+/// A persisted stage record that is also its in-memory cache entry:
+/// what [`RewriteCache::lookup`] stores, validates and hands out (as
+/// an `Arc`), so no lookup converts or clones between the two forms.
+pub(crate) trait Record: Serialize + Deserialize {
+    /// The pipeline stage this record caches.
+    const STAGE: Stage;
+    /// Why a store record that fails validation is quarantined.
+    /// `None` makes the failure a plain miss: a weak function key
+    /// legitimately reused by another binary is not corruption (and
+    /// liveness and audit records have nothing to re-validate).
+    const QUARANTINE: Option<&'static str> = None;
+    /// This stage's in-memory map.
+    fn map(cache: &RewriteCache) -> &StageMap<Self>;
+    /// The binary the record was first computed for, for stages that
+    /// share across binaries (classifies a hit as shared).
+    fn origin_fp(&self) -> Option<u64> {
+        None
+    }
+    /// Chaos: inject the logical corruption a re-validation must catch
+    /// (fragment and emit records only; see [`PatchFault`]).
+    fn corrupt(&mut self) {}
+}
+
+/// One stage's in-memory map: key → the shared stored record.
+pub(crate) type StageMap<R> = Mutex<HashMap<u64, Arc<R>>>;
+
+/// The persisted form of one function-analysis entry: the CFG plus
+/// its [`FuncDep`] read-set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct FuncPayload {
-    cfg: FuncCfg,
+    pub(crate) cfg: FuncCfg,
     deps: Vec<FuncDep>,
     /// Fingerprint of the binary this entry was first computed for —
     /// only used to classify a hit as cross-binary (shared).
     origin_fp: u64,
 }
 
-/// An in-memory function-analysis entry: the CFG plus its read-set.
-#[derive(Clone)]
-struct FuncEntry {
-    cfg: Arc<FuncCfg>,
-    deps: Arc<Vec<FuncDep>>,
-    origin_fp: u64,
-}
-
-/// How a lookup was served: from the cache or computed, and whether
-/// the cached record originated from a different binary.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Lookup {
-    pub(crate) hit: bool,
-    pub(crate) shared: bool,
-}
-
-impl Lookup {
-    fn hit(origin_fp: u64, binary_fp: u64) -> Lookup {
-        Lookup { hit: true, shared: origin_fp != binary_fp }
+impl Record for FuncPayload {
+    const STAGE: Stage = Stage::Func;
+    fn map(cache: &RewriteCache) -> &StageMap<Self> {
+        &cache.funcs
     }
+    fn origin_fp(&self) -> Option<u64> {
+        Some(self.origin_fp)
+    }
+}
 
-    const MISS: Lookup = Lookup { hit: false, shared: false };
+impl Record for LivenessResult {
+    const STAGE: Stage = Stage::Liveness;
+    fn map(cache: &RewriteCache) -> &StageMap<Self> {
+        &cache.liveness
+    }
 }
 
 /// The persisted form of one relocation fragment: the fragment plus
@@ -369,25 +399,54 @@ impl Lookup {
 /// recomputed instead of mis-relocating.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct FragPayload {
-    frag: FuncFragment,
-    cfg_fp: u64,
-    origin_fp: u64,
+    pub(crate) frag: FuncFragment,
+    pub(crate) cfg_fp: u64,
+    pub(crate) origin_fp: u64,
 }
 
-/// An in-memory fragment entry (see [`FragPayload`]).
-#[derive(Clone)]
-struct FragEntry {
-    frag: Arc<FuncFragment>,
-    cfg_fp: u64,
-    origin_fp: u64,
+impl Record for FragPayload {
+    const STAGE: Stage = Stage::Fragment;
+    const QUARANTINE: Option<&'static str> = Some("fragment failed CFG-fingerprint re-validation");
+    fn map(cache: &RewriteCache) -> &StageMap<Self> {
+        &cache.fragments
+    }
+    fn origin_fp(&self) -> Option<u64> {
+        Some(self.origin_fp)
+    }
+    fn corrupt(&mut self) {
+        // Flip the validation fingerprint so the record no longer
+        // matches its key.
+        self.cfg_fp ^= 1;
+    }
 }
 
 /// The persisted form of one canonical (position-independent)
 /// emission. Validated against its fragment at every lookup.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct EmitPayload {
-    emit: RelocEmit,
-    origin_fp: u64,
+    pub(crate) emit: RelocEmit,
+    pub(crate) origin_fp: u64,
+}
+
+impl Record for EmitPayload {
+    const STAGE: Stage = Stage::Emit;
+    const QUARANTINE: Option<&'static str> = Some("emission failed patch-point re-validation");
+    fn map(cache: &RewriteCache) -> &StageMap<Self> {
+        &cache.emits
+    }
+    fn origin_fp(&self) -> Option<u64> {
+        Some(self.origin_fp)
+    }
+    fn corrupt(&mut self) {
+        self.emit.corrupt_one_patch_point();
+    }
+}
+
+impl Record for AuditReport {
+    const STAGE: Stage = Stage::Audit;
+    fn map(cache: &RewriteCache) -> &StageMap<Self> {
+        &cache.audits
+    }
 }
 
 /// Decode a stored record payload as `stage`'s record type and
@@ -400,23 +459,16 @@ pub(crate) struct EmitPayload {
 /// The [`serde::DeError`] of [`serde::from_bin`] when `payload` is not
 /// exactly one well-formed record of the stage's type.
 pub fn recode_payload(stage: Stage, payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
-    fn recode<T: Serialize + Deserialize>(payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
-        serde::from_bin::<T>(payload).map(|v| serde::to_bin(&v))
+    fn recode<R: Record>(payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
+        serde::from_bin::<R>(payload).map(|v| serde::to_bin(&v))
     }
     match stage {
         Stage::Func => recode::<FuncPayload>(payload),
         Stage::Liveness => recode::<LivenessResult>(payload),
         Stage::Fragment => recode::<FragPayload>(payload),
         Stage::Emit => recode::<EmitPayload>(payload),
-        Stage::Audit => recode::<icfgp_audit::AuditReport>(payload),
+        Stage::Audit => recode::<AuditReport>(payload),
     }
-}
-
-/// An in-memory emission entry (see [`EmitPayload`]).
-#[derive(Clone)]
-struct EmitEntry {
-    emit: Arc<RelocEmit>,
-    origin_fp: u64,
 }
 
 /// An armed corrupt-patch-point fault (chaos): probability of
@@ -452,15 +504,8 @@ struct AnalysisMemo {
     rounds: u32,
 }
 
-#[derive(Default)]
-struct Maps {
-    prepass: HashMap<u64, Arc<Prepass>>,
-    analyses: HashMap<(u64, u64), AnalysisMemo>,
-    funcs: HashMap<u64, FuncEntry>,
-    liveness: HashMap<u64, Arc<LivenessResult>>,
-    fragments: HashMap<u64, FragEntry>,
-    emits: HashMap<u64, EmitEntry>,
-    audits: HashMap<u64, Arc<icfgp_audit::AuditReport>>,
+fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().expect("cache poisoned")
 }
 
 /// The content-addressed rewrite cache. Cheap to create, safe to
@@ -473,8 +518,15 @@ struct Maps {
 /// trace spine; when the cache is backed by a store, the store's
 /// trace is adopted so cache-level and store-level events share one
 /// registry (and one [`RewriteStats`] projection).
+#[derive(Default)]
 pub struct RewriteCache {
-    inner: Mutex<Maps>,
+    prepass: Mutex<HashMap<u64, Arc<Prepass>>>,
+    analyses: Mutex<HashMap<(u64, u64), AnalysisMemo>>,
+    funcs: StageMap<FuncPayload>,
+    liveness: StageMap<LivenessResult>,
+    fragments: StageMap<FragPayload>,
+    emits: StageMap<EmitPayload>,
+    audits: StageMap<AuditReport>,
     store: Option<Arc<dyn StoreBackend>>,
     trace: Arc<Trace>,
     /// Chaos: corrupt fragment/emit records read back from the store
@@ -482,27 +534,18 @@ pub struct RewriteCache {
     patch_fault: Mutex<Option<PatchFault>>,
 }
 
-impl Default for RewriteCache {
-    fn default() -> RewriteCache {
-        RewriteCache {
-            inner: Mutex::new(Maps::default()),
-            store: None,
-            trace: Trace::new(),
-            patch_fault: Mutex::new(None),
-        }
-    }
-}
-
 impl std::fmt::Debug for RewriteCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.inner.lock().expect("cache poisoned");
+        fn len<K, V>(m: &Mutex<HashMap<K, V>>) -> usize {
+            locked(m).len()
+        }
         f.debug_struct("RewriteCache")
-            .field("analyses", &m.analyses.len())
-            .field("funcs", &m.funcs.len())
-            .field("fragments", &m.fragments.len())
-            .field("emits", &m.emits.len())
-            .field("liveness", &m.liveness.len())
-            .field("audits", &m.audits.len())
+            .field("analyses", &len(&self.analyses))
+            .field("funcs", &len(&self.funcs))
+            .field("fragments", &len(&self.fragments))
+            .field("emits", &len(&self.emits))
+            .field("liveness", &len(&self.liveness))
+            .field("audits", &len(&self.audits))
             .finish()
     }
 }
@@ -529,12 +572,7 @@ impl RewriteCache {
     /// layers fold into one registry.
     #[must_use]
     pub fn with_backend(store: Arc<dyn StoreBackend>) -> RewriteCache {
-        RewriteCache {
-            inner: Mutex::new(Maps::default()),
-            trace: store.trace(),
-            store: Some(store),
-            patch_fault: Mutex::new(None),
-        }
+        RewriteCache { trace: store.trace(), store: Some(store), ..RewriteCache::default() }
     }
 
     /// An empty store-less cache emitting onto an existing trace
@@ -556,15 +594,6 @@ impl RewriteCache {
     #[must_use]
     pub fn store_src(&self) -> Option<StoreSrc> {
         self.store.as_ref().map(|s| s.trace_src())
-    }
-
-    fn note(&self, stage: Stage, key: u64, lk: Lookup) {
-        self.trace.emit(TraceEvent::CacheLookup {
-            stage,
-            key,
-            hit: lk.hit,
-            shared: lk.shared,
-        });
     }
 
     /// Chaos: with probability `probability` (deterministic per key,
@@ -604,278 +633,95 @@ impl RewriteCache {
         self.store.as_ref().map_or_else(StoreStats::default, |s| s.stats())
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Maps> {
-        self.inner.lock().expect("cache poisoned")
+    /// Persisted-store lookup: payloads are the positional binary
+    /// encoding ([`serde::from_bin`]). A record that fails to decode
+    /// is quarantined; one that fails `valid` is quarantined under
+    /// [`Record::QUARANTINE`] (or just skipped without a reason).
+    /// Either way the lookup is a miss, never an error.
+    fn store_get<R: Record>(&self, key: u64, valid: impl Fn(&R) -> bool) -> Option<R> {
+        let store = self.store.as_ref()?;
+        let payload = store.get(R::STAGE, key)?;
+        let mut record: R = match serde::from_bin(&payload) {
+            Ok(r) => r,
+            Err(e) => {
+                store.quarantine_record(R::STAGE, key, &e.to_string());
+                return None;
+            }
+        };
+        if self.patch_fault_fires(key) {
+            record.corrupt();
+        }
+        if valid(&record) {
+            return Some(record);
+        }
+        if let Some(why) = R::QUARANTINE {
+            store.quarantine_record(R::STAGE, key, why);
+        }
+        None
     }
 
-    /// Persisted-store lookup: payloads are the positional binary
-    /// encoding ([`serde::from_bin`]); decode failures quarantine the
-    /// record and count as a miss, never an error.
-    fn store_get<T: serde::Deserialize>(&self, stage: Stage, key: u64) -> Option<T> {
-        let store = self.store.as_ref()?;
-        let payload = store.get(stage, key)?;
-        match serde::from_bin(&payload) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                store.quarantine_record(stage, key, &e.to_string());
-                None
+    /// Look up or compute one stage record — the single lookup path
+    /// of every stage. In order:
+    ///
+    /// 1. the in-memory candidate, validated outside the map's lock
+    ///    (a stale one is evicted);
+    /// 2. the store candidate ([`RewriteCache::store_get`]);
+    /// 3. on a miss, `compute`: the fresh record is buffered for the
+    ///    store and inserted (the first insert for a key wins, so
+    ///    racing threads share one record).
+    ///
+    /// `valid` re-checks a candidate against this lookup's inputs
+    /// (a function's read-set, a fragment's CFG fingerprint, an
+    /// emission's patch points). The outcome is emitted as a
+    /// [`TraceEvent::CacheLookup`]; a hit is `shared` when its record
+    /// originated from a binary other than `binary_fp` (ignored by
+    /// stages without a [`Record::origin_fp`]). Errors from `compute`
+    /// are not cached.
+    pub(crate) fn lookup<R: Record, E>(
+        &self,
+        key: u64,
+        binary_fp: u64,
+        valid: impl Fn(&R) -> bool,
+        compute: impl FnOnce() -> Result<R, E>,
+    ) -> Result<Arc<R>, E> {
+        let map = R::map(self);
+        let mut found = locked(map).get(&key).cloned();
+        if let Some(stale) = found.take_if(|r| !valid(r)) {
+            let mut m = locked(map);
+            if m.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, &stale)) {
+                m.remove(&key);
             }
         }
-    }
-
-    fn store_put<T: Serialize>(&self, stage: Stage, key: u64, value: &T) {
-        if let Some(store) = &self.store {
-            store.put(stage, key, serde::to_bin(value));
+        if found.is_none() {
+            found = self
+                .store_get(key, &valid)
+                .map(|r| locked(map).entry(key).or_insert_with(|| Arc::new(r)).clone());
         }
+        let hit = found.is_some();
+        let got = match found {
+            Some(r) => r,
+            None => {
+                let r = Arc::new(compute()?);
+                debug_assert!(valid(&r), "a freshly computed record must validate");
+                if let Some(store) = &self.store {
+                    store.put(R::STAGE, key, serde::to_bin(&*r));
+                }
+                locked(map).entry(key).or_insert(r).clone()
+            }
+        };
+        let shared = hit && got.origin_fp().is_some_and(|fp| fp != binary_fp);
+        self.trace.emit(TraceEvent::CacheLookup { stage: R::STAGE, key, hit, shared });
+        Ok(got)
     }
 
     fn prepass(&self, binary_fp: u64, binary: &Binary) -> Arc<Prepass> {
-        if let Some(p) = self.lock().prepass.get(&binary_fp) {
+        if let Some(p) = locked(&self.prepass).get(&binary_fp) {
             return p.clone();
         }
         let set = prepass_boundaries(binary);
         let hash = set.iter().fold(0u64, |h, &a| h ^ mix(a));
         let p = Arc::new(Prepass { set, hash });
-        self.lock()
-            .prepass
-            .entry(binary_fp)
-            .or_insert_with(|| p.clone())
-            .clone()
-    }
-
-    /// Look up or compute a per-function CFG. The lookup outcome is
-    /// emitted onto the trace spine (`Stage::Func`), not returned.
-    ///
-    /// Keys are *weak* — they omit whatever the analysis read outside
-    /// the function's byte range — so every candidate (in-memory or
-    /// persisted) carries its [`FuncDep`] read-set and is validated
-    /// against `binary` before being returned; a stale candidate is
-    /// evicted and recomputed.
-    pub(crate) fn func(
-        &self,
-        key: u64,
-        binary: &Binary,
-        binary_fp: u64,
-        compute: impl FnOnce() -> FuncCfg,
-    ) -> Arc<FuncCfg> {
-        {
-            let mut m = self.lock();
-            if let Some(e) = m.funcs.get(&key) {
-                if deps_hold(&e.deps, binary, binary_fp) {
-                    let got = e.cfg.clone();
-                    let lk = Lookup::hit(e.origin_fp, binary_fp);
-                    drop(m);
-                    self.note(Stage::Func, key, lk);
-                    return got;
-                }
-                m.funcs.remove(&key);
-            }
-        }
-        if let Some(p) = self.store_get::<FuncPayload>(Stage::Func, key) {
-            if deps_hold(&p.deps, binary, binary_fp) {
-                let entry = FuncEntry {
-                    cfg: Arc::new(p.cfg),
-                    deps: Arc::new(p.deps),
-                    origin_fp: p.origin_fp,
-                };
-                let got = self
-                    .lock()
-                    .funcs
-                    .entry(key)
-                    .or_insert_with(|| entry.clone())
-                    .clone();
-                self.note(Stage::Func, key, Lookup::hit(got.origin_fp, binary_fp));
-                return got.cfg;
-            }
-            // A different binary legitimately reusing the weak key:
-            // not corruption, just a miss (the recompute replaces it).
-        }
-        let cfg = compute();
-        let deps = func_deps(binary, binary_fp, &cfg);
-        self.store_put(
-            Stage::Func,
-            key,
-            &FuncPayload { cfg: cfg.clone(), deps: deps.clone(), origin_fp: binary_fp },
-        );
-        let entry = FuncEntry { cfg: Arc::new(cfg), deps: Arc::new(deps), origin_fp: binary_fp };
-        let mut m = self.lock();
-        let got = m.funcs.entry(key).or_insert(entry).clone();
-        drop(m);
-        self.note(Stage::Func, key, Lookup::MISS);
-        got.cfg
-    }
-
-    /// Look up or compute a per-function liveness result. The lookup
-    /// outcome is emitted onto the trace spine (`Stage::Liveness`).
-    pub(crate) fn liveness(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> LivenessResult,
-    ) -> Arc<LivenessResult> {
-        if let Some(v) = self.lock().liveness.get(&key) {
-            let got = v.clone();
-            self.note(Stage::Liveness, key, Lookup { hit: true, shared: false });
-            return got;
-        }
-        if let Some(v) = self.store_get::<LivenessResult>(Stage::Liveness, key) {
-            let v = Arc::new(v);
-            let got = self.lock().liveness.entry(key).or_insert_with(|| v.clone()).clone();
-            self.note(Stage::Liveness, key, Lookup { hit: true, shared: false });
-            return got;
-        }
-        let v = Arc::new(compute());
-        self.store_put(Stage::Liveness, key, &*v);
-        let got = self
-            .lock()
-            .liveness
-            .entry(key)
-            .or_insert_with(|| v.clone())
-            .clone();
-        self.note(Stage::Liveness, key, Lookup::MISS);
-        got
-    }
-
-    /// Look up or build a per-function relocation fragment. Errors are
-    /// not cached (they abort the rewrite anyway).
-    ///
-    /// The key is position-independent and shared across binaries;
-    /// `cfg_fp` (the CFG content fingerprint folded into the key) is
-    /// re-validated against every candidate. A well-formed record
-    /// always matches, so a mismatch means logical corruption: the
-    /// record is quarantined and the fragment recomputed — output
-    /// bytes never change.
-    pub(crate) fn fragment(
-        &self,
-        key: u64,
-        cfg_fp: u64,
-        binary_fp: u64,
-        compute: impl FnOnce() -> Result<FuncFragment, RewriteError>,
-    ) -> Result<Arc<FuncFragment>, RewriteError> {
-        {
-            let mut m = self.lock();
-            if let Some(e) = m.fragments.get(&key) {
-                if e.cfg_fp == cfg_fp {
-                    let got = e.frag.clone();
-                    let lk = Lookup::hit(e.origin_fp, binary_fp);
-                    drop(m);
-                    self.note(Stage::Fragment, key, lk);
-                    return Ok(got);
-                }
-                m.fragments.remove(&key);
-            }
-        }
-        if let Some(mut p) = self.store_get::<FragPayload>(Stage::Fragment, key) {
-            if self.patch_fault_fires(key) {
-                // Injected logical corruption: flip the validation
-                // fingerprint so the record no longer matches its key.
-                p.cfg_fp ^= 1;
-            }
-            if p.cfg_fp == cfg_fp {
-                let entry = FragEntry {
-                    frag: Arc::new(p.frag),
-                    cfg_fp: p.cfg_fp,
-                    origin_fp: p.origin_fp,
-                };
-                let got = self
-                    .lock()
-                    .fragments
-                    .entry(key)
-                    .or_insert_with(|| entry.clone())
-                    .clone();
-                self.note(Stage::Fragment, key, Lookup::hit(got.origin_fp, binary_fp));
-                return Ok(got.frag);
-            }
-            if let Some(store) = &self.store {
-                store.quarantine_record(
-                    Stage::Fragment,
-                    key,
-                    "fragment failed CFG-fingerprint re-validation",
-                );
-            }
-        }
-        let v = Arc::new(compute()?);
-        self.store_put(
-            Stage::Fragment,
-            key,
-            &FragPayload { frag: (*v).clone(), cfg_fp, origin_fp: binary_fp },
-        );
-        let entry = FragEntry { frag: v, cfg_fp, origin_fp: binary_fp };
-        let got = self
-            .lock()
-            .fragments
-            .entry(key)
-            .or_insert_with(|| entry.clone())
-            .clone()
-            .frag;
-        self.note(Stage::Fragment, key, Lookup::MISS);
-        Ok(got)
-    }
-
-    /// Look up or emit one function's canonical (position-independent)
-    /// relocated code. `validate` re-checks a candidate's patch-point
-    /// list against the fragment it will be fixed up with — a failure
-    /// means a logically corrupted record, which is quarantined and
-    /// recomputed (never silently mis-fixed-up).
-    pub(crate) fn emit(
-        &self,
-        key: u64,
-        binary_fp: u64,
-        validate: impl Fn(&RelocEmit) -> bool,
-        compute: impl FnOnce() -> Result<RelocEmit, RewriteError>,
-    ) -> Result<Arc<RelocEmit>, RewriteError> {
-        {
-            let mut m = self.lock();
-            if let Some(e) = m.emits.get(&key) {
-                if validate(&e.emit) {
-                    let got = e.emit.clone();
-                    let lk = Lookup::hit(e.origin_fp, binary_fp);
-                    drop(m);
-                    self.note(Stage::Emit, key, lk);
-                    return Ok(got);
-                }
-                m.emits.remove(&key);
-            }
-        }
-        if let Some(mut p) = self.store_get::<EmitPayload>(Stage::Emit, key) {
-            if self.patch_fault_fires(key) {
-                p.emit.corrupt_one_patch_point();
-            }
-            if validate(&p.emit) {
-                let entry = EmitEntry { emit: Arc::new(p.emit), origin_fp: p.origin_fp };
-                let got = self
-                    .lock()
-                    .emits
-                    .entry(key)
-                    .or_insert_with(|| entry.clone())
-                    .clone();
-                self.note(Stage::Emit, key, Lookup::hit(got.origin_fp, binary_fp));
-                return Ok(got.emit);
-            }
-            if let Some(store) = &self.store {
-                store.quarantine_record(
-                    Stage::Emit,
-                    key,
-                    "emission failed patch-point re-validation",
-                );
-            }
-        }
-        let v = Arc::new(compute()?);
-        debug_assert!(validate(&v), "freshly computed emission must validate");
-        self.store_put(
-            Stage::Emit,
-            key,
-            &EmitPayload { emit: (*v).clone(), origin_fp: binary_fp },
-        );
-        let entry = EmitEntry { emit: v, origin_fp: binary_fp };
-        let got = self
-            .lock()
-            .emits
-            .entry(key)
-            .or_insert_with(|| entry.clone())
-            .clone()
-            .emit;
-        self.note(Stage::Emit, key, Lookup::MISS);
-        Ok(got)
+        locked(&self.prepass).entry(binary_fp).or_insert(p).clone()
     }
 
     /// Look up or compute a whole-binary audit report (predictive
@@ -885,49 +731,27 @@ impl RewriteCache {
     pub fn audit(
         &self,
         key: u64,
-        compute: impl FnOnce() -> icfgp_audit::AuditReport,
-    ) -> (Arc<icfgp_audit::AuditReport>, bool) {
-        if let Some(v) = self.lock().audits.get(&key) {
-            let got = v.clone();
-            self.note(Stage::Audit, key, Lookup { hit: true, shared: false });
-            return (got, true);
-        }
-        if let Some(v) = self.store_get::<icfgp_audit::AuditReport>(Stage::Audit, key) {
-            let v = Arc::new(v);
-            let got = self.lock().audits.entry(key).or_insert_with(|| v.clone()).clone();
-            self.note(Stage::Audit, key, Lookup { hit: true, shared: false });
-            return (got, true);
-        }
-        let v = Arc::new(compute());
-        self.store_put(Stage::Audit, key, &*v);
-        let got = self.lock().audits.entry(key).or_insert_with(|| v.clone()).clone();
-        self.note(Stage::Audit, key, Lookup::MISS);
-        (got, false)
+        compute: impl FnOnce() -> AuditReport,
+    ) -> (Arc<AuditReport>, bool) {
+        let mut hit = true;
+        let Ok(report) = self.lookup(
+            key,
+            0,
+            |_| true,
+            || {
+                hit = false;
+                Ok::<_, Infallible>(compute())
+            },
+        );
+        (report, hit)
     }
 
     fn analysis_memo(&self, binary_fp: u64, config_fp: u64) -> Option<AnalysisMemo> {
-        let m = self.lock();
-        m.analyses.get(&(binary_fp, config_fp)).cloned()
+        locked(&self.analyses).get(&(binary_fp, config_fp)).cloned()
     }
 
-    fn store_analysis(
-        &self,
-        binary_fp: u64,
-        config_fp: u64,
-        analysis: Arc<BinaryAnalysis>,
-        func_keys: Arc<BTreeMap<u64, u64>>,
-        weak_keys: Arc<BTreeMap<u64, u64>>,
-        rounds: u32,
-    ) {
-        self.lock()
-            .analyses
-            .entry((binary_fp, config_fp))
-            .or_insert(AnalysisMemo {
-                analysis,
-                func_keys,
-                weak_keys,
-                rounds,
-            });
+    fn store_analysis(&self, binary_fp: u64, config_fp: u64, memo: AnalysisMemo) {
+        locked(&self.analyses).entry((binary_fp, config_fp)).or_insert(memo);
     }
 }
 
@@ -1018,7 +842,7 @@ pub fn analyze_incremental(
         })
         .collect();
 
-    let mut results: Vec<Option<Arc<FuncCfg>>> = vec![None; n];
+    let mut results: Vec<Option<Arc<FuncPayload>>> = vec![None; n];
     let mut analyzed: Vec<Option<u64>> = vec![None; n];
     let mut rounds = 0u32;
     let final_set: BTreeSet<u64>;
@@ -1043,8 +867,8 @@ pub fn analyze_incremental(
                 snaps[i] = Some((arc, h));
                 work.push(i);
             }
-            if let Some(cfg) = &results[i] {
-                for jt in &cfg.jump_tables {
+            if let Some(p) = &results[i] {
+                for jt in &p.cfg.jump_tables {
                     if set.insert(jt.table_addr) {
                         h ^= mix(jt.table_addr);
                         shared = None;
@@ -1063,19 +887,26 @@ pub fn analyze_incremental(
             statics[i].hash(&mut k);
             input_hash.hash(&mut k);
             let started = std::time::Instant::now();
-            let out = cache.func(k.finish(), binary, binary_fp, || {
-                analyze_function_isolated(binary, syms[i], config, snap)
-            });
+            let Ok(out) = cache.lookup(
+                k.finish(),
+                binary_fp,
+                |p: &FuncPayload| deps_hold(&p.deps, binary, binary_fp),
+                || {
+                    let cfg = analyze_function_isolated(binary, syms[i], config, snap);
+                    let deps = func_deps(binary, binary_fp, &cfg);
+                    Ok::<_, Infallible>(FuncPayload { cfg, deps, origin_fp: binary_fp })
+                },
+            );
             (out, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
         });
-        for (&i, (cfg, ns)) in work.iter().zip(outs) {
+        for (&i, (payload, ns)) in work.iter().zip(outs) {
             // Per-item timing is an orchestrator-side leaf event so the
             // stream stays deterministic across thread counts.
             cache
                 .trace()
                 .emit(TraceEvent::FuncSpan { entry: syms[i].addr, ns });
             analyzed[i] = Some(snaps[i].as_ref().expect("snapshot").1);
-            results[i] = Some(cfg);
+            results[i] = Some(payload);
         }
         assert!(rounds <= n as u32 + 1, "prefix replay failed to converge");
     }
@@ -1083,7 +914,7 @@ pub fn analyze_incremental(
     let funcs: BTreeMap<u64, FuncCfg> = syms
         .iter()
         .zip(&results)
-        .map(|(s, r)| (s.addr, (**r.as_ref().expect("analysed")).clone()))
+        .map(|(s, r)| (s.addr, r.as_ref().expect("analysed").cfg.clone()))
         .collect();
     // The liveness identity folds the whole-binary fingerprint back
     // in (strictly per-binary); the weak identity leaves it out so
@@ -1120,10 +951,12 @@ pub fn analyze_incremental(
     cache.store_analysis(
         binary_fp,
         config_fp,
-        analysis.clone(),
-        func_keys.clone(),
-        weak_keys.clone(),
-        rounds,
+        AnalysisMemo {
+            analysis: analysis.clone(),
+            func_keys: func_keys.clone(),
+            weak_keys: weak_keys.clone(),
+            rounds,
+        },
     );
     cache
         .trace()

@@ -38,7 +38,7 @@
 //!   function entry and the ladder lowers monotonically.
 
 use crate::config::FuncMode;
-use crate::store::{self, checksum64, KEY_EPOCH};
+use crate::store::{self, checksum64, BadHeader, KEY_EPOCH};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -203,27 +203,18 @@ impl RunJournal {
     pub fn load(path: &Path) -> Result<JournalReplay, String> {
         let data =
             std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        if data.len() < 20 {
-            return Err(format!("{}: shorter than the journal header", path.display()));
+        if let Err(bad) = store::check_header(&data, JMAGIC, JOURNAL_VERSION) {
+            let why = match bad {
+                BadHeader::Short => "shorter than the journal header".into(),
+                BadHeader::Magic => "bad journal magic".into(),
+                BadHeader::Version(v) => {
+                    format!("journal version {v} (expected {JOURNAL_VERSION})")
+                }
+                BadHeader::Epoch(e) => format!("key epoch {e:#x} (expected {KEY_EPOCH:#x})"),
+            };
+            return Err(format!("{}: {why}", path.display()));
         }
-        if &data[..8] != JMAGIC {
-            return Err(format!("{}: bad journal magic", path.display()));
-        }
-        let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-        if version != JOURNAL_VERSION {
-            return Err(format!(
-                "{}: journal version {version} (expected {JOURNAL_VERSION})",
-                path.display()
-            ));
-        }
-        let epoch = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
-        if epoch != KEY_EPOCH {
-            return Err(format!(
-                "{}: key epoch {epoch:#x} (expected {KEY_EPOCH:#x})",
-                path.display()
-            ));
-        }
-        let scan = store::scan_frames(&data[20..], |t| {
+        let scan = store::scan_frames(&data[store::HEADER_LEN..], |t| {
             matches!(t, TAG_HEADER | TAG_ROUND | TAG_COMPLETE)
         });
         let mut header = None;
@@ -359,6 +350,18 @@ mod tests {
         body.extend_from_slice(&KEY_EPOCH.to_le_bytes());
         std::fs::write(&path, &body).unwrap();
         assert!(RunJournal::load(&path).unwrap_err().contains("header record missing"));
+        // A journal written under another version or key epoch.
+        let foreign = |version: u32, epoch: u64| {
+            let mut body = JMAGIC.to_vec();
+            body.extend_from_slice(&version.to_le_bytes());
+            body.extend_from_slice(&epoch.to_le_bytes());
+            std::fs::write(&path, &body).unwrap();
+            RunJournal::load(&path).unwrap_err()
+        };
+        let err = foreign(JOURNAL_VERSION + 1, KEY_EPOCH);
+        assert!(err.contains(&format!("journal version {}", JOURNAL_VERSION + 1)), "{err}");
+        let err = foreign(JOURNAL_VERSION, KEY_EPOCH ^ 1);
+        assert!(err.contains(&format!("key epoch {:#x}", KEY_EPOCH ^ 1)), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

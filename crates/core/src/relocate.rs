@@ -48,7 +48,7 @@
 //! runs, so fixed-up shared bytes are identical to a cold rewrite by
 //! construction.
 
-use crate::cache::{cfg_fingerprint, hash_of, unique_key, RewriteCache};
+use crate::cache::{cfg_fingerprint, hash_of, unique_key, EmitPayload, FragPayload, RewriteCache};
 use crate::trace::TraceEvent;
 use crate::config::{FuncMode, LayoutOrder, RewriteConfig, RewriteMode, UnwindStrategy};
 use crate::instrument::{Instrumentation, Payload};
@@ -371,13 +371,19 @@ pub(crate) fn relocate(
         .collect();
     let frag_results = pool::map(threads, &keyed, |_, (func, key, cfg_fp)| {
         let started = std::time::Instant::now();
-        let out = cache.fragment(*key, *cfg_fp, binary_fp, || {
-            build_fragment(input, func, far_to_orig, &relocated_ranges)
-        });
+        let out = cache.lookup(
+            *key,
+            binary_fp,
+            |p: &FragPayload| p.cfg_fp == *cfg_fp,
+            || {
+                let frag = build_fragment(input, func, far_to_orig, &relocated_ranges)?;
+                Ok(FragPayload { frag, cfg_fp: *cfg_fp, origin_fp: binary_fp })
+            },
+        );
         (out, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
     });
     let trace = cache.trace();
-    let mut frags: Vec<Arc<FuncFragment>> = Vec::with_capacity(keyed.len());
+    let mut frags: Vec<Arc<FragPayload>> = Vec::with_capacity(keyed.len());
     for ((func, _, _), (r, ns)) in keyed.iter().zip(frag_results) {
         // Timing events come from the orchestrator so the trace stream
         // stays deterministic across thread counts.
@@ -432,7 +438,8 @@ pub(crate) fn relocate(
     let mut placed: Vec<(u64, usize)> = Vec::with_capacity(frags.len()); // (base, slot base)
     let mut cursor = input.instr_base;
     let mut slot_cursor = 0usize;
-    for frag in &frags {
+    for p in &frags {
+        let frag = &p.frag;
         let base = align_up(cursor, arch.inst_align());
         for e in &frag.entries {
             if let Some((a, _)) = e.orig {
@@ -478,12 +485,18 @@ pub(crate) fn relocate(
         let (base, slot_base) = placed[i];
         let clone_addrs = func_clone_addrs.get(&keyed[i].0.entry).unwrap_or(&empty_addrs);
         let started = std::time::Instant::now();
+        let frag = &frags[i].frag;
         let out = cache
-            .emit(key, binary_fp, |c| c.validates(&frags[i]), || canonical_emit(&frags[i], arch))
+            .lookup(
+                key,
+                binary_fp,
+                |p: &EmitPayload| p.emit.validates(frag),
+                || Ok(EmitPayload { emit: canonical_emit(frag, arch)?, origin_fp: binary_fp }),
+            )
             .and_then(|canonical| {
                 fixup(
-                    &canonical,
-                    &frags[i],
+                    &canonical.emit,
+                    frag,
                     base,
                     arch,
                     pie,
@@ -510,7 +523,7 @@ pub(crate) fn relocate(
         while input.instr_base + code.len() as u64 != base {
             code.extend_from_slice(&nop);
         }
-        debug_assert_eq!(emitted.bytes.len() as u64, frags[i].size);
+        debug_assert_eq!(emitted.bytes.len() as u64, frags[i].frag.size);
         code.extend_from_slice(&emitted.bytes);
         for (ra, oa) in &emitted.ra_pairs {
             ra_map.insert(*ra, *oa);

@@ -13,6 +13,7 @@ use crate::report::{RewriteReport, SkipReason};
 use icfgp_cfg::{live_in_at_blocks, FuncStatus, LivenessResult, TableKind};
 use icfgp_obj::{names, Binary, RaMap, RelocKind, Section, SectionFlags, SectionKind, TrapMap};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
 
 /// Rewriting failure.
@@ -306,10 +307,11 @@ impl Rewriter {
                 }
             }
         }
+        let instr_len = reloc.code.len() as u64;
         out.add_section(Section::new(
             names::INSTR,
             instr_base,
-            reloc.code.clone(),
+            reloc.code,
             SectionFlags::exec(),
             SectionKind::Text,
         ));
@@ -463,13 +465,20 @@ impl Rewriter {
                 .copied()
                 .unwrap_or_else(crate::cache::unique_key);
             let lkey = hash_of(&(0x11FEu64, func_key, &f.fp_landing_targets, corrupt));
-            let liveness = cache.liveness(lkey, || {
-                if corrupt {
-                    LivenessResult::assume_all_dead(f, arch)
-                } else {
-                    live_in_at_blocks(f, arch)
-                }
-            });
+            // Liveness is per-binary (never shared), so no binary
+            // fingerprint is needed to classify a hit.
+            let Ok(liveness) = cache.lookup(
+                lkey,
+                0,
+                |_| true,
+                || {
+                    Ok::<_, Infallible>(if corrupt {
+                        LivenessResult::assume_all_dead(f, arch)
+                    } else {
+                        live_in_at_blocks(f, arch)
+                    })
+                },
+            );
             let pcfg = self.config.placement_for(*entry);
             let plan = place_function(
                 &PlaceCtx {
@@ -585,7 +594,7 @@ impl Rewriter {
                         in_text: c.desc.in_text,
                     })
                     .collect(),
-                instr_range: (instr_base, instr_base + reloc.code.len() as u64),
+                instr_range: (instr_base, instr_base + instr_len),
                 clone_range: (clone_base, clone_base + clone_size),
                 ra_map: reloc.ra_map.clone(),
                 trap_map: trap_map.clone(),

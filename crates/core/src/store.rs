@@ -151,6 +151,12 @@ impl Stage {
     pub const ALL: [Stage; 5] =
         [Stage::Func, Stage::Liveness, Stage::Fragment, Stage::Emit, Stage::Audit];
 
+    /// Dense index of the stage: its position in [`Stage::ALL`] (the
+    /// declaration order). Per-stage counter arrays are indexed by it.
+    pub(crate) fn idx(self) -> usize {
+        self as usize
+    }
+
     pub(crate) fn tag(self) -> u8 {
         match self {
             Stage::Func => 1,
@@ -1261,6 +1267,39 @@ pub(crate) fn scan_frames(data: &[u8], valid_tag: impl Fn(u8) -> bool) -> FrameS
     FrameScan { frames, corrupt, truncated }
 }
 
+/// Why a file header failed [`check_header`].
+pub(crate) enum BadHeader {
+    /// The file is shorter than the header.
+    Short,
+    /// The magic bytes differ.
+    Magic,
+    /// A different format version (the one found).
+    Version(u32),
+    /// A different [`KEY_EPOCH`] (the one found).
+    Epoch(u64),
+}
+
+/// Check the `magic ‖ version u32 ‖ KEY_EPOCH u64` header that opens
+/// every store segment, quarantined segment and run journal. Each
+/// caller words the failure for its own file kind.
+pub(crate) fn check_header(data: &[u8], magic: &[u8; 8], version: u32) -> Result<(), BadHeader> {
+    if data.len() < HEADER_LEN {
+        return Err(BadHeader::Short);
+    }
+    if &data[..8] != magic {
+        return Err(BadHeader::Magic);
+    }
+    let found = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
+    if found != version {
+        return Err(BadHeader::Version(found));
+    }
+    let epoch = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
+    if epoch != KEY_EPOCH {
+        return Err(BadHeader::Epoch(epoch));
+    }
+    Ok(())
+}
+
 enum SegmentScan {
     BadHeader(String),
     Records {
@@ -1275,21 +1314,13 @@ enum SegmentScan {
 /// tag) ends the scan with the tail dropped; a checksum mismatch with
 /// intact framing skips just that record.
 fn scan_segment(data: &[u8]) -> SegmentScan {
-    if data.len() < HEADER_LEN {
-        return SegmentScan::BadHeader("shorter than the header".into());
-    }
-    if &data[..8] != MAGIC {
-        return SegmentScan::BadHeader("bad magic".into());
-    }
-    let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return SegmentScan::BadHeader(format!(
-            "format version {version} (expected {FORMAT_VERSION})"
-        ));
-    }
-    let epoch = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
-    if epoch != KEY_EPOCH {
-        return SegmentScan::BadHeader(format!("key epoch {epoch:#x} (expected {KEY_EPOCH:#x})"));
+    if let Err(bad) = check_header(data, MAGIC, FORMAT_VERSION) {
+        return SegmentScan::BadHeader(match bad {
+            BadHeader::Short => "shorter than the header".into(),
+            BadHeader::Magic => "bad magic".into(),
+            BadHeader::Version(v) => format!("format version {v} (expected {FORMAT_VERSION})"),
+            BadHeader::Epoch(e) => format!("key epoch {e:#x} (expected {KEY_EPOCH:#x})"),
+        });
     }
     let scan = scan_frames(&data[HEADER_LEN..], |tag| Stage::from_tag(tag).is_some());
     let records = scan
@@ -1415,16 +1446,8 @@ pub fn sweep_stale_quarantine(dir: &Path) -> u64 {
         if !n.ends_with(".quarantined") {
             continue;
         }
-        let stale = match std::fs::read(entry.path()) {
-            Ok(data) => {
-                data.len() < HEADER_LEN
-                    || &data[..8] != MAGIC
-                    || u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"))
-                        != FORMAT_VERSION
-                    || u64::from_le_bytes(data[12..20].try_into().expect("8 bytes")) != KEY_EPOCH
-            }
-            Err(_) => true,
-        };
+        let stale = std::fs::read(entry.path())
+            .map_or(true, |data| check_header(&data, MAGIC, FORMAT_VERSION).is_err());
         if stale && std::fs::remove_file(entry.path()).is_ok() {
             removed += 1;
         }
@@ -1623,6 +1646,43 @@ mod tests {
             .join(format!("icfgp-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A file image opening with `magic ‖ version ‖ epoch`.
+    fn header(magic: &[u8; 8], version: u32, epoch: u64) -> Vec<u8> {
+        let mut body = magic.to_vec();
+        body.extend_from_slice(&version.to_le_bytes());
+        body.extend_from_slice(&epoch.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn stage_idx_is_the_position_in_all() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.idx(), i, "{stage:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_keeps_current_and_deletes_stale_quarantine() {
+        let dir = tmp_dir("sweep");
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = [
+            ("current.quarantined", header(MAGIC, FORMAT_VERSION, KEY_EPOCH), true),
+            ("old-epoch.quarantined", header(MAGIC, FORMAT_VERSION, KEY_EPOCH ^ 1), false),
+            ("old-version.quarantined", header(MAGIC, FORMAT_VERSION + 1, KEY_EPOCH), false),
+            ("short.quarantined", MAGIC.to_vec(), false),
+            // Not a quarantined file: never swept, whatever its header.
+            ("seg-000009.seg", header(MAGIC, FORMAT_VERSION, KEY_EPOCH ^ 1), true),
+        ];
+        for (name, body, _) in &files {
+            std::fs::write(dir.join(name), body).unwrap();
+        }
+        assert_eq!(sweep_stale_quarantine(&dir), 3);
+        for (name, _, kept) in &files {
+            assert_eq!(dir.join(name).exists(), *kept, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

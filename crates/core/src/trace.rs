@@ -296,15 +296,6 @@ impl TraceEvent {
 
 // ----- registry ----------------------------------------------------------
 
-/// Per-stage cache counters (plain; the registry mirrors them into
-/// [`StageStats`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct StageCtr {
-    hits: u64,
-    misses: u64,
-    shared: u64,
-}
-
 /// Per-source store counters. `hits` is the *raw* hit count; the
 /// [`StoreStats`] projection re-classifies lookup-time quarantines
 /// out of it, so folding never has to decrement (making the fold
@@ -358,7 +349,7 @@ impl StoreCtr {
 /// snapshot is just a copy and a per-rewrite delta is a subtraction.
 #[derive(Debug, Default, Clone)]
 struct RegistryInner {
-    cache: [StageCtr; 5],
+    cache: [StageStats; 5],
     memo_hits: u64,
     memo_misses: u64,
     rounds: u64,
@@ -374,10 +365,6 @@ struct RegistryInner {
     /// Per-function `(entry, ns)` samples from [`TraceEvent::FuncSpan`];
     /// the `slowest:` line is derived from the per-rewrite suffix.
     func_samples: Vec<(u64, u64)>,
-}
-
-fn stage_idx(stage: Stage) -> usize {
-    Stage::ALL.iter().position(|s| *s == stage).expect("stage in ALL")
 }
 
 impl RegistryInner {
@@ -398,7 +385,7 @@ impl RegistryInner {
                 self.rpc_ns += ns;
             }
             TraceEvent::CacheLookup { stage, hit, shared, .. } => {
-                let c = &mut self.cache[stage_idx(*stage)];
+                let c = &mut self.cache[stage.idx()];
                 if *hit {
                     c.hits += 1;
                     if *shared {
@@ -448,8 +435,7 @@ impl RegistryInner {
     }
 
     fn stage_stats(&self, stage: Stage) -> StageStats {
-        let c = self.cache[stage_idx(stage)];
-        StageStats { hits: c.hits, misses: c.misses, shared: c.shared }
+        self.cache[stage.idx()]
     }
 }
 

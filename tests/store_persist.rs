@@ -10,10 +10,13 @@
 //!   leaves a store the next run loads cleanly, with byte-identical
 //!   output;
 //! * two stores open on one directory at once both persist, each flush
-//!   into its own segment.
+//!   into its own segment;
+//! * the exact per-stage and store lookup accounting of a cold, warm
+//!   and corrupted ladder and of the audit gate.
 
 use incremental_cfg_patching::core::{
-    CacheStore, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter,
+    CacheStore, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter, Stage,
+    StoreOp, TraceEvent,
 };
 use incremental_cfg_patching::workloads::{generate, GenParams};
 use incremental_cfg_patching::isa::Arch;
@@ -334,5 +337,124 @@ fn two_writers_share_one_directory() {
     assert!(dir.join("LOCK").exists(), "compact must leave LOCK in place");
     clear_dir(&dir).expect("clear");
     assert!(dir.join("LOCK").exists(), "clear must leave LOCK in place");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Per-stage `(hits, misses, shared)` in `Stage::ALL` order, plus the
+/// store's `(lookups, hits, misses, lookup_quarantines,
+/// quarantined_records)`, as totals on the cache's trace.
+type Accounting = ([(u64, u64, u64); 5], (u64, u64, u64, u64, u64));
+
+fn accounting(cache: &RewriteCache) -> Accounting {
+    let trace = cache.trace();
+    let reg = trace.registry();
+    let stages = Stage::ALL.map(|stage| {
+        let s = reg.stage_stats(stage);
+        (s.hits, s.misses, s.shared)
+    });
+    let s = cache.store_stats();
+    (stages, (s.lookups, s.hits, s.misses, s.lookup_quarantines, s.quarantined_records))
+}
+
+/// Lookup-time quarantines per stage, in `Stage::ALL` order, from a
+/// recorded trace stream.
+fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 5] {
+    let mut out = [0u64; 5];
+    for ev in events {
+        if let TraceEvent::Store { op: StoreOp::LookupQuarantine { stage }, .. } = ev {
+            out[Stage::ALL.iter().position(|s| s == stage).expect("stage")] += 1;
+        }
+    }
+    out
+}
+
+/// The exact lookup accounting of the cache for three scenarios: the
+/// ladder over `small` (x86-64, func-ptr) cold and then warm from a
+/// re-opened store; the warm run again with half the fragment and
+/// emit records corrupted as they are read back; and the audit gate
+/// applied twice over one cache. The figures pin which tier serves
+/// every stage lookup, so a change to the lookup path that silently
+/// stops hitting (or starts double-counting) fails here even when the
+/// output bytes stay identical.
+#[test]
+fn lookup_accounting_is_pinned() {
+    use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, InjectedFault};
+    use incremental_cfg_patching::core::apply_audit_gate;
+    use incremental_cfg_patching::verify::rewrite_with_ladder_cached;
+    let dir = tmp_dir("accounting");
+    let binary = small_binary(7);
+    // One under-approximated jump table forces a demotion round, so
+    // the later rounds exercise in-memory hits on top of the store.
+    let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
+    let jump_addr = analyze(&binary, &AnalysisConfig::default())
+        .funcs
+        .values()
+        .find_map(|f| f.jump_tables.first().map(|jt| jt.jump_addr))
+        .expect("small has a jump table");
+    config.analysis.inject = vec![InjectedFault::UnderApproximateTable { jump_addr, drop: 1 }];
+    config.degradation.max_below_floor = 1.0;
+    let ladder = |cache: &RewriteCache| {
+        rewrite_with_ladder_cached(&binary, &config, &instr(), cache).expect("ladder")
+    };
+    let open = || RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
+
+    // 1. Cold, then warm from the re-opened store.
+    let cold = open();
+    let cold_out = ladder(&cold);
+    cold.flush_store();
+    let cold_acc = accounting(&cold);
+    drop(cold);
+    let warm = open();
+    let warm_out = ladder(&warm);
+    assert_eq!(cold_out.outcome.binary, warm_out.outcome.binary);
+    let warm_acc = accounting(&warm);
+    assert_eq!(warm_out.rounds, 4, "the injected fault must cost demotion rounds");
+    drop(warm);
+
+    // 2. Warm again, with patch-point corruption armed on read-back.
+    let faulty = open();
+    faulty.trace().record();
+    faulty.arm_patch_corruption(0x5eed, 0.5);
+    let faulty_out = ladder(&faulty);
+    assert_eq!(
+        cold_out.outcome.binary, faulty_out.outcome.binary,
+        "quarantine must not change bytes"
+    );
+    let faulty_acc = accounting(&faulty);
+    let quarantined = quarantines_by_stage(&faulty.trace().sealed());
+    drop(faulty);
+
+    // 3. The audit gate, twice over one cache.
+    let _ = std::fs::remove_dir_all(&dir);
+    let gate_cache = open();
+    for _ in 0..2 {
+        let mut cfg = config.clone();
+        let _ = apply_audit_gate(&binary, &mut cfg, &gate_cache);
+    }
+    let gate_acc = accounting(&gate_cache);
+    drop(gate_cache);
+
+    // Stage order: func, liveness, fragment, emit, audit.
+    assert_eq!(
+        cold_acc,
+        ([(0, 13, 0), (39, 13, 0), (36, 16, 0), (36, 16, 0), (0, 0, 0)], (58, 0, 58, 0, 0)),
+        "cold ladder"
+    );
+    assert_eq!(
+        warm_acc,
+        ([(13, 0, 0), (52, 0, 0), (52, 0, 0), (52, 0, 0), (0, 0, 0)], (58, 58, 0, 0, 0)),
+        "warm ladder"
+    );
+    assert_eq!(
+        faulty_acc,
+        ([(13, 0, 0), (52, 0, 0), (47, 5, 0), (46, 6, 0), (0, 0, 0)], (58, 47, 0, 11, 11)),
+        "warm ladder with patch-point corruption"
+    );
+    assert_eq!(quarantined, [0, 0, 5, 6, 0], "fragment and emit quarantines both fire");
+    assert_eq!(
+        gate_acc,
+        ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 1, 0)], (1, 0, 1, 0, 0)),
+        "audit gate twice"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
