@@ -1050,7 +1050,7 @@ mod tests {
             b.set_entry("main");
             let bin = b.build().unwrap();
             assert_eq!(bin.entry, bin.function_named("main").unwrap().addr);
-            assert!(bin.section(".text").unwrap().len() > 0);
+            assert!(!bin.section(".text").unwrap().is_empty());
             assert!(bin.validate_layout().is_ok());
         }
     }

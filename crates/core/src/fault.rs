@@ -242,7 +242,7 @@ impl FaultPlan {
     }
 
     /// The I/O fault classes of this plan, in the form
-    /// [`crate::store::CacheStore::arm_faults`] takes.
+    /// [`crate::store::StoreBackend::arm_faults`] takes.
     #[must_use]
     pub fn store_faults(&self) -> crate::store::StoreFaults {
         crate::store::StoreFaults {

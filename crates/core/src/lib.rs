@@ -99,14 +99,11 @@ pub use instrument::{Instrumentation, Payload, Points};
 pub use placement::{Patch, PlacedTrampoline, PlacementPlan, ScratchPool, TrampolineKind};
 pub use relocate::{table_cloneable, RelocatedCode};
 pub use report::{RewriteReport, SkipReason};
-pub use retry::{RetryPolicy, Transience};
+pub use retry::RetryPolicy;
 pub use rewriter::{CloneSummary, RewriteArtifacts, RewriteError, RewriteOutcome, Rewriter};
 pub use store::{
     CacheStore, CompactReport, CorruptKind, Stage, StoreBackend, StoreEvent, StoreEventKind,
     StoreFaults, StoreStats, StoreVerifyReport,
 };
-pub use trace::{
-    JsonlSink, MemorySink, Registry, SpanKind, StoreOp, StoreSrc, TextSink, Trace, TraceEvent,
-    TraceSink, TraceSummary,
-};
+pub use trace::{Registry, SpanKind, StoreOp, StoreSrc, Trace, TraceEvent, TraceSummary};
 pub use tramp::trampoline_table;

@@ -45,7 +45,7 @@
 //!    to fully-local operation for the rest of the run — pending
 //!    records flush to the overflow store instead.
 
-use crate::retry::{RetryPolicy, Transience};
+use crate::retry::RetryPolicy;
 use crate::store::{
     encode_frame, push_event, scan_frames, CacheStore, FaultRng, Stage, StoreBackend, StoreEvent,
     StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
@@ -479,7 +479,7 @@ pub struct ServerStats {
     pub bad_frames: u64,
     /// Segment files in the store directory.
     pub segments: u64,
-    /// Usable records loaded.
+    /// Records the store can serve, loaded or queued.
     pub records: u64,
     /// Quarantined segment files kept for inspection.
     pub quarantined_files: u64,
@@ -526,10 +526,8 @@ impl ServerShared {
                     .count() as u64
             })
             .unwrap_or(0);
-        // Records the server can serve: durably flushed plus queued
-        // (accepted PUTs are visible to GETs before the segment flush).
-        let records = self.store.entry_counts().iter().map(|(_, n)| *n as u64).sum::<u64>()
-            + self.store.pending_len() as u64;
+        // Records the server can serve, flushed or still queued.
+        let records = self.store.entry_counts().iter().map(|(_, n)| *n as u64).sum::<u64>();
         ServerStats {
             connections: self.c.connections.load(Ordering::Relaxed),
             requests: self.c.requests.load(Ordering::Relaxed),
@@ -554,7 +552,7 @@ impl ServerShared {
         self.c.requests.fetch_add(1, Ordering::Relaxed);
         match tag {
             OP_GET => match split_record_body(payload) {
-                Ok((stage, [])) => match self.store.get_queued(stage, key) {
+                Ok((stage, [])) => match self.store.get(stage, key) {
                     Some(p) => {
                         self.c.get_hits.fetch_add(1, Ordering::Relaxed);
                         (RE_HIT, key, p)
@@ -892,10 +890,7 @@ impl RemoteStore {
         let policy = *self.retry.lock().expect("retry poisoned");
         let mut transport = self.transport.lock().expect("transport poisoned");
         let started = Instant::now();
-        let (result, retries) = policy.run(
-            |_e: &std::io::Error| Transience::Transient,
-            |_| transport.exchange(tag, key, payload),
-        );
+        let (result, retries) = policy.run(|_| transport.exchange(tag, key, payload));
         drop(transport);
         self.trace.emit(TraceEvent::RpcSpan {
             op: op_name(tag).to_string(),
@@ -1317,6 +1312,27 @@ mod tests {
         assert_eq!(a.get(Stage::Func, 2).as_deref(), Some(&b"two"[..]));
         let stats = server.stats();
         assert_eq!((stats.puts_accepted, stats.puts_rejected), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn queued_put_is_served_before_the_server_flushes() {
+        let dir = tmp_dir("queued");
+        let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
+        let a = client(&server, None);
+        let b = client(&server, None);
+        a.put(Stage::Func, 1, b"one".to_vec());
+        a.put(Stage::Emit, 2, b"two".to_vec());
+        assert_eq!(StoreBackend::flush(&a), 2);
+        // Both connections stay open and the flush threshold is not
+        // reached, so the server has only queued the records.
+        assert_eq!(b.get(Stage::Func, 1).as_deref(), Some(&b"one"[..]));
+        assert_eq!(b.get(Stage::Emit, 2).as_deref(), Some(&b"two"[..]));
+        assert_eq!(b.get(Stage::Func, 3), None);
+        let stats = server.stats();
+        assert_eq!((stats.segments, stats.store.flushes), (0, 0), "{stats:?}");
+        assert_eq!(stats.records, 2, "queued records count as servable");
+        assert_eq!((stats.get_hits, stats.get_misses), (2, 1));
+        assert_eq!((stats.store.hits, stats.store.misses), (2, 1));
     }
 
     /// A server that answers everything `ERR`, like one built with a

@@ -82,6 +82,19 @@ pub struct TableClone {
     pub reloc_slots: Vec<(u64, u64)>,
 }
 
+/// Where one jump table's clone goes in `.jt_clone`, fixed before
+/// relocation fills it in.
+pub(crate) struct CloneSlot<'a> {
+    /// Entry of the function that jumps through the table.
+    pub func: u64,
+    /// The analysed table.
+    pub desc: &'a JumpTableDesc,
+    /// Where the clone lives.
+    pub clone_addr: u64,
+    /// Entry width of the clone (compact tables are widened to 4).
+    pub entry_width: u8,
+}
+
 /// The relocation result.
 #[derive(Debug, Clone)]
 pub struct RelocatedCode {
@@ -183,6 +196,9 @@ pub(crate) struct RelocateInput<'a> {
     pub instr: &'a Instrumentation,
     /// `.jt_clone` base (clones precede `.instr`).
     pub clone_base: u64,
+    /// The `.jt_clone` layout, in address order (each function's
+    /// clones adjacent, in `jump_tables` order).
+    pub clones: &'a [CloneSlot<'a>],
     /// `.instr` base.
     pub instr_base: u64,
     /// Emit the buggy call emulation for stack-indirect calls.
@@ -391,41 +407,18 @@ pub(crate) fn relocate(
         frags.push(r?);
     }
 
-    // ----- assign clone addresses --------------------------------------
+    // ----- clones at their laid-out addresses --------------------------
     let mut clones: Vec<TableClone> = Vec::new();
     let mut func_clone_addrs: HashMap<u64, Vec<u64>> = HashMap::new(); // entry -> clone addrs
-    if config.clone_tables {
-        let mut cursor = input.clone_base;
-        // Walk in analysis order (matches the rewriter's clone-sizing
-        // loop) so assigned addresses agree with the reserved layout.
-        for func in input.analysis.funcs.values() {
-            if func.status != FuncStatus::Ok
-                || !input.instr.points.selects_function(func.entry)
-                || !matches!(config.rewrite_mode_for(func.entry), Some(m) if m >= RewriteMode::Jt)
-            {
-                continue;
-            }
-            let mut addrs: Vec<u64> = Vec::new();
-            for desc in &func.jump_tables {
-                if !table_cloneable(func, desc) {
-                    continue;
-                }
-                let entry_width = desc.entry_width.max(4);
-                cursor = align_up(cursor, u64::from(entry_width));
-                addrs.push(cursor);
-                clones.push(TableClone {
-                    desc: desc.clone(),
-                    clone_addr: cursor,
-                    entry_width,
-                    bytes: Vec::new(),
-                    reloc_slots: Vec::new(),
-                });
-                cursor += desc.count * u64::from(entry_width);
-            }
-            if !addrs.is_empty() {
-                func_clone_addrs.insert(func.entry, addrs);
-            }
-        }
+    for slot in input.clones {
+        func_clone_addrs.entry(slot.func).or_default().push(slot.clone_addr);
+        clones.push(TableClone {
+            desc: slot.desc.clone(),
+            clone_addr: slot.clone_addr,
+            entry_width: slot.entry_width,
+            bytes: Vec::new(),
+            reloc_slots: Vec::new(),
+        });
     }
 
     // ----- layout (sequential, cheap) ----------------------------------

@@ -1,12 +1,12 @@
 //! Bounded retry with deterministic jittered backoff.
 //!
-//! The persistent store distinguishes *transient* failures — writer
-//! lock contention, short reads, interrupted I/O — from *permanent*
-//! ones — checksum mismatches, format-version or key-epoch skew.
-//! Transient failures are worth a bounded number of retries with
-//! backoff before falling back to the one-shot behaviour (defer the
-//! flush, quarantine the segment); permanent failures are quarantined
-//! immediately, because re-reading corrupt bytes cannot fix them.
+//! [`RetryPolicy::run`] is the one retry driver: the local store's
+//! flush (a busy directory lock, a failed segment write), its segment
+//! load (a short read) and the remote client's request exchange all
+//! run their attempts through it. Every failure an attempt reports is
+//! worth retrying; a failure no retry can fix (a checksum mismatch, a
+//! version or epoch skew) is not reported as one, but handled where it
+//! is found, by quarantining the bad bytes.
 //!
 //! Jitter is drawn from a seeded [splitmix64] stream keyed on
 //! `(seed, attempt)`, so tests can pin the exact delay schedule and
@@ -15,17 +15,6 @@
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
 use serde::{Deserialize, Serialize};
-
-/// Whether a failure is worth retrying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Transience {
-    /// A retry may succeed: lock contention, a short read, interrupted
-    /// I/O.
-    Transient,
-    /// A retry re-reads the same bad bytes: checksum mismatch,
-    /// version/epoch skew, malformed header. Quarantine immediately.
-    Permanent,
-}
 
 /// A bounded, seeded, jittered-backoff retry policy.
 ///
@@ -90,41 +79,30 @@ impl RetryPolicy {
         (capped / 2 + draw).min(self.max_delay_ms)
     }
 
-    /// Run `op` with bounded retries: each failed attempt is classified
-    /// by `classify`; [`Transience::Transient`] failures are retried
-    /// (after sleeping the jittered backoff delay) until the attempt
-    /// budget runs out, [`Transience::Permanent`] failures return
-    /// immediately. `op` receives the 0-based attempt number. Returns
-    /// the first success or the last error, plus how many retries ran.
+    /// Run `op` with bounded retries: every failed attempt but the last
+    /// is retried after sleeping the jittered backoff delay. `op`
+    /// receives the 0-based attempt number, so it can tell the last
+    /// attempt from the others. Returns the first success or the last
+    /// error, plus how many retries ran.
     ///
     /// # Errors
     ///
-    /// The final error once the attempt budget is exhausted, or the
-    /// first permanent error.
-    pub fn run<T, E>(
-        &self,
-        mut classify: impl FnMut(&E) -> Transience,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> (Result<T, E>, u32) {
-        let attempts = self.max_attempts.max(1);
-        let mut retries = 0;
-        for attempt in 0..attempts {
+    /// The final error once the attempt budget is exhausted.
+    pub fn run<T, E>(&self, mut op: impl FnMut(u32) -> Result<T, E>) -> (Result<T, E>, u32) {
+        let last = self.max_attempts.max(1) - 1;
+        let mut attempt = 0;
+        loop {
             match op(attempt) {
-                Ok(v) => return (Ok(v), retries),
-                Err(e) => {
-                    let last = attempt + 1 == attempts;
-                    if last || classify(&e) == Transience::Permanent {
-                        return (Err(e), retries);
-                    }
-                    let delay = self.delay_ms(attempt + 1);
+                Err(_) if attempt < last => {
+                    attempt += 1;
+                    let delay = self.delay_ms(attempt);
                     if delay > 0 {
                         std::thread::sleep(std::time::Duration::from_millis(delay));
                     }
-                    retries += 1;
                 }
+                result => return (result, attempt),
             }
         }
-        unreachable!("loop returns on the last attempt")
     }
 }
 
@@ -148,60 +126,36 @@ mod tests {
     fn transient_errors_retry_until_budget() {
         let p = RetryPolicy { max_attempts: 3, base_delay_ms: 0, max_delay_ms: 0, seed: 1 };
         let mut calls = 0;
-        let (out, retries) = p.run(
-            |_: &&str| Transience::Transient,
-            |_| {
-                calls += 1;
-                if calls < 3 {
-                    Err("contended")
-                } else {
-                    Ok(calls)
-                }
-            },
-        );
+        let (out, retries) = p.run(|_| {
+            calls += 1;
+            if calls < 3 {
+                Err("contended")
+            } else {
+                Ok(calls)
+            }
+        });
         assert_eq!(out, Ok(3));
         assert_eq!(retries, 2);
 
         let mut calls = 0;
-        let (out, retries) = p.run(
-            |_: &&str| Transience::Transient,
-            |_| -> Result<(), &str> {
-                calls += 1;
-                Err("still contended")
-            },
-        );
+        let (out, retries) = p.run(|attempt| -> Result<(), &str> {
+            assert_eq!(attempt, calls, "attempts are numbered from 0");
+            calls += 1;
+            Err("still contended")
+        });
         assert_eq!(out, Err("still contended"));
         assert_eq!(calls, 3, "budget is total attempts");
         assert_eq!(retries, 2);
     }
 
     #[test]
-    fn permanent_errors_fail_fast() {
-        let p = RetryPolicy { max_attempts: 5, base_delay_ms: 0, max_delay_ms: 0, seed: 1 };
-        let mut calls = 0;
-        let (out, retries) = p.run(
-            |_: &&str| Transience::Permanent,
-            |_| -> Result<(), &str> {
-                calls += 1;
-                Err("checksum mismatch")
-            },
-        );
-        assert_eq!(out, Err("checksum mismatch"));
-        assert_eq!(calls, 1, "permanent failures never retry");
-        assert_eq!(retries, 0);
-    }
-
-    #[test]
     fn one_attempt_policy_never_retries() {
         let p = RetryPolicy::none();
         let mut calls = 0;
-        let (out, _) = p.run(
-            |_: &&str| Transience::Transient,
-            |_| -> Result<(), &str> {
-                calls += 1;
-                Err("nope")
-            },
-        );
+        let (out, _) = p.run(|_| -> Result<(), &str> {
+            calls += 1;
+            Err("nope")
+        });
         assert!(out.is_err());
         assert_eq!(calls, 1);
     }

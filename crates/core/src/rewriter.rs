@@ -8,9 +8,9 @@ use crate::config::{FuncMode, RewriteConfig, RewriteMode, UnwindStrategy};
 use crate::instrument::Instrumentation;
 use crate::placement::{place_function, PlaceCtx, PlacementPlan, ScratchPool, TrampolineKind};
 use crate::pool;
-use crate::relocate::{relocate, table_cloneable, RelocateInput};
+use crate::relocate::{relocate, table_cloneable, CloneSlot, RelocateInput};
 use crate::report::{RewriteReport, SkipReason};
-use icfgp_cfg::{live_in_at_blocks, FuncStatus, LivenessResult, TableKind};
+use icfgp_cfg::{live_in_at_blocks, BinaryAnalysis, FuncStatus, LivenessResult, TableKind};
 use icfgp_obj::{names, Binary, RaMap, RelocKind, Section, SectionFlags, SectionKind, TrapMap};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -218,26 +218,12 @@ impl Rewriter {
         // ----- region layout ------------------------------------------
         let region_start =
             align_up(binary.address_space_end() + self.config.instr_gap, 0x1000);
-        // Clones first (their total size is known before relocation).
+        // Clones first: their layout is fixed before relocation.
         let clone_base = region_start;
-        let mut clone_size = 0u64;
-        if self.config.clone_tables {
-            for func in analysis.funcs.values() {
-                if func.status != FuncStatus::Ok || !instr.points.selects_function(func.entry) {
-                    continue;
-                }
-                if !matches!(self.config.rewrite_mode_for(func.entry), Some(m) if m >= RewriteMode::Jt)
-                {
-                    continue;
-                }
-                for desc in &func.jump_tables {
-                    if table_cloneable(func, desc) {
-                        let w = u64::from(desc.entry_width.max(4));
-                        clone_size = align_up(clone_size, w) + desc.count * w;
-                    }
-                }
-            }
-        }
+        let clones = clone_layout(analysis, &self.config, instr, clone_base);
+        let clone_size = clones.last().map_or(0, |c| {
+            c.clone_addr + c.desc.count * u64::from(c.entry_width) - clone_base
+        });
         let instr_base = align_up(clone_base + clone_size, 0x1000);
 
         // ----- relocation ----------------------------------------------
@@ -249,6 +235,7 @@ impl Rewriter {
                 config: &self.config,
                 instr,
                 clone_base,
+                clones: &clones,
                 instr_base,
                 emulation_stack_bug: self.emulation_stack_bug,
                 weak_keys: &run.weak_keys,
@@ -626,6 +613,38 @@ impl Rewriter {
             stats,
         })
     }
+}
+
+/// Lay out `.jt_clone` from `base`: every cloneable table of each
+/// selected function rewritten in `jt` mode or above, in analysis
+/// order, aligned to its (widened) entry width. Empty in the in-place
+/// ablation (`clone_tables = false`).
+fn clone_layout<'a>(
+    analysis: &'a BinaryAnalysis,
+    config: &RewriteConfig,
+    instr: &Instrumentation,
+    base: u64,
+) -> Vec<CloneSlot<'a>> {
+    let mut slots = Vec::new();
+    if !config.clone_tables {
+        return slots;
+    }
+    let mut cursor = base;
+    for func in analysis.funcs.values() {
+        if func.status != FuncStatus::Ok
+            || !instr.points.selects_function(func.entry)
+            || !matches!(config.rewrite_mode_for(func.entry), Some(m) if m >= RewriteMode::Jt)
+        {
+            continue;
+        }
+        for desc in func.jump_tables.iter().filter(|d| table_cloneable(func, d)) {
+            let entry_width = desc.entry_width.max(4);
+            cursor = align_up(cursor, u64::from(entry_width));
+            slots.push(CloneSlot { func: func.entry, desc, clone_addr: cursor, entry_width });
+            cursor += desc.count * u64::from(entry_width);
+        }
+    }
+    slots
 }
 
 fn align_up(v: u64, a: u64) -> u64 {

@@ -46,6 +46,15 @@
 //! a warm run over an arbitrarily damaged store produces output bytes
 //! identical to a cold run.
 //!
+//! # One surface, one record map
+//!
+//! [`CacheStore`] answers only through [`StoreBackend`], the trait the
+//! remote client implements too. It keeps one record map: what it
+//! loaded at open and what this process put since, so a lookup serves
+//! both (the remote server's `GET` is this `get`). The flush queue is
+//! only the list of keys not yet written; a flush encodes them straight
+//! from the map, and a key seen once is never queued again.
+//!
 //! # Lock protocol
 //!
 //! Any number of stores, in any number of processes, may have one
@@ -58,20 +67,20 @@
 //! write the temp file, rename), and for `compact_dir` and
 //! `clear_dir`. Nobody waits for it: a busy lock skips open-time
 //! maintenance (the load then only skips bad segments) and turns a
-//! flush into a transient failure that the retry policy re-attempts
+//! flush into a failed attempt that [`RetryPolicy::run`] re-attempts
 //! and then defers, records kept pending for the next flush. The
 //! kernel drops the lock when its holder exits, so a crashed writer
 //! never blocks anyone. Readers need no lock: segments are immutable
 //! after rename, so a reader racing a writer sees either the old or the
 //! new segment set, both self-validating.
 
+use crate::retry::RetryPolicy;
 use crate::trace::{SpanKind, StoreOp, StoreSrc, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Segment file magic.
 const MAGIC: &[u8; 8] = b"ICFGPST\x01";
@@ -427,36 +436,25 @@ impl FaultRng {
     }
 }
 
-struct Pending {
-    stage: Stage,
-    key: u64,
-    payload: Vec<u8>,
-}
-
 #[derive(Default)]
 struct Inner {
-    /// Loaded records: (stage, key) → payload bytes (checksum-verified
-    /// at load; deserialised lazily at lookup).
+    /// Every record this store can serve: loaded from disk
+    /// (checksum-verified at load; deserialised lazily at lookup) or
+    /// put by this process.
     records: HashMap<(Stage, u64), Vec<u8>>,
-    /// Records computed this process, awaiting flush.
-    pending: Vec<Pending>,
-    /// Keys already persisted or pending (avoid duplicate appends).
-    known: HashMap<(Stage, u64), ()>,
+    /// Keys of `records` still to flush, in put order.
+    pending: Vec<(Stage, u64)>,
+    /// Keys loaded or put once: never queued again in this process.
+    known: HashSet<(Stage, u64)>,
     events: Vec<StoreEvent>,
     faults: Option<(StoreFaults, FaultRng)>,
-    retry: crate::retry::RetryPolicy,
-}
-
-/// Outcome of one flush attempt: finished (possibly with nothing to
-/// do), or failed transiently and worth a retry.
-enum FlushOnce {
-    Done(usize),
-    Transient,
+    retry: RetryPolicy,
 }
 
 /// The crash-safe persistent rewrite-cache store. Open one per cache
 /// directory and attach it with
-/// [`RewriteCache::with_store`](crate::RewriteCache::with_store).
+/// [`RewriteCache::with_store`](crate::RewriteCache::with_store); it
+/// answers through [`StoreBackend`].
 /// All counting goes through the unified [`Trace`] spine; `stats()` is
 /// the registry's [`StoreSrc`]-scoped projection.
 pub struct CacheStore {
@@ -505,7 +503,7 @@ impl CacheStore {
     /// Open (creating if necessary) the store at `dir` and load every
     /// valid record. Never fails hard: unusable directories produce a
     /// disabled store that misses everything, with the reason in
-    /// [`CacheStore::events`].
+    /// [`StoreBackend::events`].
     #[must_use]
     pub fn open(dir: &Path) -> CacheStore {
         CacheStore::open_traced(dir, Trace::new(), StoreSrc::Local)
@@ -548,12 +546,6 @@ impl CacheStore {
         store
     }
 
-    /// The trace spine this store emits through.
-    #[must_use]
-    pub fn trace(&self) -> Arc<Trace> {
-        Arc::clone(&self.trace)
-    }
-
     /// Emit one store operation onto the trace, tagged with this
     /// store's source.
     fn emit(&self, op: StoreOp) {
@@ -566,51 +558,8 @@ impl CacheStore {
         &self.dir
     }
 
-    /// Counter snapshot — the registry projection for this store's
-    /// source.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        self.trace.registry().store_stats(self.src)
-    }
-
-    /// Replace the transient-failure retry policy (default: the
-    /// [`RetryPolicy`](crate::retry::RetryPolicy) default, three
-    /// attempts with jittered backoff).
-    /// Chaos campaigns re-seed it from the fault-plan seed so delay
-    /// schedules replay exactly.
-    pub fn set_retry_policy(&self, policy: crate::retry::RetryPolicy) {
-        self.inner.lock().expect("store poisoned").retry = policy;
-    }
-
-    fn retry_policy(&self) -> crate::retry::RetryPolicy {
+    fn retry_policy(&self) -> RetryPolicy {
         self.inner.lock().expect("store poisoned").retry
-    }
-
-    /// Structured events so far (bounded; overflow is dropped oldest).
-    #[must_use]
-    pub fn events(&self) -> Vec<StoreEvent> {
-        self.inner.lock().expect("store poisoned").events.clone()
-    }
-
-    /// Per-stage count of loaded (usable) records.
-    #[must_use]
-    pub fn entry_counts(&self) -> Vec<(Stage, usize)> {
-        let inner = self.inner.lock().expect("store poisoned");
-        Stage::ALL
-            .iter()
-            .map(|s| (*s, inner.records.keys().filter(|(st, _)| st == s).count()))
-            .collect()
-    }
-
-    /// Arm deterministic I/O fault injection (chaos campaigns).
-    pub fn arm_faults(&self, faults: StoreFaults) {
-        let mut inner = self.inner.lock().expect("store poisoned");
-        if faults.any() {
-            let rng = FaultRng(faults.seed ^ 0x0051_570F_A017_u64);
-            inner.faults = Some((faults, rng));
-        } else {
-            inner.faults = None;
-        }
     }
 
     fn event(&self, kind: StoreEventKind, detail: String) {
@@ -681,75 +630,52 @@ impl CacheStore {
         }
     }
 
-    /// Re-scan the directory, replacing the loaded record set. Used
-    /// after external writes (another process flushed) and by the
-    /// chaos campaigns to exercise load-path robustness.
-    pub fn reload(&self) {
-        {
-            let mut inner = self.inner.lock().expect("store poisoned");
-            inner.records.clear();
-            let pending_keys: Vec<(Stage, u64)> =
-                inner.pending.iter().map(|p| (p.stage, p.key)).collect();
-            inner.known.clear();
-            for k in pending_keys {
-                inner.known.insert(k, ());
-            }
-        }
-        self.load_all();
-    }
-
     /// Load one segment's valid records. Returns `false` when its
     /// header failed validation, so the caller can relocate it.
     fn load_segment(&self, name: &str) -> bool {
         let path = self.dir.join(name);
-        // Short reads are transient: re-read up to the retry budget
-        // before accepting a torn view of the segment.
+        // A short read is worth a re-read; the last attempt accepts the
+        // torn view of the segment. A failed read ends the attempts.
         let policy = self.retry_policy();
-        let attempts = policy.max_attempts.max(1);
-        let mut attempt = 0;
-        let data = loop {
+        let last = policy.max_attempts.max(1) - 1;
+        let (read, retries) = policy.run(|attempt| {
             let mut data = match std::fs::read(&path) {
                 Ok(d) => d,
                 Err(e) => {
                     self.emit(StoreOp::IoError);
                     self.event(StoreEventKind::IoError, format!("read {name}: {e}"));
-                    return true;
+                    return Ok(None);
                 }
             };
             // Injected short read: drop a suffix before parsing.
             let short = {
                 let mut inner = self.inner.lock().expect("store poisoned");
                 match &mut inner.faults {
-                    Some((f, rng)) if !data.is_empty() => {
-                        if rng.chance(f.short_read) {
-                            Some(rng.below(data.len() as u64) as usize)
-                        } else {
-                            None
-                        }
-                    }
+                    Some((f, rng)) if !data.is_empty() => rng
+                        .chance(f.short_read)
+                        .then(|| rng.below(data.len() as u64) as usize),
                     _ => None,
                 }
             };
-            let Some(keep) = short else { break data };
-            if attempt + 1 >= attempts {
-                data.truncate(keep);
+            let Some(keep) = short else { return Ok(Some(data)) };
+            if attempt < last {
                 self.event(
                     StoreEventKind::FaultInjected,
-                    format!("short read of {name}: kept {keep} byte(s)"),
+                    format!("short read of {name}: re-reading (attempt {})", attempt + 2),
                 );
-                break data;
+                return Err(());
             }
-            attempt += 1;
-            self.emit(StoreOp::Retry);
+            data.truncate(keep);
             self.event(
                 StoreEventKind::FaultInjected,
-                format!("short read of {name}: re-reading (attempt {})", attempt + 1),
+                format!("short read of {name}: kept {keep} byte(s)"),
             );
-            let delay = policy.delay_ms(attempt);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-        };
+            Ok(Some(data))
+        });
+        for _ in 0..retries {
+            self.emit(StoreOp::Retry);
+        }
+        let Ok(Some(data)) = read else { return true };
         match scan_segment(&data) {
             SegmentScan::BadHeader(reason) => {
                 self.emit(StoreOp::SegmentQuarantined);
@@ -765,7 +691,7 @@ impl CacheStore {
                 let mut inner = self.inner.lock().expect("store poisoned");
                 let n = records.len() as u64;
                 for (stage, key, payload) in records {
-                    inner.known.insert((stage, key), ());
+                    inner.known.insert((stage, key));
                     inner.records.insert((stage, key), payload);
                 }
                 drop(inner);
@@ -789,147 +715,17 @@ impl CacheStore {
         }
     }
 
-    // ----- lookup / insert ----------------------------------------------
-
-    /// Fetch a verified payload. `None` counts as a persisted miss.
-    pub(crate) fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        self.emit(StoreOp::Lookup { stage });
-        if self.disabled {
-            // A disabled store still answered the lookup (with a
-            // miss); not counting it here broke the
-            // hits+misses+quarantines == lookups conservation law the
-            // registry now asserts.
-            self.emit(StoreOp::Miss { stage });
-            return None;
-        }
-        let inner = self.inner.lock().expect("store poisoned");
-        match inner.records.get(&(stage, key)) {
-            Some(payload) => {
-                let p = payload.clone();
-                drop(inner);
-                self.emit(StoreOp::Hit { stage });
-                Some(p)
-            }
-            None => {
-                drop(inner);
-                self.emit(StoreOp::Miss { stage });
-                None
-            }
-        }
-    }
-
-    /// Record a lookup whose payload was present but unusable
-    /// (deserialisation failure, dependency-validation mismatch from a
-    /// *corrupt* source). Converts the earlier hit into a quarantine —
-    /// and only a quarantine: folding it into `misses` as well would
-    /// double-count the lookup in every stats rollup.
-    pub(crate) fn quarantine_record(&self, stage: Stage, key: u64, why: &str) {
-        let mut inner = self.inner.lock().expect("store poisoned");
-        inner.records.remove(&(stage, key));
-        drop(inner);
-        self.emit(StoreOp::LookupQuarantine { stage });
-        self.event(
-            StoreEventKind::DecodeFailure,
-            format!("{}:{key:#018x}: {why}", stage.name()),
-        );
-    }
-
-    /// Buffer a freshly-computed record for the next flush.
-    pub(crate) fn put(&self, stage: Stage, key: u64, payload: Vec<u8>) {
-        if self.disabled {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("store poisoned");
-        if inner.known.contains_key(&(stage, key)) {
-            return;
-        }
-        inner.known.insert((stage, key), ());
-        inner.pending.push(Pending { stage, key, payload });
-    }
-
-    /// Pending (unflushed) record count.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.inner.lock().expect("store poisoned").pending.len()
-    }
-
-    /// Server-side lookup: loaded records *or* the pending (accepted
-    /// but unflushed) queue, so a record one client PUT is visible to
-    /// another client before the next segment flush. Counts exactly
-    /// like [`CacheStore::get`].
-    pub(crate) fn get_queued(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        self.emit(StoreOp::Lookup { stage });
-        if self.disabled {
-            self.emit(StoreOp::Miss { stage });
-            return None;
-        }
-        let inner = self.inner.lock().expect("store poisoned");
-        let found = inner.records.get(&(stage, key)).cloned().or_else(|| {
-            inner
-                .pending
-                .iter()
-                .find(|p| p.stage == stage && p.key == key)
-                .map(|p| p.payload.clone())
-        });
-        drop(inner);
-        match found {
-            Some(p) => {
-                self.emit(StoreOp::Hit { stage });
-                Some(p)
-            }
-            None => {
-                self.emit(StoreOp::Miss { stage });
-                None
-            }
-        }
-    }
-
     // ----- flush ---------------------------------------------------------
 
-    /// Write every pending record into a fresh segment (temp file +
-    /// atomic rename, under the directory lock). Returns the number of
-    /// records persisted; 0 when there is nothing pending or a failure
-    /// deferred the flush (records stay pending — never lost, never
-    /// torn). Transient failures — a busy lock, I/O errors — are
-    /// retried with jittered backoff up to the [`RetryPolicy`] attempt
-    /// budget before deferring.
-    ///
-    /// [`RetryPolicy`]: crate::retry::RetryPolicy
-    pub fn flush(&self) -> usize {
-        if self.disabled || self.pending_len() == 0 {
-            return 0;
-        }
-        let span = self.trace.span(SpanKind::StoreFlush);
-        let policy = self.retry_policy();
-        let attempts = policy.max_attempts.max(1);
-        let mut flushed = 0;
-        for attempt in 0..attempts {
-            match self.flush_once() {
-                FlushOnce::Done(n) => {
-                    flushed = n;
-                    break;
-                }
-                FlushOnce::Transient => {
-                    if attempt + 1 == attempts {
-                        break; // budget exhausted: defer to a later flush
-                    }
-                    self.emit(StoreOp::Retry);
-                    let delay = policy.delay_ms(attempt + 1);
-                    if delay > 0 {
-                        std::thread::sleep(Duration::from_millis(delay));
-                    }
-                }
-            }
-        }
-        span.close();
-        flushed
-    }
-
-    fn flush_once(&self) -> FlushOnce {
+    /// One flush attempt: the pending records into a fresh segment
+    /// (temp file + atomic rename, under the directory lock). `Err`
+    /// when the lock is busy or the write fails, with the records kept
+    /// pending.
+    fn flush_once(&self) -> Result<usize, ()> {
         let (contended, torn_at, flip) = {
             let mut inner = self.inner.lock().expect("store poisoned");
             if inner.pending.is_empty() {
-                return FlushOnce::Done(0);
+                return Ok(0);
             }
             let (mut contended, mut torn_at, mut flip) = (false, None, None);
             if let Some((f, rng)) = &mut inner.faults {
@@ -955,32 +751,34 @@ impl CacheStore {
                     StoreEventKind::LockTimeout,
                     format!("{}: lock busy, flush deferred", self.dir.display()),
                 );
-                return FlushOnce::Transient;
+                return Err(());
             }
             Err(e) => {
                 self.emit(StoreOp::IoError);
                 self.event(StoreEventKind::IoError, format!("lock: {e}"));
-                return FlushOnce::Transient;
+                return Err(());
             }
         };
-        // Encode the pending records and move them into the loaded set
-        // in one critical section, so a concurrent lookup (a server
-        // GET) finds each record either pending or loaded, never
-        // neither, while the segment is written.
+        // Encode the pending keys straight from the record map. The
+        // records stay in it, so a concurrent lookup (a server GET)
+        // finds them while the segment is written; a key quarantined
+        // since its put is skipped.
         let mut body = segment_header();
-        let mut keys = Vec::new();
-        {
+        let mut records = 0;
+        let keys = {
             let mut inner = self.inner.lock().expect("store poisoned");
-            for p in std::mem::take(&mut inner.pending) {
-                encode_record(&mut body, p.stage, p.key, &p.payload);
-                keys.push((p.stage, p.key));
-                inner.records.insert((p.stage, p.key), p.payload);
+            let keys = std::mem::take(&mut inner.pending);
+            for &(stage, key) in &keys {
+                if let Some(payload) = inner.records.get(&(stage, key)) {
+                    encode_record(&mut body, stage, key, payload);
+                    records += 1;
+                }
             }
+            keys
+        };
+        if records == 0 {
+            return Ok(0); // a concurrent flush took them
         }
-        if keys.is_empty() {
-            return FlushOnce::Done(0); // a concurrent flush took them
-        }
-        let records = keys.len();
 
         // Fault: tear the segment inside the record area.
         if let Some(r) = torn_at {
@@ -1011,20 +809,14 @@ impl CacheStore {
                     StoreEventKind::Flushed,
                     format!("{records} record(s) -> {name}"),
                 );
-                FlushOnce::Done(records)
+                Ok(records)
             }
             Err(e) => {
-                // Put the records back; a retry or later flush re-takes them.
-                let mut inner = self.inner.lock().expect("store poisoned");
-                for (stage, key) in keys {
-                    if let Some(payload) = inner.records.remove(&(stage, key)) {
-                        inner.pending.push(Pending { stage, key, payload });
-                    }
-                }
-                drop(inner);
+                // Re-queue the keys; a retry or later flush re-takes them.
+                self.inner.lock().expect("store poisoned").pending.extend(keys);
                 self.emit(StoreOp::IoError);
                 self.event(StoreEventKind::IoError, format!("flush {name}: {e}"));
-                FlushOnce::Transient
+                Err(())
             }
         }
     }
@@ -1065,7 +857,8 @@ pub trait StoreBackend: Send + Sync {
     fn events(&self) -> Vec<StoreEvent>;
     /// Pending (unflushed) record count.
     fn pending_len(&self) -> usize;
-    /// Per-stage count of locally loaded (usable) records.
+    /// Per-stage count of the records the local store can serve,
+    /// loaded or queued.
     fn entry_counts(&self) -> Vec<(Stage, usize)>;
     /// Where the records live, for logs: a directory path or a URL.
     fn describe(&self) -> String;
@@ -1077,7 +870,7 @@ pub trait StoreBackend: Send + Sync {
         let _ = faults;
     }
     /// Replace the transient-failure retry policy.
-    fn set_retry_policy(&self, policy: crate::retry::RetryPolicy);
+    fn set_retry_policy(&self, policy: RetryPolicy);
     /// The trace spine this backend emits through.
     /// [`RewriteCache::with_backend`](crate::RewriteCache::with_backend)
     /// adopts it, so cache-level and store-level events share one
@@ -1090,36 +883,69 @@ pub trait StoreBackend: Send + Sync {
 }
 
 impl StoreBackend for CacheStore {
+    /// Loaded and queued records alike: a record one server client PUT
+    /// is served to the next before it is flushed.
     fn get(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        CacheStore::get(self, stage, key)
+        self.emit(StoreOp::Lookup { stage });
+        // A disabled store holds no records: every lookup is a miss.
+        let found = self.inner.lock().expect("store poisoned").records.get(&(stage, key)).cloned();
+        self.emit(if found.is_some() { StoreOp::Hit { stage } } else { StoreOp::Miss { stage } });
+        found
     }
 
     fn put(&self, stage: Stage, key: u64, payload: Vec<u8>) {
-        CacheStore::put(self, stage, key, payload);
+        if self.disabled {
+            return;
+        }
+        let mut inner = self.inner.lock().expect("store poisoned");
+        if inner.known.insert((stage, key)) {
+            inner.records.insert((stage, key), payload);
+            inner.pending.push((stage, key));
+        }
     }
 
     fn quarantine_record(&self, stage: Stage, key: u64, why: &str) {
-        CacheStore::quarantine_record(self, stage, key, why);
+        self.inner.lock().expect("store poisoned").records.remove(&(stage, key));
+        self.emit(StoreOp::LookupQuarantine { stage });
+        self.event(
+            StoreEventKind::DecodeFailure,
+            format!("{}:{key:#018x}: {why}", stage.name()),
+        );
     }
 
+    /// Retries a busy lock or a failed write through
+    /// [`RetryPolicy::run`]; a failed last attempt defers the flush.
     fn flush(&self) -> usize {
-        CacheStore::flush(self)
+        if self.disabled || self.pending_len() == 0 {
+            return 0;
+        }
+        let span = self.trace.span(SpanKind::StoreFlush);
+        let (flushed, retries) = self.retry_policy().run(|_| self.flush_once());
+        for _ in 0..retries {
+            self.emit(StoreOp::Retry);
+        }
+        span.close();
+        flushed.unwrap_or(0)
     }
 
     fn stats(&self) -> StoreStats {
-        CacheStore::stats(self)
+        self.trace.registry().store_stats(self.src)
     }
 
     fn events(&self) -> Vec<StoreEvent> {
-        CacheStore::events(self)
+        self.inner.lock().expect("store poisoned").events.clone()
     }
 
     fn pending_len(&self) -> usize {
-        CacheStore::pending_len(self)
+        self.inner.lock().expect("store poisoned").pending.len()
     }
 
     fn entry_counts(&self) -> Vec<(Stage, usize)> {
-        CacheStore::entry_counts(self)
+        let inner = self.inner.lock().expect("store poisoned");
+        Stage::ALL
+            .iter()
+            .map(|s| (*s, inner.records.keys().filter(|(st, _)| st == s).count()))
+            .collect()
     }
 
     fn describe(&self) -> String {
@@ -1127,15 +953,18 @@ impl StoreBackend for CacheStore {
     }
 
     fn arm_faults(&self, faults: StoreFaults) {
-        CacheStore::arm_faults(self, faults);
+        let rng = FaultRng(faults.seed ^ 0x0051_570F_A017_u64);
+        self.inner.lock().expect("store poisoned").faults = faults.any().then_some((faults, rng));
     }
 
-    fn set_retry_policy(&self, policy: crate::retry::RetryPolicy) {
-        CacheStore::set_retry_policy(self, policy);
+    /// Chaos campaigns re-seed the policy from the fault-plan seed so
+    /// delay schedules replay exactly.
+    fn set_retry_policy(&self, policy: RetryPolicy) {
+        self.inner.lock().expect("store poisoned").retry = policy;
     }
 
     fn trace(&self) -> Arc<Trace> {
-        CacheStore::trace(self)
+        Arc::clone(&self.trace)
     }
 
     fn trace_src(&self) -> StoreSrc {
@@ -1964,8 +1793,8 @@ mod tests {
             store.put(Stage::Func, k, vec![0xAB; 32]);
         }
         store.flush();
-        store.arm_faults(StoreFaults::default());
-        store.reload();
+        drop(store);
+        let store = CacheStore::open(&dir);
         // A torn flush loses a suffix of the records but never
         // produces a wrong payload.
         for k in 0..8u64 {
@@ -1973,6 +1802,60 @@ mod tests {
                 assert_eq!(p, vec![0xAB; 32]);
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Pins the retry driver's counters and events under injected
+    /// faults (numbers captured before flush and segment load moved onto
+    /// `RetryPolicy::run`).
+    #[test]
+    fn injected_contention_and_short_reads_retry_through_the_policy() {
+        use StoreEventKind::{FaultInjected, Flushed, LockTimeout, Opened, TruncatedSegment};
+        let dir = tmp_dir("retry-pin");
+        let store = CacheStore::open(&dir);
+        store.set_retry_policy(crate::retry::RetryPolicy {
+            max_attempts: 3,
+            base_delay_ms: 1,
+            max_delay_ms: 4,
+            seed: 9,
+        });
+        for k in 0..6u64 {
+            store.put(Stage::Func, k, vec![k as u8; 24]);
+        }
+        // Contention on every attempt: three lock timeouts, two retries,
+        // then the flush is deferred with the records kept pending.
+        store.arm_faults(StoreFaults { seed: 3, lock_contention: 1.0, ..StoreFaults::default() });
+        assert_eq!(store.flush(), 0);
+        assert_eq!(store.pending_len(), 6);
+        let s = store.stats();
+        assert_eq!((s.retries, s.lock_timeouts, s.flushes, s.records_loaded), (2, 3, 0, 0));
+        store.arm_faults(StoreFaults::default());
+        assert_eq!(store.flush(), 6);
+        // A short read on every attempt: two re-reads, then the last
+        // attempt accepts the truncated image (5 whole records).
+        store.arm_faults(StoreFaults { seed: 6, short_read: 1.0, ..StoreFaults::default() });
+        store.load_all();
+        let s = store.stats();
+        assert_eq!((s.retries, s.lock_timeouts, s.flushes, s.records_loaded), (4, 3, 1, 5));
+        assert_eq!(s.quarantined_records, 1, "the torn tail");
+        let events = store.events();
+        let kinds: Vec<StoreEventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                Opened,
+                LockTimeout,
+                LockTimeout,
+                LockTimeout,
+                Flushed,
+                FaultInjected,
+                FaultInjected,
+                FaultInjected,
+                TruncatedSegment
+            ]
+        );
+        assert!(events[5].detail.ends_with("re-reading (attempt 2)"), "{}", events[5]);
+        assert!(events[7].detail.ends_with("kept 274 byte(s)"), "{}", events[7]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,7 @@
 //!
 //! Rewriting is byte-identical with tracing on or off: the collector
 //! is always attached (it *is* the stats mechanism) and never feeds
-//! back into the pipeline; "tracing off" only means no sink consumes
+//! back into the pipeline; "tracing off" only means nothing records
 //! the stream, so no record buffer is kept.
 //!
 //! The *canonical* event stream is byte-stable across
@@ -30,8 +30,9 @@
 //! form — the "deterministic address-ordered merge" — which yields the
 //! same byte sequence for any worker count. Wall-clock `ns` fields are
 //! inherently nondeterministic, so the canonical form used for
-//! ordering and comparison zeroes them; the JSONL sink preserves the
-//! real values in the same deterministic order.
+//! ordering and comparison zeroes them; the JSONL output
+//! ([`Trace::write_jsonl`]) preserves the real values in the same
+//! deterministic order.
 
 use crate::cache::{slowest_of, RewriteStats, StageStats, StageTimings};
 use crate::store::{Stage, StoreStats};
@@ -518,11 +519,11 @@ impl Registry {
 
 // ----- the collector -----------------------------------------------------
 
-/// The shared trace collector. Cheap when no sink is attached (a
-/// counter fold per event); when recording, events are additionally
+/// The shared trace collector. Cheap when not recording (a counter
+/// fold per event); when recording, events are additionally
 /// buffered for deterministic sealing. Share one per logical run:
 /// stores adopt it at open, [`RewriteCache`](crate::RewriteCache)
-/// adopts its backend's, the CLI drains it into a sink at exit.
+/// adopts its backend's, the CLI writes it as JSONL at exit.
 #[derive(Debug, Default)]
 pub struct Trace {
     registry: Registry,
@@ -536,7 +537,7 @@ impl Trace {
         Arc::new(Trace::default())
     }
 
-    /// A recording trace: counts *and* buffers the stream for a sink.
+    /// A recording trace: counts *and* buffers the stream for output.
     #[must_use]
     pub fn recording() -> Arc<Trace> {
         let t = Trace::new();
@@ -673,16 +674,17 @@ impl Trace {
         seal(items)
     }
 
-    /// Seal the stream and feed every record to `sink`.
+    /// Seal the stream and write it as newline-delimited JSON, one
+    /// record per line (`--trace FILE` / `ICFGP_TRACE`).
     ///
     /// # Errors
     ///
-    /// The first sink I/O error.
-    pub fn drain(&self, sink: &mut dyn TraceSink) -> std::io::Result<()> {
+    /// The first write or flush error.
+    pub fn write_jsonl(&self, mut w: impl Write) -> std::io::Result<()> {
         for ev in self.sealed() {
-            sink.record(&ev)?;
+            writeln!(w, "{}", ev.to_json())?;
         }
-        sink.finish()
+        w.flush()
     }
 }
 
@@ -733,122 +735,6 @@ impl SpanGuard<'_> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.finish();
-    }
-}
-
-// ----- sinks -------------------------------------------------------------
-
-/// A pluggable consumer of the sealed trace stream.
-pub trait TraceSink {
-    /// Consume one record (records arrive in sealed order).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying writer.
-    fn record(&mut self, ev: &TraceEvent) -> std::io::Result<()>;
-
-    /// Flush/teardown after the last record.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying writer.
-    fn finish(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Newline-delimited JSON sink (`--trace FILE` / `ICFGP_TRACE`).
-pub struct JsonlSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// A JSONL sink over `w`.
-    pub fn new(w: W) -> JsonlSink<W> {
-        JsonlSink { w }
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, ev: &TraceEvent) -> std::io::Result<()> {
-        writeln!(self.w, "{}", ev.to_json())
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        self.w.flush()
-    }
-}
-
-/// Human-readable indented text sink.
-pub struct TextSink<W: Write> {
-    w: W,
-    depth: usize,
-}
-
-impl<W: Write> TextSink<W> {
-    /// A text sink over `w`.
-    pub fn new(w: W) -> TextSink<W> {
-        TextSink { w, depth: 0 }
-    }
-}
-
-impl<W: Write> TraceSink for TextSink<W> {
-    fn record(&mut self, ev: &TraceEvent) -> std::io::Result<()> {
-        if matches!(ev, TraceEvent::SpanClose { .. }) {
-            self.depth = self.depth.saturating_sub(1);
-        }
-        let pad = "  ".repeat(self.depth);
-        writeln!(self.w, "{pad}{}", render_text_line(ev))?;
-        if matches!(ev, TraceEvent::SpanOpen { .. }) {
-            self.depth += 1;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        self.w.flush()
-    }
-}
-
-/// In-memory sink for tests.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// The records, in sealed order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl TraceSink for MemorySink {
-    fn record(&mut self, ev: &TraceEvent) -> std::io::Result<()> {
-        self.events.push(ev.clone());
-        Ok(())
-    }
-}
-
-fn render_text_line(ev: &TraceEvent) -> String {
-    match ev {
-        TraceEvent::SpanOpen { span } => format!("> {}", SpanKind::name(span.idx())),
-        TraceEvent::SpanClose { span, ns } => {
-            format!("< {} ({:.3} ms)", SpanKind::name(span.idx()), *ns as f64 / 1e6)
-        }
-        TraceEvent::FuncSpan { entry, ns } => {
-            format!("func {entry:#x} ({:.3} ms)", *ns as f64 / 1e6)
-        }
-        TraceEvent::RpcSpan { op, ns } => format!("rpc {op} ({:.3} ms)", *ns as f64 / 1e6),
-        TraceEvent::CacheLookup { stage, key, hit, shared } => format!(
-            "cache {} {key:#018x}: {}{}",
-            stage.name(),
-            if *hit { "hit" } else { "miss" },
-            if *shared { " (shared)" } else { "" }
-        ),
-        TraceEvent::AnalysisMemo { hit, rounds } => format!(
-            "analysis memo: {} ({rounds} round(s))",
-            if *hit { "hit" } else { "miss" }
-        ),
-        TraceEvent::Demotion { entry, round, from, to } => {
-            format!("demote {entry:#x} {from} -> {to} (round {round})")
-        }
-        TraceEvent::JournalAppend { round } => format!("journal append (round {round})"),
-        TraceEvent::Store { src, op } => format!("store[{}] {op:?}", src.name()),
     }
 }
 

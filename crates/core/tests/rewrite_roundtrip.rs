@@ -374,9 +374,9 @@ fn goexit_plus_one_correct_in_fp_mode() {
     let outcome = Rewriter::new(cfg)
         .rewrite(&bin, &Instrumentation::counters(Points::EveryBlock))
         .unwrap();
-    match run_rewritten(&outcome.binary) {
-        Ok(got) => assert_ne!(got, vec![55], "naive fp rewriting must not silently succeed"),
-        Err(_) => {} // crash is the expected outcome
+    // A crash (`Err`) is the expected outcome.
+    if let Ok(got) = run_rewritten(&outcome.binary) {
+        assert_ne!(got, vec![55], "naive fp rewriting must not silently succeed");
     }
 }
 
@@ -447,7 +447,7 @@ fn counters_count_blocks() {
         counts.push(v);
     }
     assert!(counts.iter().any(|c| *c >= 5), "loop body counted: {counts:?}");
-    assert!(counts.iter().any(|c| *c == 1), "entry counted once: {counts:?}");
+    assert!(counts.contains(&1), "entry counted once: {counts:?}");
     assert!(counts.iter().all(|c| *c >= 0));
 }
 

@@ -80,8 +80,7 @@ fn compiled_unwinding_is_cheaper_and_equivalent() {
         Outcome::Halted(s) => s,
         o => panic!("{o:?}"),
     };
-    let mut cost = CostModel::default();
-    cost.compiled_unwinding = true;
+    let cost = CostModel { compiled_unwinding: true, ..CostModel::default() };
     let opts = LoadOptions { cost, ..LoadOptions::default() };
     match run(&bin, &opts) {
         Outcome::Halted(s) => {

@@ -63,8 +63,8 @@ fn arb_common_inst(gprs: u8) -> impl Strategy<Value = Inst> {
         (r(), r(), -1024i64..1024, arb_width()).prop_map(|(src, base, disp, width)| {
             Inst::Store { src, addr: Addr::base_disp(base, disp), width }
         }),
-        ((-(1i64 << 22)..(1i64 << 22)).prop_map(|w| Inst::Jump { offset: w * 4 })),
-        ((-(1i64 << 22)..(1i64 << 22)).prop_map(|w| Inst::Call { offset: w * 4 })),
+        (-(1i64 << 22)..(1i64 << 22)).prop_map(|w| Inst::Jump { offset: w * 4 }),
+        (-(1i64 << 22)..(1i64 << 22)).prop_map(|w| Inst::Call { offset: w * 4 }),
         (arb_cond(), -(1i64 << 17)..(1i64 << 17))
             .prop_map(|(cond, w)| Inst::JumpCond { cond, offset: w * 4 }),
         (arb_sysop(), r()).prop_map(|(op, arg)| Inst::Sys { op, arg }),

@@ -14,9 +14,9 @@ use incremental_cfg_patching::chaos::{parse_floor, run_campaign, CampaignConfig,
 use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, FuncStatus};
 use incremental_cfg_patching::core::{
     apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, parse_store_url,
-    pool, serve, store, trace, CacheStore, CorruptKind, FaultPlan, Instrumentation, JsonlSink,
-    Points, RemoteOptions, RemoteStore, RewriteCache, RewriteConfig, RewriteMode, RunJournal,
-    ServeOptions, SpanKind, StoreBackend, StoreSrc, Trace, UnwindStrategy,
+    pool, serve, store, trace, CacheStore, CorruptKind, FaultPlan, Instrumentation, Points,
+    RemoteOptions, RemoteStore, RewriteCache, RewriteConfig, RewriteMode, RunJournal, ServeOptions,
+    SpanKind, StoreBackend, StoreSrc, Trace, UnwindStrategy,
 };
 use incremental_cfg_patching::emu::{run, LoadOptions, Outcome};
 use incremental_cfg_patching::isa::Arch;
@@ -209,8 +209,9 @@ fn arm_trace(args: &[String], cache: &RewriteCache) -> Option<PathBuf> {
 fn write_trace(trace: &Trace, path: &std::path::Path) -> Result<(), String> {
     let f = std::fs::File::create(path)
         .map_err(|e| format!("trace {}: {e}", path.display()))?;
-    let mut sink = JsonlSink::new(std::io::BufWriter::new(f));
-    trace.drain(&mut sink).map_err(|e| format!("trace {}: {e}", path.display()))
+    trace
+        .write_jsonl(std::io::BufWriter::new(f))
+        .map_err(|e| format!("trace {}: {e}", path.display()))
 }
 
 /// Build the rewrite cache for a command: attached to the remote store

@@ -10,7 +10,7 @@
 
 use incremental_cfg_patching::core::{
     store, CacheStore, CorruptKind, Instrumentation, Points, Registry, RewriteCache, RewriteConfig,
-    RewriteMode, Rewriter,
+    RewriteMode, Rewriter, StoreBackend,
 };
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::workloads::{generate, GenParams};

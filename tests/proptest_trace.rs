@@ -37,7 +37,7 @@ fn arb_mode() -> impl Strategy<Value = RewriteMode> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property 1 (in-process): the canonical stream and the output
     /// bytes are identical for 1, 2 and 8 worker threads.

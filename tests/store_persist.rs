@@ -16,7 +16,7 @@
 
 use incremental_cfg_patching::core::{
     CacheStore, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter, Stage,
-    StoreOp, TraceEvent,
+    StoreBackend, StoreOp, TraceEvent,
 };
 use incremental_cfg_patching::workloads::{generate, GenParams};
 use incremental_cfg_patching::isa::Arch;
