@@ -11,6 +11,8 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Index;
+use std::sync::Arc;
 
 /// Analysis capability knobs.
 ///
@@ -284,11 +286,75 @@ impl fmt::Display for AnalysisFailure {
     }
 }
 
+/// Per-function CFGs keyed by entry address.
+///
+/// The CFGs are shared: the incremental engine in `icfgp-core` hands
+/// out the CFG its cache holds instead of a copy. Reads see plain
+/// `&FuncCfg`s; [`FuncMap::get_mut`] copies a shared CFG before the
+/// first change, so a change never reaches the cache.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FuncMap(BTreeMap<u64, Arc<FuncCfg>>);
+
+impl FuncMap {
+    /// The CFG of the function at `entry`.
+    #[must_use]
+    pub fn get(&self, entry: &u64) -> Option<&FuncCfg> {
+        self.0.get(entry).map(|f| &**f)
+    }
+
+    /// The CFG of the function at `entry`, unshared first if needed.
+    pub fn get_mut(&mut self, entry: &u64) -> Option<&mut FuncCfg> {
+        self.0.get_mut(entry).map(Arc::make_mut)
+    }
+
+    /// Every CFG, in entry order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &FuncCfg> + ExactSizeIterator {
+        self.0.values().map(|f| &**f)
+    }
+
+    /// Every (entry, CFG) pair, in entry order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&u64, &FuncCfg)> + ExactSizeIterator {
+        self.0.iter().map(|(e, f)| (e, &**f))
+    }
+
+    /// Number of functions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no functions.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Add (or replace) the CFG of the function at `entry`.
+    pub fn insert(&mut self, entry: u64, cfg: FuncCfg) {
+        self.0.insert(entry, Arc::new(cfg));
+    }
+}
+
+impl Index<&u64> for FuncMap {
+    type Output = FuncCfg;
+
+    fn index(&self, entry: &u64) -> &FuncCfg {
+        self.get(entry).expect("no function CFG at this entry")
+    }
+}
+
+/// Collects already shared CFGs, such as the cache's.
+impl FromIterator<(u64, Arc<FuncCfg>)> for FuncMap {
+    fn from_iter<I: IntoIterator<Item = (u64, Arc<FuncCfg>)>>(iter: I) -> FuncMap {
+        FuncMap(iter.into_iter().collect())
+    }
+}
+
 /// Binary-level analysis result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinaryAnalysis {
     /// Per-function CFGs, keyed by entry address.
-    pub funcs: BTreeMap<u64, FuncCfg>,
+    pub funcs: FuncMap,
     /// Function-pointer definitions (empty unless requested).
     pub fp_defs: Vec<FpDef>,
     /// Known data-access boundaries used for table-end extension.
@@ -311,9 +377,10 @@ impl BinaryAnalysis {
     #[must_use]
     pub fn func_at(&self, addr: u64) -> Option<&FuncCfg> {
         self.funcs
+            .0
             .range(..=addr)
             .next_back()
-            .map(|(_, f)| f)
+            .map(|(_, f)| &**f)
             .filter(|f| addr < f.end)
     }
 }
@@ -334,7 +401,7 @@ pub fn analyze(binary: &Binary, config: &AnalysisConfig) -> BinaryAnalysis {
 
     // Pass 2: full per-function analysis; discovered tables feed the
     // boundary set for later functions.
-    let mut funcs = BTreeMap::new();
+    let mut funcs = FuncMap::default();
     for sym in binary.functions() {
         let cfg = analyze_function_isolated(binary, sym, config, &boundaries);
         for jt in &cfg.jump_tables {
@@ -410,7 +477,7 @@ pub fn analyze_function_isolated(
 pub fn assemble_analysis(
     binary: &Binary,
     config: &AnalysisConfig,
-    mut funcs: BTreeMap<u64, FuncCfg>,
+    mut funcs: FuncMap,
     boundaries: BTreeSet<u64>,
 ) -> BinaryAnalysis {
     let fp_defs = funcptr::analyze_function_pointers(binary, &funcs, config);
@@ -424,7 +491,8 @@ pub fn assemble_analysis(
             continue;
         }
         let target = def.target_fn.wrapping_add_signed(def.delta);
-        if let Some(func) = funcs.values_mut().find(|f| target >= f.start && target < f.end) {
+        let hit = funcs.iter().find(|(_, f)| target >= f.start && target < f.end).map(|(&e, _)| e);
+        if let Some(func) = hit.and_then(|entry| funcs.get_mut(&entry)) {
             if func.split_block_at(target) && !func.fp_landing_targets.contains(&target) {
                 func.fp_landing_targets.push(target);
             }

@@ -19,8 +19,7 @@
 //!   add-immediates to catch the `&runtime.goexit + 1` pattern of
 //!   Listing 1 (the stored pointer targets `entry + delta`).
 
-use crate::analysis::{collect_addr_consts, AnalysisConfig};
-use crate::block::FuncCfg;
+use crate::analysis::{collect_addr_consts, AnalysisConfig, FuncMap};
 use icfgp_isa::{AluOp, Inst};
 use icfgp_obj::{Binary, SectionKind};
 use serde::{Deserialize, Serialize};
@@ -86,7 +85,7 @@ pub struct FpDef {
 #[must_use]
 pub fn analyze_function_pointers(
     binary: &Binary,
-    funcs: &BTreeMap<u64, FuncCfg>,
+    funcs: &FuncMap,
     config: &AnalysisConfig,
 ) -> Vec<FpDef> {
     let mut defs: Vec<FpDef> = Vec::new();

@@ -44,7 +44,8 @@ mod liveness;
 
 pub use analysis::{
     analyze, analyze_function, analyze_function_isolated, assemble_analysis, prepass_boundaries,
-    AddrConstEvent, AnalysisConfig, AnalysisFailure, BinaryAnalysis, FuncStatus, InjectedFault,
+    AddrConstEvent, AnalysisConfig, AnalysisFailure, BinaryAnalysis, FuncMap, FuncStatus,
+    InjectedFault,
 };
 pub use block::{Block, Edge, EdgeKind, FuncCfg};
 pub use funcptr::{FpDef, FpDefSite, FpEvidence};

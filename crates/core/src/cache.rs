@@ -84,7 +84,7 @@ use crate::trace::{StoreSrc, Trace, TraceEvent};
 use icfgp_audit::AuditReport;
 use icfgp_cfg::{
     analyze_function_isolated, assemble_analysis, prepass_boundaries, AnalysisConfig,
-    BinaryAnalysis, FuncCfg, FuncStatus, LivenessResult,
+    BinaryAnalysis, FuncCfg, FuncMap, FuncStatus, LivenessResult,
 };
 use icfgp_obj::Binary;
 use serde::{Deserialize, Serialize};
@@ -364,10 +364,12 @@ pub(crate) trait Record: Serialize + Deserialize {
 pub(crate) type StageMap<R> = Mutex<HashMap<u64, Arc<R>>>;
 
 /// The persisted form of one function-analysis entry: the CFG plus
-/// its [`FuncDep`] read-set.
+/// its [`FuncDep`] read-set. The CFG is shared with every
+/// [`BinaryAnalysis`] assembled from it; it encodes as a plain
+/// `FuncCfg`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct FuncPayload {
-    pub(crate) cfg: FuncCfg,
+    pub(crate) cfg: Arc<FuncCfg>,
     deps: Vec<FuncDep>,
     /// Fingerprint of the binary this entry was first computed for —
     /// only used to classify a hit as cross-binary (shared).
@@ -894,6 +896,7 @@ pub fn analyze_incremental(
                 || {
                     let cfg = analyze_function_isolated(binary, syms[i], config, snap);
                     let deps = func_deps(binary, binary_fp, &cfg);
+                    let cfg = Arc::new(cfg);
                     Ok::<_, Infallible>(FuncPayload { cfg, deps, origin_fp: binary_fp })
                 },
             );
@@ -911,10 +914,10 @@ pub fn analyze_incremental(
         assert!(rounds <= n as u32 + 1, "prefix replay failed to converge");
     }
 
-    let funcs: BTreeMap<u64, FuncCfg> = syms
+    let funcs: FuncMap = syms
         .iter()
         .zip(&results)
-        .map(|(s, r)| (s.addr, r.as_ref().expect("analysed").cfg.clone()))
+        .map(|(s, r)| (s.addr, Arc::clone(&r.as_ref().expect("analysed").cfg)))
         .collect();
     // The liveness identity folds the whole-binary fingerprint back
     // in (strictly per-binary); the weak identity leaves it out so

@@ -913,7 +913,7 @@ fn build_fragment(
             // Calls under emulation.
             if inst.is_call() && config.unwind == UnwindStrategy::CallEmulation {
                 let direct_target = inst.direct_offset().map(|o| addr.wrapping_add_signed(o));
-                let far = direct_target.is_some_and(|t| !is_relocated(t)) && far_to_orig;
+                let far = far_to_orig && direct_target.is_some_and(|t| !is_relocated(t));
                 let pad_after = config.indirect_site_padding > 0 && inst.is_indirect();
                 entries.push(REntry {
                     orig,

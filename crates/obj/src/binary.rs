@@ -64,6 +64,9 @@ pub enum ObjError {
     Unmapped { addr: u64 },
     /// A named section does not exist.
     NoSuchSection { name: String },
+    /// Symbol `after` is listed after `before` but starts at a lower
+    /// address: the symbol table is not sorted by address.
+    UnsortedSymbols { before: String, after: String },
 }
 
 impl fmt::Display for ObjError {
@@ -74,6 +77,11 @@ impl fmt::Display for ObjError {
             }
             ObjError::Unmapped { addr } => write!(f, "address {addr:#x} is not mapped"),
             ObjError::NoSuchSection { name } => write!(f, "no section named {name}"),
+            ObjError::UnsortedSymbols { before, after } => write!(
+                f,
+                "symbol order: {after} starts below {before} but is listed after it \
+                 (symbols must be sorted by address)"
+            ),
         }
     }
 }
@@ -252,6 +260,23 @@ impl Binary {
         Ok(())
     }
 
+    /// Verify that the symbols are sorted by address, the invariant
+    /// [`Binary::add_symbol`] keeps and every address lookup relies on.
+    /// A deserialised container can break it.
+    ///
+    /// # Errors
+    ///
+    /// [`ObjError::UnsortedSymbols`] naming the first offending pair.
+    pub fn validate_symbol_order(&self) -> Result<(), ObjError> {
+        match self.symbols.windows(2).find(|w| w[0].addr > w[1].addr) {
+            Some(w) => Err(ObjError::UnsortedSymbols {
+                before: w[0].name.clone(),
+                after: w[1].name.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     // ----- symbols --------------------------------------------------
 
     /// Add a symbol (kept sorted by address).
@@ -286,12 +311,14 @@ impl Binary {
             .find(|s| s.kind == SymbolKind::Func && s.contains(addr))
     }
 
-    /// The function symbol starting exactly at `addr`.
+    /// The first function symbol starting exactly at `addr`.
     #[must_use]
     pub fn function_starting_at(&self, addr: u64) -> Option<&Symbol> {
-        self.symbols
+        let pos = self.symbols.partition_point(|s| s.addr < addr);
+        self.symbols[pos..]
             .iter()
-            .find(|s| s.kind == SymbolKind::Func && s.addr == addr)
+            .take_while(|s| s.addr == addr)
+            .find(|s| s.kind == SymbolKind::Func)
     }
 
     /// Look up a function by name.
@@ -383,9 +410,14 @@ mod tests {
 
     #[test]
     fn symbols_stay_sorted() {
-        let b = bin();
+        let mut b = bin();
         let names: Vec<&str> = b.functions().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+        assert!(b.validate_symbol_order().is_ok());
+        b.symbols_mut().swap(0, 1);
+        let err = b.validate_symbol_order().unwrap_err();
+        assert_eq!(err, ObjError::UnsortedSymbols { before: "b".into(), after: "a".into() });
+        assert!(err.to_string().contains("symbol order"), "{err}");
     }
 
     #[test]
@@ -397,6 +429,24 @@ mod tests {
         assert_eq!(b.function_starting_at(0x1080).unwrap().name, "b");
         assert!(b.function_starting_at(0x1081).is_none());
         assert_eq!(b.function_named("b").unwrap().addr, 0x1080);
+        // The first and the last symbol; nothing below the first.
+        assert_eq!(b.function_starting_at(0x1000).unwrap().name, "a");
+        assert!(b.function_starting_at(0x0FFF).is_none());
+        assert!(b.function_starting_at(0).is_none());
+        assert!(b.function_at(0x0FFF).is_none());
+        // An object symbol listed first at a function's address: the
+        // function is returned.
+        let mut b = bin();
+        b.add_symbol(Symbol::object("obj_a", 0x1000, 8));
+        b.add_symbol(Symbol::object("obj_last", 0x10C0, 8));
+        assert_eq!(b.function_starting_at(0x1000).unwrap().name, "a");
+        assert_eq!(b.function_at(0x1000).unwrap().name, "a");
+        assert!(b.function_starting_at(0x10C0).is_none());
+        assert_eq!(b.function_at(0x10C0).unwrap().name, "b");
+        // Two function symbols at one address: the first one listed
+        // (`add_symbol` puts a symbol before those already at its address).
+        b.add_symbol(Symbol::func("b_alias", 0x1080, 0x80, Language::C));
+        assert_eq!(b.function_starting_at(0x1080).unwrap().name, "b_alias");
     }
 
     #[test]

@@ -286,7 +286,10 @@ fn parse_arch(args: &[String]) -> Arch {
 
 fn load_binary(path: &str) -> Result<Binary, String> {
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_slice(&data).map_err(|e| format!("parsing {path}: {e}"))
+    let binary: Binary =
+        serde_json::from_slice(&data).map_err(|e| format!("parsing {path}: {e}"))?;
+    binary.validate_symbol_order().map_err(|e| format!("{path}: {e}"))?;
+    Ok(binary)
 }
 
 fn save_binary(binary: &Binary, path: &str) -> Result<(), String> {
@@ -644,6 +647,22 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
         if !quiet {
             println!("  trace      : {}", p.display());
         }
+    }
+    // The process exits right after this. Freeing the ladder outcome,
+    // the input and every cached stage record would cost tens of
+    // milliseconds on a large binary and do nothing the exit does not.
+    // A store's `Drop` only flushes, so flush here (a no-op when
+    // nothing is pending) and skip the teardown. The exception is a
+    // remote client with an overflow directory: it owns a second,
+    // local store whose own `Drop` retries a deferred flush, so it is
+    // dropped as usual.
+    cache.flush_store();
+    std::mem::forget(ladder);
+    std::mem::forget(binary);
+    if store_url(args).is_some() && cache_dir(args).is_some() {
+        drop(cache);
+    } else {
+        std::mem::forget(cache);
     }
     Ok(code)
 }

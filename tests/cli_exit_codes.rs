@@ -13,6 +13,7 @@
 //! its two functions, which exceeds the default 25% budget but fits a
 //! budget of 1.0.
 
+use incremental_cfg_patching::obj::Binary;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -132,10 +133,17 @@ fn internal_error_exits_three() {
 
 /// Malformed containers are internal errors (3) for every command that
 /// loads one, however deep they nest: the JSON reader bounds nesting
-/// at 128 levels instead of recursing until the stack overflows.
+/// at 128 levels instead of recursing until the stack overflows. A
+/// container that parses but lists its symbols out of address order is
+/// refused at load too, since every symbol lookup binary-searches them.
 #[test]
 fn malformed_containers_exit_three() {
     let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+    let raw = gen_switch_demo();
+    let mut swapped: Binary = serde_json::from_slice(&std::fs::read(&raw).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&raw);
+    // `dispatch` and `main`, its two function symbols.
+    swapped.symbols_mut().swap(0, 1);
     let cases = [
         // Not an object: refused at its first byte, before any nesting.
         ("deep.json", deep.clone(), Some("expected object")),
@@ -143,6 +151,7 @@ fn malformed_containers_exit_three() {
         ("deep-key.json", format!(r#"{{"pad":{deep}}}"#), Some("nesting depth exceeds 128")),
         ("truncated.json", r#"{"arch":"X64","kind":"#.to_string(), None),
         ("surrogate.json", r#"{"arch":"\ud800\u0041"}"#.to_string(), Some("unpaired surrogate")),
+        ("swapped.json", serde_json::to_string(&swapped).unwrap(), Some("symbol order")),
     ];
     for (name, text, needle) in cases {
         let path = tmp(name);

@@ -85,6 +85,21 @@ fn golden_libxul_rewritten_output() {
     assert_golden("ladder output for libxul", &bytes, 3_064_400, 0xeb34_7c7a_2b43_5b0b);
 }
 
+/// The benchmark's largest input through the same request: 12,644
+/// small functions, where per-function fixed costs dominate.
+#[test]
+fn golden_driverlib_rewritten_output() {
+    let bin = driverlib_like(Arch::X64, 12_644, 702).0.binary;
+    let ladder = rewrite_with_ladder(
+        &bin,
+        &RewriteConfig::new(RewriteMode::FuncPtr),
+        &Instrumentation::empty(Points::EveryBlock),
+    )
+    .expect("driverlib rewrites");
+    let bytes = serde_json::to_vec(&ladder.outcome.binary).unwrap();
+    assert_golden("ladder output for driverlib", &bytes, 5_612_502, 0x4906_e9dd_0f52_f7d7);
+}
+
 #[test]
 fn golden_verify_report_pretty() {
     let text = serde_json::to_string_pretty(&libxul_ladder().verify).unwrap();
