@@ -10,11 +10,9 @@
 //!   its neighbours and a degradation-ladder round re-analyses
 //!   nothing;
 //! * relocation *fragments* (address-independent per-function entry
-//!   lists, sized) — keyed by the CFG identity plus the rewrite-config
-//!   bits relocation reads and the function's ladder rung;
-//! * emitted per-function code — keyed by the fragment identity plus
-//!   its layout inputs (base address, resolved branch targets, clone
-//!   addresses);
+//!   lists, sized, each with its canonical base-0 emission) — keyed by
+//!   the CFG identity plus the rewrite-config bits relocation reads and
+//!   the function's ladder rung;
 //! * liveness results, the boundary pre-pass, and whole
 //!   [`BinaryAnalysis`] results.
 //!
@@ -23,7 +21,7 @@
 //! compute, then buffer for the store and insert, then one
 //! [`TraceEvent::CacheLookup`]. The persisted record *is* the
 //! in-memory entry (the `Record` trait: `FuncPayload`,
-//! `LivenessResult`, `FragPayload`, `EmitPayload`, `AuditReport`),
+//! `LivenessResult`, `FragPayload`, `AuditReport`),
 //! shared as an `Arc` from a per-stage map, so a lookup never converts
 //! or clones between a stored and a cached form.
 //!
@@ -60,18 +58,18 @@
 //! (`FuncDep`) and re-validated against the binary at every lookup;
 //! a failed validation is a miss.
 //!
-//! Fragment and emit entries share across binaries too: their keys
-//! derive from the weak per-function analysis identity plus a content
-//! fingerprint of the analysed CFG itself (so two binaries whose
-//! out-of-range table data differs get different keys, with no
-//! read-set to arbitrate), and the cached artefacts are
-//! position-independent — fragments always were, and emissions are
-//! canonical base-0 bytes plus a patch-point list the relocation
-//! fix-up pass re-applies under the real layout (see the `relocate`
-//! module). Each candidate still carries its
-//! fingerprint and is re-validated per lookup, mirroring the analysis
-//! path: a mismatch can only mean a logically corrupted record, which
-//! is quarantined and recomputed. Liveness stays per-binary.
+//! Fragment entries share across binaries too: their key derives from
+//! the weak per-function analysis identity plus a content fingerprint
+//! of the analysed CFG itself (so two binaries whose out-of-range
+//! table data differs get different keys, with no read-set to
+//! arbitrate), and the cached artefact is position-independent — the
+//! fragment's entry list plus its canonical emission, base-0 bytes and
+//! a patch-point list the relocation fix-up pass re-applies under the
+//! real layout (see the `relocate` module). Each candidate still
+//! carries its CFG fingerprint and is re-validated per lookup,
+//! mirroring the analysis path: a mismatch can only mean a logically
+//! corrupted record, which is quarantined and recomputed. Liveness
+//! stays per-binary.
 //!
 //! Hits whose record was first computed for a *different* binary are
 //! counted separately ([`StageStats::shared`]), so `--stats` and the
@@ -154,16 +152,19 @@ pub struct RewriteStats {
     pub analysis_rounds: u32,
     /// Per-function CFG analyses.
     pub func_analyses: StageStats,
-    /// Per-function relocation fragments.
+    /// Per-function relocation fragments (each with its canonical
+    /// emission).
     pub fragments: StageStats,
-    /// Per-function code emissions.
+    /// A copy of `fragments`: the canonical emission lives in the
+    /// fragment record, so it is served exactly when its fragment is.
+    /// Kept only because the `icfgp-perf` harness reads it.
     pub emits: StageStats,
     /// Per-function liveness results.
     pub liveness: StageStats,
     /// Stage wall-clock timings.
     pub timings: StageTimings,
     /// The five slowest functions this rewrite touched, as
-    /// `(entry, total_ns)` across analysis + fragment + emit, sorted
+    /// `(entry, total_ns)` across analysis + fragment + fix-up, sorted
     /// slowest first and zero-padded — `rewrite --stats` prints these
     /// so watchdog budgets can be tuned against real offenders.
     pub slowest: [(u64, u64); 5],
@@ -356,7 +357,7 @@ pub(crate) trait Record: Serialize + Deserialize {
         None
     }
     /// Chaos: inject the logical corruption a re-validation must catch
-    /// (fragment and emit records only; see [`PatchFault`]).
+    /// (fragment records only; see [`PatchFault`]).
     fn corrupt(&mut self) {}
 }
 
@@ -393,48 +394,28 @@ impl Record for LivenessResult {
     }
 }
 
-/// The persisted form of one relocation fragment: the fragment plus
-/// the CFG content fingerprint it was built from. The fingerprint is
-/// folded into the fragment key, so a well-formed record always
-/// matches — re-validation at lookup (mirroring the analysis path)
-/// catches logically corrupted records, which are quarantined and
-/// recomputed instead of mis-relocating.
+/// The persisted form of one relocation fragment: the fragment, its
+/// canonical (position-independent) emission, and the CFG content
+/// fingerprint it was built from. The fingerprint is folded into the
+/// fragment key, so a well-formed record always matches; re-validation
+/// at lookup (the fingerprint, mirroring the analysis path, and the
+/// emission's patch points against the fragment) catches logically
+/// corrupted records, which are quarantined and recomputed instead of
+/// mis-relocating.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct FragPayload {
     pub(crate) frag: FuncFragment,
+    pub(crate) emit: RelocEmit,
     pub(crate) cfg_fp: u64,
     pub(crate) origin_fp: u64,
 }
 
 impl Record for FragPayload {
     const STAGE: Stage = Stage::Fragment;
-    const QUARANTINE: Option<&'static str> = Some("fragment failed CFG-fingerprint re-validation");
+    const QUARANTINE: Option<&'static str> =
+        Some("fragment failed CFG-fingerprint or patch-point re-validation");
     fn map(cache: &RewriteCache) -> &StageMap<Self> {
         &cache.fragments
-    }
-    fn origin_fp(&self) -> Option<u64> {
-        Some(self.origin_fp)
-    }
-    fn corrupt(&mut self) {
-        // Flip the validation fingerprint so the record no longer
-        // matches its key.
-        self.cfg_fp ^= 1;
-    }
-}
-
-/// The persisted form of one canonical (position-independent)
-/// emission. Validated against its fragment at every lookup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct EmitPayload {
-    pub(crate) emit: RelocEmit,
-    pub(crate) origin_fp: u64,
-}
-
-impl Record for EmitPayload {
-    const STAGE: Stage = Stage::Emit;
-    const QUARANTINE: Option<&'static str> = Some("emission failed patch-point re-validation");
-    fn map(cache: &RewriteCache) -> &StageMap<Self> {
-        &cache.emits
     }
     fn origin_fp(&self) -> Option<u64> {
         Some(self.origin_fp)
@@ -468,13 +449,12 @@ pub fn recode_payload(stage: Stage, payload: &[u8]) -> Result<Vec<u8>, serde::De
         Stage::Func => recode::<FuncPayload>(payload),
         Stage::Liveness => recode::<LivenessResult>(payload),
         Stage::Fragment => recode::<FragPayload>(payload),
-        Stage::Emit => recode::<EmitPayload>(payload),
         Stage::Audit => recode::<AuditReport>(payload),
     }
 }
 
 /// An armed corrupt-patch-point fault (chaos): probability of
-/// deterministically corrupting a fragment/emit record as it is read
+/// deterministically corrupting a fragment record as it is read
 /// back from the persistent store, *after* checksum validation — the
 /// logical-corruption class the per-lookup re-validation must catch.
 #[derive(Debug, Clone, Copy)]
@@ -527,11 +507,10 @@ pub struct RewriteCache {
     funcs: StageMap<FuncPayload>,
     liveness: StageMap<LivenessResult>,
     fragments: StageMap<FragPayload>,
-    emits: StageMap<EmitPayload>,
     audits: StageMap<AuditReport>,
     store: Option<Arc<dyn StoreBackend>>,
     trace: Arc<Trace>,
-    /// Chaos: corrupt fragment/emit records read back from the store
+    /// Chaos: corrupt fragment records read back from the store
     /// (armed by [`crate::FaultPlan::arm_cached`]).
     patch_fault: Mutex<Option<PatchFault>>,
 }
@@ -545,7 +524,6 @@ impl std::fmt::Debug for RewriteCache {
             .field("analyses", &len(&self.analyses))
             .field("funcs", &len(&self.funcs))
             .field("fragments", &len(&self.fragments))
-            .field("emits", &len(&self.emits))
             .field("liveness", &len(&self.liveness))
             .field("audits", &len(&self.audits))
             .finish()
@@ -599,7 +577,7 @@ impl RewriteCache {
     }
 
     /// Chaos: with probability `probability` (deterministic per key,
-    /// seeded), corrupt each fragment/emit record as it is read back
+    /// seeded), corrupt each fragment record as it is read back
     /// from the persistent store — after the store's checksum passes,
     /// so only the per-lookup re-validation stands between the
     /// corrupted patch list and a mis-fixed-up branch. A detected
@@ -673,7 +651,7 @@ impl RewriteCache {
     ///    racing threads share one record).
     ///
     /// `valid` re-checks a candidate against this lookup's inputs
-    /// (a function's read-set, a fragment's CFG fingerprint, an
+    /// (a function's read-set, a fragment's CFG fingerprint and its
     /// emission's patch points). The outcome is emitted as a
     /// [`TraceEvent::CacheLookup`]; a hit is `shared` when its record
     /// originated from a binary other than `binary_fp` (ignored by
@@ -771,7 +749,7 @@ pub struct AnalysisRun {
     /// The *weak* per-function identities: like [`AnalysisRun::func_keys`]
     /// but without the whole-binary fingerprint, so they agree across
     /// binaries sharing a function's bytes, address and environment.
-    /// Fragment and emit keys derive from these (plus a CFG content
+    /// Fragment keys derive from these (plus a CFG content
     /// fingerprint that arbitrates what the weak identity cannot see).
     pub weak_keys: Arc<BTreeMap<u64, u64>>,
     /// The whole analysis was served from the memo.
@@ -921,7 +899,7 @@ pub fn analyze_incremental(
         .collect();
     // The liveness identity folds the whole-binary fingerprint back
     // in (strictly per-binary); the weak identity leaves it out so
-    // fragment/emit keys agree across binaries. Two binaries may
+    // fragment keys agree across binaries. Two binaries may
     // share a weak key while their CFGs differ (out-of-range table
     // data) — the fragment key folds a CFG content fingerprint on
     // top, so that divergence never aliases.

@@ -79,12 +79,10 @@ pub struct FaultPlan {
     pub store_torn_write: f64,
     /// Probability a flushed store segment gets one bit flipped.
     pub store_bit_flip: f64,
-    /// Probability a store segment load is cut short (short read).
-    pub store_short_read: f64,
     /// Probability a store flush finds the directory lock busy and
     /// defers (records stay pending).
     pub store_lock_contention: f64,
-    /// Probability a store-decoded shared fragment/emission payload is
+    /// Probability a store-decoded shared fragment payload is
     /// corrupted in a way its frame checksum cannot see (a patch-point
     /// offset flip, a stale CFG fingerprint). Exercises the per-lookup
     /// re-validation: the payload must quarantine and recompute, never
@@ -137,7 +135,6 @@ impl FaultPlan {
             exhaust_reach: false,
             store_torn_write: 0.0,
             store_bit_flip: 0.0,
-            store_short_read: 0.0,
             store_lock_contention: 0.0,
             corrupt_patch_point: 0.0,
             net_delay: 0.0,
@@ -160,7 +157,6 @@ impl FaultPlan {
             corrupt_liveness: 0.05,
             store_torn_write: 0.05,
             store_bit_flip: 0.05,
-            store_short_read: 0.05,
             corrupt_patch_point: 0.05,
             net_delay: 0.05,
             net_delay_ms: 5,
@@ -186,7 +182,6 @@ impl FaultPlan {
             exhaust_reach: !seed.is_multiple_of(2),
             store_torn_write: 0.15,
             store_bit_flip: 0.10,
-            store_short_read: 0.10,
             store_lock_contention: 0.10,
             corrupt_patch_point: 0.10,
             net_delay: 0.10,
@@ -216,7 +211,6 @@ impl FaultPlan {
             exhaust_reach: true,
             store_torn_write: 0.50,
             store_bit_flip: 0.25,
-            store_short_read: 0.25,
             store_lock_contention: 0.25,
             corrupt_patch_point: 0.30,
             net_delay: 0.20,
@@ -249,7 +243,6 @@ impl FaultPlan {
             seed: self.seed,
             torn_write: self.store_torn_write,
             bit_flip: self.store_bit_flip,
-            short_read: self.store_short_read,
             lock_contention: self.store_lock_contention,
         }
     }

@@ -1209,7 +1209,7 @@ mod tests {
             let a = client(&server, None);
             assert_eq!(a.get(Stage::Func, 1), None, "cold lookup misses");
             a.put(Stage::Func, 1, b"alpha".to_vec());
-            a.put(Stage::Emit, 2, b"beta".to_vec());
+            a.put(Stage::Fragment, 2, b"beta".to_vec());
             assert_eq!(StoreBackend::flush(&a), 2);
             assert_eq!(a.get(Stage::Func, 1).as_deref(), Some(&b"alpha"[..]));
             let s = a.stats();
@@ -1219,7 +1219,7 @@ mod tests {
         }
         let b = client(&server, None);
         assert_eq!(b.get(Stage::Func, 1).as_deref(), Some(&b"alpha"[..]));
-        assert_eq!(b.get(Stage::Emit, 2).as_deref(), Some(&b"beta"[..]));
+        assert_eq!(b.get(Stage::Fragment, 2).as_deref(), Some(&b"beta"[..]));
         let stats = server.stats();
         assert!(stats.puts_accepted == 2 && stats.puts_rejected == 0, "{stats:?}");
     }
@@ -1321,12 +1321,12 @@ mod tests {
         let a = client(&server, None);
         let b = client(&server, None);
         a.put(Stage::Func, 1, b"one".to_vec());
-        a.put(Stage::Emit, 2, b"two".to_vec());
+        a.put(Stage::Fragment, 2, b"two".to_vec());
         assert_eq!(StoreBackend::flush(&a), 2);
         // Both connections stay open and the flush threshold is not
         // reached, so the server has only queued the records.
         assert_eq!(b.get(Stage::Func, 1).as_deref(), Some(&b"one"[..]));
-        assert_eq!(b.get(Stage::Emit, 2).as_deref(), Some(&b"two"[..]));
+        assert_eq!(b.get(Stage::Fragment, 2).as_deref(), Some(&b"two"[..]));
         assert_eq!(b.get(Stage::Func, 3), None);
         let stats = server.stats();
         assert_eq!((stats.segments, stats.store.flushes), (0, 0), "{stats:?}");
@@ -1377,6 +1377,9 @@ mod tests {
         out
     }
 
+    /// Stage tags no stage has: 4 belonged to the retired emit stage.
+    const UNKNOWN_STAGE_TAGS: [u8; 3] = [0, 4, 6];
+
     #[test]
     fn hostile_request_frames_get_a_protocol_reply_or_a_closed_connection() {
         let dir = tmp_dir("hostile");
@@ -1386,13 +1389,14 @@ mod tests {
         let (mut answered, mut closed, mut rejected_puts) = (0u32, 0u32, 0u32);
         for _ in 0..3000 {
             // A well-framed request: a good GET, PUT or STATS, a
-            // retired lease op, a short GET/PUT header or a foreign
+            // retired lease op, a short GET/PUT header, a stage tag no
+            // stage has (4 is the retired emit stage's) or a foreign
             // key epoch.
             let key = rng.below(16);
             let stage = Stage::ALL[rng.below(Stage::ALL.len() as u64) as usize];
             let record = vec![rng.next() as u8; rng.below(24) as usize];
             let get_or_put = if rng.below(2) == 0 { OP_GET } else { OP_PUT };
-            let (tag, payload) = match rng.below(6) {
+            let (tag, payload) = match rng.below(7) {
                 0 => (OP_GET, record_body(stage, &[])),
                 1 => (OP_PUT, record_body(stage, &record)),
                 2 => (OP_STATS, Vec::new()),
@@ -1400,6 +1404,11 @@ mod tests {
                 4 => {
                     let short = rng.below(RECORD_HEADER as u64) as usize;
                     (get_or_put, record_body(stage, &record)[..short].to_vec())
+                }
+                5 => {
+                    let mut body = record_body(stage, &record);
+                    body[0] = UNKNOWN_STAGE_TAGS[rng.below(3) as usize];
+                    (get_or_put, body)
                 }
                 _ => {
                     let mut body = record_body(stage, &record);
@@ -1448,6 +1457,29 @@ mod tests {
             }
         }
         assert!(answered > 0 && closed > 0 && rejected_puts > 0, "{answered} {closed}");
+
+        // An intact GET or PUT naming an unknown stage tag gets ERR and
+        // writes nothing.
+        for bad in UNKNOWN_STAGE_TAGS {
+            for op in [OP_GET, OP_PUT] {
+                let before = shared.stats();
+                let mut body = record_body(Stage::Func, if op == OP_PUT { b"rec" } else { b"" });
+                body[0] = bad;
+                let frame = wire(op, 1, &body);
+                let (tag, key, payload) = read_message(&mut frame.as_slice(), request_tag).unwrap();
+                let (reply, _, why) = shared.handle(tag, key, &payload);
+                assert_eq!(reply, RE_ERR, "op {op:#04x} stage tag {bad}");
+                assert!(
+                    String::from_utf8_lossy(&why).contains("stage"),
+                    "op {op:#04x}"
+                );
+                let after = shared.stats();
+                assert_eq!(
+                    after.records, before.records,
+                    "stage tag {bad} wrote a record"
+                );
+            }
+        }
 
         // Over the wire, a retired lease op is answered, not dropped:
         // an old client degrades through its breaker instead of timing

@@ -22,33 +22,35 @@
 //! # Incremental pipeline
 //!
 //! Relocation runs in four stages. Per-function **fragments** (entry
-//! lists with sizes and fragment-relative offsets) are built in
-//! parallel through the content-addressed [`crate::cache`]; a cheap
-//! sequential **layout** pass places fragments back to back (exactly
-//! reproducing the historical single-cursor layout, so output bytes
-//! are identical for any thread count) and assigns clone addresses
-//! and counter slots; **emission** encodes each function in parallel,
-//! again through the cache; a final sequential pass fills the table
-//! clones. Fragments are address-independent, so a warm cache turns a
-//! re-rewrite into layout plus memcpy.
+//! lists with sizes and fragment-relative offsets, each with its
+//! canonical emission) are built in parallel through the
+//! content-addressed [`crate::cache`]; a cheap sequential **layout**
+//! pass places fragments back to back (exactly reproducing the
+//! historical single-cursor layout, so output bytes are identical for
+//! any thread count) and assigns clone addresses and counter slots;
+//! the **fix-up** pass patches each function's canonical emission in
+//! parallel, outside the cache; a final sequential pass fills the
+//! table clones. Fragments are address-independent, so a warm cache
+//! turns a re-rewrite into layout plus memcpy.
 //!
-//! # Position-independent emissions
+//! # Position-independent fragments
 //!
-//! The emit stage caches a **canonical** emission ([`RelocEmit`]):
-//! the fragment encoded at base 0 with every layout-dependent entry
-//! (branches, pc-relative data, table bases, counters, emulated
-//! calls) left as a nop-filled span recorded in a patch-point list.
-//! Both fragment and canonical-emission identities derive from the
-//! *weak* per-function analysis key (environment × bytes × config —
-//! no whole-binary fingerprint, no layout base), so they hit across
-//! near-identical binaries and across layout shifts within one
-//! binary. A cheap sequential [`fixup`] pass re-encodes just the
-//! patch spans against the real base/clone/counter addresses and the
-//! resolve map — running the same per-entry encoder a cold emission
-//! runs, so fixed-up shared bytes are identical to a cold rewrite by
-//! construction.
+//! A fragment record carries its **canonical** emission
+//! ([`RelocEmit`]): the fragment encoded at base 0 with every
+//! layout-dependent entry (branches, pc-relative data, table bases,
+//! counters, emulated calls) left as a nop-filled span recorded in a
+//! patch-point list. The canonical bytes are a pure function of the
+//! fragment and the architecture, so they live and are looked up with
+//! the fragment, under one key. That key derives from the *weak*
+//! per-function analysis key (environment × bytes × config — no
+//! whole-binary fingerprint, no layout base), so it hits across
+//! near-identical binaries and across layout shifts within one binary.
+//! A cheap [`fixup`] pass re-encodes just the patch spans against the
+//! real base/clone/counter addresses and the resolve map — running the
+//! same per-entry encoder a cold emission runs, so fixed-up shared
+//! bytes are identical to a cold rewrite by construction.
 
-use crate::cache::{cfg_fingerprint, hash_of, unique_key, EmitPayload, FragPayload, RewriteCache};
+use crate::cache::{cfg_fingerprint, hash_of, unique_key, FragPayload, RewriteCache};
 use crate::trace::TraceEvent;
 use crate::config::{FuncMode, LayoutOrder, RewriteConfig, RewriteMode, UnwindStrategy};
 use crate::instrument::{Instrumentation, Payload};
@@ -204,8 +206,8 @@ pub(crate) struct RelocateInput<'a> {
     /// Emit the buggy call emulation for stack-indirect calls.
     pub emulation_stack_bug: bool,
     /// Weak (cross-binary) per-function analysis identities (from
-    /// [`crate::cache::analyze_incremental`]); fragment and emission
-    /// keys derive from these so relocation work is shared across
+    /// [`crate::cache::analyze_incremental`]); fragment keys derive
+    /// from these so relocation work is shared across
     /// near-identical binaries.
     pub weak_keys: &'a BTreeMap<u64, u64>,
 }
@@ -305,7 +307,7 @@ impl RelocEmit {
     /// Whether this decoded emission structurally belongs to `frag`:
     /// byte length, self-fingerprint, and a patch point per
     /// layout-dependent entry, in order, with matching spans. Run on
-    /// every cache lookup before any fix-up; failure quarantines.
+    /// every fragment lookup before any fix-up; failure quarantines.
     pub(crate) fn validates(&self, frag: &FuncFragment) -> bool {
         if self.bytes.len() as u64 != frag.size
             || self.self_fp != Self::fingerprint(&self.bytes, &self.patches)
@@ -390,10 +392,11 @@ pub(crate) fn relocate(
         let out = cache.lookup(
             *key,
             binary_fp,
-            |p: &FragPayload| p.cfg_fp == *cfg_fp,
+            |p: &FragPayload| p.cfg_fp == *cfg_fp && p.emit.validates(&p.frag),
             || {
                 let frag = build_fragment(input, func, far_to_orig, &relocated_ranges)?;
-                Ok(FragPayload { frag, cfg_fp: *cfg_fp, origin_fp: binary_fp })
+                let emit = canonical_emit(&frag, arch)?;
+                Ok(FragPayload { frag, emit, cfg_fp: *cfg_fp, origin_fp: binary_fp })
             },
         );
         (out, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
@@ -467,40 +470,25 @@ pub(crate) fn relocate(
         orig
     };
 
-    // ----- emit (parallel, cached canonical + per-function fix-up) -----
+    // ----- fix-up (parallel, per function) -----------------------------
     let empty_addrs: Vec<u64> = Vec::new();
-    let emit_jobs: Vec<(usize, u64)> = keyed
-        .iter()
-        .enumerate()
-        .map(|(i, (_, fkey, _))| (i, emit_key(*fkey)))
-        .collect();
-    let emit_results = pool::map(threads, &emit_jobs, |_, &(i, key)| {
+    let emit_results = pool::map(threads, &frags, |i, p| {
         let (base, slot_base) = placed[i];
         let clone_addrs = func_clone_addrs.get(&keyed[i].0.entry).unwrap_or(&empty_addrs);
         let started = std::time::Instant::now();
-        let frag = &frags[i].frag;
-        let out = cache
-            .lookup(
-                key,
-                binary_fp,
-                |p: &EmitPayload| p.emit.validates(frag),
-                || Ok(EmitPayload { emit: canonical_emit(frag, arch)?, origin_fp: binary_fp }),
-            )
-            .and_then(|canonical| {
-                fixup(
-                    &canonical.emit,
-                    frag,
-                    base,
-                    arch,
-                    pie,
-                    toc,
-                    &resolve,
-                    clone_addrs,
-                    slot_base,
-                    icounters_base,
-                    input.emulation_stack_bug,
-                )
-            });
+        let out = fixup(
+            &p.emit,
+            &p.frag,
+            base,
+            arch,
+            pie,
+            toc,
+            &resolve,
+            clone_addrs,
+            slot_base,
+            icounters_base,
+            input.emulation_stack_bug,
+        );
         (out, u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
     });
 
@@ -663,19 +651,6 @@ fn fragment_key(
             (config.rewrite_mode_for(owner) == Some(RewriteMode::FuncPtr)).hash(&mut h);
         }
     }
-    h.finish()
-}
-
-/// The identity of one function's canonical emission. The canonical
-/// bytes are a pure function of the fragment and the architecture
-/// (folded into the weak key through the environment fingerprint), so
-/// the fragment key alone identifies them — no layout base, counter
-/// slot base, clone addresses or resolved targets: those are fix-up
-/// inputs, applied after the cache.
-fn emit_key(frag_key: u64) -> u64 {
-    let mut h = DefaultHasher::new();
-    0xE318u64.hash(&mut h);
-    frag_key.hash(&mut h);
     h.finish()
 }
 
@@ -1059,8 +1034,8 @@ fn pad_to(out: &mut Vec<u8>, size: u64, nop: &[u8]) {
 /// Emit one fragment's canonical (base-0, position-independent) form:
 /// position-independent entries encode verbatim; layout-dependent
 /// entries become nop-filled spans recorded as patch points. Pure in
-/// the fragment and the architecture — this is what the emit cache
-/// stores and shares across binaries.
+/// the fragment and the architecture — the fragment record stores it
+/// and shares it across binaries.
 fn canonical_emit(frag: &FuncFragment, arch: Arch) -> Result<RelocEmit, RewriteError> {
     let nop = encode(&Inst::Nop, arch).expect("nop");
     let mut bytes: Vec<u8> = Vec::with_capacity(frag.size as usize);

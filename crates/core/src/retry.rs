@@ -1,9 +1,8 @@
 //! Bounded retry with deterministic jittered backoff.
 //!
 //! [`RetryPolicy::run`] is the one retry driver: the local store's
-//! flush (a busy directory lock, a failed segment write), its segment
-//! load (a short read) and the remote client's request exchange all
-//! run their attempts through it. Every failure an attempt reports is
+//! flush (a busy directory lock, a failed segment write) and the remote
+//! client's request exchange both run their attempts through it. Every failure an attempt reports is
 //! worth retrying; a failure no retry can fix (a checksum mismatch, a
 //! version or epoch skew) is not reported as one, but handled where it
 //! is found, by quarantining the bad bytes.

@@ -188,7 +188,8 @@ impl Rewriter {
     }
 
     /// Rewrite `binary`, memoising per-function analysis, relocation
-    /// fragments, emitted code and liveness in `cache`. Passing the
+    /// fragments (with their canonical emitted code) and liveness in
+    /// `cache`. Passing the
     /// same cache across rewrites of related inputs (ladder rounds,
     /// fault seeds, incremental re-rewrites) skips all per-function
     /// work whose inputs did not change; results are byte-identical

@@ -1,12 +1,12 @@
 //! Crash-safe persistent backing store for
 //! [`RewriteCache`](crate::cache::RewriteCache).
 //!
-//! The in-process cache memoises per-function analysis, liveness,
-//! relocation fragments and emitted code under content-addressed
-//! 64-bit keys. This module persists those entries to disk so a later
-//! `icfgp` invocation starts warm — with the hard invariant that a
-//! corrupt, torn, stale or concurrently-written store can **never
-//! change output bytes**, only cost a recompute.
+//! The in-process cache memoises per-function analysis, liveness and
+//! relocation fragments (with their canonical emissions) under
+//! content-addressed 64-bit keys. This module persists those entries
+//! to disk so a later `icfgp` invocation starts warm — with the hard
+//! invariant that a corrupt, torn, stale or concurrently-written
+//! store can **never change output bytes**, only cost a recompute.
 //!
 //! # On-disk format
 //!
@@ -36,7 +36,7 @@
 //! |---|---|
 //! | bad magic / unknown format version / wrong key epoch | whole segment quarantined |
 //! | per-record checksum mismatch (bit flip) | record quarantined, scan continues |
-//! | truncated segment / short read (torn write) | valid prefix kept, tail quarantined |
+//! | truncated segment (torn write) or unknown record tag | valid prefix kept, tail quarantined |
 //! | payload fails to deserialise | record quarantined at lookup time |
 //! | directory lock busy (another writer) | flush retried, then deferred; records stay pending |
 //! | any I/O error | logged, store degrades to miss-everything |
@@ -95,12 +95,15 @@ pub const FORMAT_VERSION: u32 = 1;
 /// fragment/emit stages re-keyed on the weak cross-binary identity and
 /// the emit payload became the position-independent `RelocEmit`;
 /// epoch 6: payloads became the positional binary form of
-/// [`serde::to_bin`]).
+/// [`serde::to_bin`]). Folding the canonical emission into the
+/// fragment record (retiring the emit stage and its tag 4) changed no
+/// key derivation, only the fragment payload's schema, which the fold
+/// below picks up on its own.
 ///
 /// Binary payloads carry no field names, so a reordered or retyped
 /// field would decode as plausible garbage. The base number is
 /// therefore folded with the [`serde::Serialize::SCHEMA`] of every
-/// persisted payload type (the four per-function stages, audit reports
+/// persisted payload type (the three per-function stages, audit reports
 /// and the run journal's records): a build whose payload shapes differ
 /// has a different epoch, so its stale segments are quarantined, the
 /// remote handshake rejects it and the journal refuses to resume —
@@ -111,7 +114,6 @@ pub const KEY_EPOCH: u64 = fold_epoch(
         <crate::cache::FuncPayload as Serialize>::SCHEMA,
         <icfgp_cfg::LivenessResult as Serialize>::SCHEMA,
         <crate::cache::FragPayload as Serialize>::SCHEMA,
-        <crate::cache::EmitPayload as Serialize>::SCHEMA,
         <icfgp_audit::AuditReport as Serialize>::SCHEMA,
         <crate::journal::JournalHeader as Serialize>::SCHEMA,
         <crate::journal::RoundRecord as Serialize>::SCHEMA,
@@ -147,18 +149,16 @@ pub enum Stage {
     Func,
     /// Per-function liveness results.
     Liveness,
-    /// Per-function relocation fragments.
+    /// Per-function relocation fragments, each with its canonical
+    /// emission.
     Fragment,
-    /// Per-function emitted code.
-    Emit,
     /// Whole-binary audit reports (predictive mode gating).
     Audit,
 }
 
 impl Stage {
     /// Every stage, in tag order.
-    pub const ALL: [Stage; 5] =
-        [Stage::Func, Stage::Liveness, Stage::Fragment, Stage::Emit, Stage::Audit];
+    pub const ALL: [Stage; 4] = [Stage::Func, Stage::Liveness, Stage::Fragment, Stage::Audit];
 
     /// Dense index of the stage: its position in [`Stage::ALL`] (the
     /// declaration order). Per-stage counter arrays are indexed by it.
@@ -171,7 +171,6 @@ impl Stage {
             Stage::Func => 1,
             Stage::Liveness => 2,
             Stage::Fragment => 3,
-            Stage::Emit => 4,
             Stage::Audit => 5,
         }
     }
@@ -181,7 +180,6 @@ impl Stage {
             1 => Some(Stage::Func),
             2 => Some(Stage::Liveness),
             3 => Some(Stage::Fragment),
-            4 => Some(Stage::Emit),
             5 => Some(Stage::Audit),
             _ => None,
         }
@@ -194,7 +192,6 @@ impl Stage {
             Stage::Func => "func",
             Stage::Liveness => "liveness",
             Stage::Fragment => "fragment",
-            Stage::Emit => "emit",
             Stage::Audit => "audit",
         }
     }
@@ -313,8 +310,7 @@ pub struct StoreStats {
     /// injected contention included. Always 0 on a remote client.
     pub lock_timeouts: u64,
     /// Transient-failure retries run by the backoff policy (contended
-    /// flushes re-attempted, short reads re-read, remote requests
-    /// re-sent).
+    /// flushes re-attempted, remote requests re-sent).
     #[serde(default)]
     pub retries: u64,
     /// Lookups a remote backend answered with a hit over the wire.
@@ -392,8 +388,6 @@ pub struct StoreFaults {
     pub torn_write: f64,
     /// Probability a flushed segment gets one bit flipped.
     pub bit_flip: f64,
-    /// Probability a segment load is cut short (simulated short read).
-    pub short_read: f64,
     /// Probability a flush finds the directory lock busy and defers.
     pub lock_contention: f64,
 }
@@ -404,7 +398,6 @@ impl StoreFaults {
     pub fn any(&self) -> bool {
         self.torn_write > 0.0
             || self.bit_flip > 0.0
-            || self.short_read > 0.0
             || self.lock_contention > 0.0
     }
 }
@@ -633,49 +626,14 @@ impl CacheStore {
     /// Load one segment's valid records. Returns `false` when its
     /// header failed validation, so the caller can relocate it.
     fn load_segment(&self, name: &str) -> bool {
-        let path = self.dir.join(name);
-        // A short read is worth a re-read; the last attempt accepts the
-        // torn view of the segment. A failed read ends the attempts.
-        let policy = self.retry_policy();
-        let last = policy.max_attempts.max(1) - 1;
-        let (read, retries) = policy.run(|attempt| {
-            let mut data = match std::fs::read(&path) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.emit(StoreOp::IoError);
-                    self.event(StoreEventKind::IoError, format!("read {name}: {e}"));
-                    return Ok(None);
-                }
-            };
-            // Injected short read: drop a suffix before parsing.
-            let short = {
-                let mut inner = self.inner.lock().expect("store poisoned");
-                match &mut inner.faults {
-                    Some((f, rng)) if !data.is_empty() => rng
-                        .chance(f.short_read)
-                        .then(|| rng.below(data.len() as u64) as usize),
-                    _ => None,
-                }
-            };
-            let Some(keep) = short else { return Ok(Some(data)) };
-            if attempt < last {
-                self.event(
-                    StoreEventKind::FaultInjected,
-                    format!("short read of {name}: re-reading (attempt {})", attempt + 2),
-                );
-                return Err(());
+        let data = match std::fs::read(self.dir.join(name)) {
+            Ok(d) => d,
+            Err(e) => {
+                self.emit(StoreOp::IoError);
+                self.event(StoreEventKind::IoError, format!("read {name}: {e}"));
+                return true;
             }
-            data.truncate(keep);
-            self.event(
-                StoreEventKind::FaultInjected,
-                format!("short read of {name}: kept {keep} byte(s)"),
-            );
-            Ok(Some(data))
-        });
-        for _ in 0..retries {
-            self.emit(StoreOp::Retry);
-        }
-        let Ok(Some(data)) = read else { return true };
+        };
         match scan_segment(&data) {
             SegmentScan::BadHeader(reason) => {
                 self.emit(StoreOp::SegmentQuarantined);
@@ -1520,12 +1478,12 @@ mod tests {
         {
             let store = CacheStore::open(&dir);
             store.put(Stage::Func, 1, b"alpha".to_vec());
-            store.put(Stage::Emit, 2, b"beta".to_vec());
+            store.put(Stage::Fragment, 2, b"beta".to_vec());
             assert_eq!(store.flush(), 2);
         }
         let store = CacheStore::open(&dir);
         assert_eq!(store.get(Stage::Func, 1).as_deref(), Some(&b"alpha"[..]));
-        assert_eq!(store.get(Stage::Emit, 2).as_deref(), Some(&b"beta"[..]));
+        assert_eq!(store.get(Stage::Fragment, 2).as_deref(), Some(&b"beta"[..]));
         assert_eq!(store.get(Stage::Func, 3), None);
         let s = store.stats();
         assert_eq!(s.hits, 2);
@@ -1664,7 +1622,7 @@ mod tests {
         {
             let store = CacheStore::open(&dir);
             store.put(Stage::Func, 1, b"one".to_vec());
-            store.put(Stage::Emit, 2, b"two".to_vec());
+            store.put(Stage::Fragment, 2, b"two".to_vec());
             store.flush();
         }
         let clean = verify_dir(&dir);
@@ -1786,7 +1744,6 @@ mod tests {
             seed: 11,
             torn_write: 1.0,
             bit_flip: 0.0,
-            short_read: 0.0,
             lock_contention: 0.0,
         });
         for k in 0..8u64 {
@@ -1806,11 +1763,11 @@ mod tests {
     }
 
     /// Pins the retry driver's counters and events under injected
-    /// faults (numbers captured before flush and segment load moved onto
+    /// lock contention (numbers captured before flush moved onto
     /// `RetryPolicy::run`).
     #[test]
-    fn injected_contention_and_short_reads_retry_through_the_policy() {
-        use StoreEventKind::{FaultInjected, Flushed, LockTimeout, Opened, TruncatedSegment};
+    fn injected_contention_retries_through_the_policy() {
+        use StoreEventKind::{Flushed, LockTimeout, Opened};
         let dir = tmp_dir("retry-pin");
         let store = CacheStore::open(&dir);
         store.set_retry_policy(crate::retry::RetryPolicy {
@@ -1831,32 +1788,39 @@ mod tests {
         assert_eq!((s.retries, s.lock_timeouts, s.flushes, s.records_loaded), (2, 3, 0, 0));
         store.arm_faults(StoreFaults::default());
         assert_eq!(store.flush(), 6);
-        // A short read on every attempt: two re-reads, then the last
-        // attempt accepts the truncated image (5 whole records).
-        store.arm_faults(StoreFaults { seed: 6, short_read: 1.0, ..StoreFaults::default() });
-        store.load_all();
         let s = store.stats();
-        assert_eq!((s.retries, s.lock_timeouts, s.flushes, s.records_loaded), (4, 3, 1, 5));
-        assert_eq!(s.quarantined_records, 1, "the torn tail");
-        let events = store.events();
-        let kinds: Vec<StoreEventKind> = events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                Opened,
-                LockTimeout,
-                LockTimeout,
-                LockTimeout,
-                Flushed,
-                FaultInjected,
-                FaultInjected,
-                FaultInjected,
-                TruncatedSegment
-            ]
-        );
-        assert!(events[5].detail.ends_with("re-reading (attempt 2)"), "{}", events[5]);
-        assert!(events[7].detail.ends_with("kept 274 byte(s)"), "{}", events[7]);
+        assert_eq!((s.retries, s.lock_timeouts, s.flushes, s.records_loaded), (2, 3, 1, 0));
+        let kinds: Vec<StoreEventKind> = store.events().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [Opened, LockTimeout, LockTimeout, LockTimeout, Flushed]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Tag 4 belonged to the retired emit stage. In a current-epoch
+    /// segment it is an unknown tag like 0 or 6: the scan stops there,
+    /// the records before it load, and the tail is dropped as torn.
+    #[test]
+    fn retired_and_unknown_tags_end_the_segment_scan() {
+        for tag in [0u8, 4, 6] {
+            let dir = tmp_dir(&format!("tag{tag}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut body = header(MAGIC, FORMAT_VERSION, KEY_EPOCH);
+            encode_record(&mut body, Stage::Func, 1, b"one");
+            encode_record(&mut body, Stage::Fragment, 2, b"two");
+            encode_frame(&mut body, tag, 3, b"stray");
+            encode_record(&mut body, Stage::Audit, 4, b"after");
+            std::fs::write(dir.join("seg-000001.seg"), &body).unwrap();
+            let store = CacheStore::open(&dir);
+            let s = store.stats();
+            assert_eq!((s.records_loaded, s.quarantined_records), (2, 1), "tag {tag}");
+            assert_eq!(store.get(Stage::Func, 1).as_deref(), Some(&b"one"[..]));
+            assert_eq!(store.get(Stage::Fragment, 2).as_deref(), Some(&b"two"[..]));
+            assert!(store.get(Stage::Audit, 4).is_none(), "tag {tag}: nothing past the stray frame");
+            assert!(
+                store.events().iter().any(|e| e.kind == StoreEventKind::TruncatedSegment),
+                "tag {tag}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

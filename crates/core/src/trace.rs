@@ -202,7 +202,7 @@ pub enum TraceEvent {
         ns: u64,
     },
     /// Leaf span: per-function pipeline work (analysis, fragment
-    /// build or emission), emitted once per work item.
+    /// build or fix-up), emitted once per work item.
     FuncSpan {
         /// Function entry address.
         entry: u64,
@@ -350,7 +350,7 @@ impl StoreCtr {
 /// snapshot is just a copy and a per-rewrite delta is a subtraction.
 #[derive(Debug, Default, Clone)]
 struct RegistryInner {
-    cache: [StageStats; 5],
+    cache: [StageStats; Stage::ALL.len()],
     memo_hits: u64,
     memo_misses: u64,
     rounds: u64,
@@ -643,7 +643,8 @@ impl Trace {
             analysis_rounds: u32::try_from(d(|r| r.rounds)).unwrap_or(u32::MAX),
             func_analyses: stage_delta(Stage::Func),
             fragments: stage_delta(Stage::Fragment),
-            emits: stage_delta(Stage::Emit),
+            // The emission lives in the fragment record.
+            emits: stage_delta(Stage::Fragment),
             liveness: stage_delta(Stage::Liveness),
             timings: StageTimings {
                 analysis_ns,
@@ -1020,14 +1021,13 @@ pub fn render_stats_text(round_stats: &[RewriteStats]) -> String {
             }
         };
         out.push_str(&format!(
-            "round {}: threads {}, memo {}, rounds {}; {}; {}; {}; {}\n",
+            "round {}: threads {}, memo {}, rounds {}; {}; {}; {}\n",
             i + 1,
             s.threads,
             if s.analysis_memo_hit { "hit" } else { "miss" },
             s.analysis_rounds,
             line("func", &s.func_analyses),
             line("frag", &s.fragments),
-            line("emit", &s.emits),
             line("live", &s.liveness),
         ));
         let t = &s.timings;
@@ -1084,7 +1084,7 @@ mod tests {
             },
             TraceEvent::JournalAppend { round: 2 },
             TraceEvent::Store { src: StoreSrc::Remote, op: StoreOp::Flushed { records: 7 } },
-            TraceEvent::Store { src: StoreSrc::Local, op: StoreOp::Lookup { stage: Stage::Emit } },
+            TraceEvent::Store { src: StoreSrc::Local, op: StoreOp::Lookup { stage: Stage::Audit } },
         ];
         for ev in events {
             let line = ev.to_json();

@@ -50,7 +50,8 @@ impl Default for LoadOptions {
 pub enum LoadError {
     /// A non-zero bias was requested for position-dependent code.
     BiasOnNonPie,
-    /// Allocated sections overlap (malformed binary).
+    /// Allocated sections overlap or a relocation slot is unmapped
+    /// (malformed binary).
     BadLayout(String),
 }
 
@@ -209,8 +210,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`LoadError`] when rebasing position-dependent code or when the
-    /// binary's sections overlap.
+    /// [`LoadError`] when rebasing position-dependent code, when the
+    /// binary's sections overlap or when a relocation slot is unmapped.
     pub fn load(binary: &Binary, options: &LoadOptions) -> Result<Machine, LoadError> {
         if options.bias != 0 && !binary.meta.pie {
             return Err(LoadError::BiasOnNonPie);
@@ -231,7 +232,9 @@ impl Machine {
         for reloc in binary.runtime_relocations() {
             let value = bias + reloc.addend;
             mem.write_force(bias + reloc.at, &value.to_le_bytes())
-                .expect("relocation slot must be mapped");
+                .map_err(|_| {
+                    LoadError::BadLayout(format!("relocation slot {:#x} is not mapped", reloc.at))
+                })?;
         }
         // Guest stack, placed far above the image.
         let stack_base = 0x7000_0000u64;

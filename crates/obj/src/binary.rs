@@ -67,6 +67,9 @@ pub enum ObjError {
     /// Symbol `after` is listed after `before` but starts at a lower
     /// address: the symbol table is not sorted by address.
     UnsortedSymbols { before: String, after: String },
+    /// The 8-byte slot of the run-time relocation at `at` does not lie
+    /// inside one allocated section, so no loader can apply it.
+    RelocationOutsideSections { at: u64 },
 }
 
 impl fmt::Display for ObjError {
@@ -81,6 +84,11 @@ impl fmt::Display for ObjError {
                 f,
                 "symbol order: {after} starts below {before} but is listed after it \
                  (symbols must be sorted by address)"
+            ),
+            ObjError::RelocationOutsideSections { at } => write!(
+                f,
+                "relocation slot {at:#x}..{:#x} is not inside one allocated section",
+                at.wrapping_add(8)
             ),
         }
     }
@@ -239,12 +247,17 @@ impl Binary {
             .sum()
     }
 
-    /// Verify that no two allocated sections overlap.
+    /// Verify that no two allocated sections overlap and that every
+    /// run-time relocation's 8-byte slot lies inside one allocated
+    /// section. Link-time records are never applied by a loader (the
+    /// builder's presence markers sit on function entries), so they
+    /// are not checked.
     ///
     /// # Errors
     ///
     /// [`ObjError::OverlappingSections`] naming the first offending
-    /// pair.
+    /// pair, or [`ObjError::RelocationOutsideSections`] naming the
+    /// first run-time relocation no section holds.
     pub fn validate_layout(&self) -> Result<(), ObjError> {
         let mut ranges: Vec<&Section> =
             self.sections.iter().filter(|s| s.flags().alloc && !s.is_empty()).collect();
@@ -255,6 +268,18 @@ impl Binary {
                     a: w[0].name().to_string(),
                     b: w[1].name().to_string(),
                 });
+            }
+        }
+        for r in self.runtime_relocations() {
+            // The sections are disjoint, so only the last one starting
+            // at or below the slot can hold it.
+            let below = ranges.partition_point(|s| s.addr() <= r.at);
+            let held = below > 0
+                && r.at
+                    .checked_add(8)
+                    .is_some_and(|end| end <= ranges[below - 1].end());
+            if !held {
+                return Err(ObjError::RelocationOutsideSections { at: r.at });
             }
         }
         Ok(())
@@ -488,6 +513,43 @@ mod tests {
             b.validate_layout(),
             Err(ObjError::OverlappingSections { .. })
         ));
+    }
+
+    #[test]
+    fn relocation_slots_must_lie_inside_one_section() {
+        use crate::reloc::Relocation;
+        let mut b = bin();
+        // First and last whole slot of `.rodata`, one in `.text`, and
+        // a link-time record (never applied) on the last byte of
+        // `.text`.
+        b.relocations = vec![
+            Relocation::relative(0x2000, 0x1000),
+            Relocation::relative(0x2078, 0x1000),
+            Relocation::relative(0x1010, 0x1000),
+            Relocation::link_time(0x10ff, 0x1000),
+        ];
+        assert!(b.validate_layout().is_ok());
+        // Past the end, straddling the end, in the gap between the
+        // sections, and at the very top of the address space.
+        for at in [0x2080, 0x207c, 0x1100, 0x0ff8, u64::MAX - 3, 0xdead_0000] {
+            let mut bad = b.clone();
+            bad.relocations.push(Relocation::relative(at, 0x1000));
+            assert_eq!(
+                bad.validate_layout(),
+                Err(ObjError::RelocationOutsideSections { at }),
+                "{at:#x}"
+            );
+        }
+        // A slot in a section the loader does not map.
+        b.add_section(Section::new(
+            ".comment",
+            0x3000,
+            vec![0; 0x10],
+            SectionFlags::unloaded(),
+            SectionKind::ReadOnlyData,
+        ));
+        b.relocations.push(Relocation::relative(0x3000, 0x1000));
+        assert!(b.validate_layout().is_err());
     }
 
     #[test]

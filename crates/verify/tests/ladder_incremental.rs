@@ -1,6 +1,6 @@
 //! Incremental invalidation across ladder rounds: a fault confined to
 //! ONE function must only ever re-do work for that function — every
-//! untouched function's analysis, fragment and emitted code is served
+//! untouched function's analysis and fragment (with its emitted code) is served
 //! from the shared [`RewriteCache`] on every round after the first.
 //!
 //! The checks are counter-based (via `LadderOutcome::round_stats`) and
@@ -76,7 +76,6 @@ fn single_function_fault_leaves_rest_of_cache_hot() {
     let cold = &ladder.round_stats[0];
     assert!(!cold.analysis_memo_hit);
     assert_eq!(cold.fragments.hits, 0);
-    assert_eq!(cold.emits.hits, 0);
 
     for (i, s) in ladder.round_stats.iter().enumerate().skip(1) {
         // The whole-binary analysis is memoised: demotion changes the
@@ -132,12 +131,6 @@ fn shared_cache_makes_repeat_ladders_free() {
             s.fragments.misses,
             0,
             "second ladder round {} rebuilt a fragment",
-            i + 1
-        );
-        assert_eq!(
-            s.emits.misses,
-            0,
-            "second ladder round {} re-emitted",
             i + 1
         );
     }

@@ -119,8 +119,8 @@ must miss strictly less than the first. On those two axes
 before use. `--seeds 0` and `--kill-resume --net` are usage errors.
 
 `fleet` rewrites a batch of near-identical binaries over one shared
-warm cache store: fragment and emitted-code entries are keyed
-position-independently (no layout base, no whole-binary fingerprint),
+warm cache store: fragment entries (with their canonical emitted
+code) are keyed position-independently (no layout base, no whole-binary fingerprint),
 so work done on the first binary is reused by the rest. Each FILE is
 written to FILE.rw; per-stage hit rates and the `shared` counter
 (hits first computed for a *different* binary) are printed per binary
@@ -289,6 +289,7 @@ fn load_binary(path: &str) -> Result<Binary, String> {
     let binary: Binary =
         serde_json::from_slice(&data).map_err(|e| format!("parsing {path}: {e}"))?;
     binary.validate_symbol_order().map_err(|e| format!("{path}: {e}"))?;
+    binary.validate_layout().map_err(|e| format!("{path}: {e}"))?;
     Ok(binary)
 }
 
@@ -670,7 +671,7 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
 /// `icfgp fleet FILES... [--cache-dir DIR]` — rewrite a batch of
 /// binaries over one shared warm store. Every FILE is rewritten to
 /// FILE.rw through the same cache (and persistent store when
-/// configured), so position-independent fragment/emit entries
+/// configured), so position-independent fragment entries
 /// computed for the first binary serve the rest; per-stage hit rates
 /// and cross-binary `shared` counts are reported per binary and in
 /// aggregate. Exit code is the worst per-binary ladder code.
@@ -690,9 +691,9 @@ fn cmd_fleet(args: &[String]) -> Result<u8, String> {
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    const STAGES: [&str; 4] = ["funcs", "frags", "emits", "live"];
+    const STAGES: [&str; 3] = ["funcs", "frags", "live"];
     // Per stage: [hits, misses, shared].
-    let mut agg = [[0u64; 3]; 4];
+    let mut agg = [[0u64; 3]; 3];
     let mut code = 0u8;
     for (fi, path) in files.iter().enumerate() {
         let binary = load_binary(path)?;
@@ -701,9 +702,9 @@ fn cmd_fleet(args: &[String]) -> Result<u8, String> {
         code = code.max(c);
         let out = format!("{path}.rw");
         save_binary(&ladder.outcome.binary, &out)?;
-        let mut per = [[0u64; 3]; 4];
+        let mut per = [[0u64; 3]; 3];
         for s in &ladder.round_stats {
-            let stages = [&s.func_analyses, &s.fragments, &s.emits, &s.liveness];
+            let stages = [&s.func_analyses, &s.fragments, &s.liveness];
             for (k, st) in stages.into_iter().enumerate() {
                 per[k][0] += st.hits;
                 per[k][1] += st.misses;

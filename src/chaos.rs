@@ -558,9 +558,7 @@ fn output_bytes(binary: &Binary) -> Vec<u8> {
 fn stage_misses(stats: &[RewriteStats]) -> u64 {
     stats
         .iter()
-        .map(|s| {
-            s.func_analyses.misses + s.fragments.misses + s.emits.misses + s.liveness.misses
-        })
+        .map(|s| s.func_analyses.misses + s.fragments.misses + s.liveness.misses)
         .sum()
 }
 
@@ -1122,14 +1120,12 @@ mod tests {
         let s = cache.store_stats();
         assert!(
             s.quarantined_records > 0,
-            "every corrupted fragment/emit must be quarantined: {s:?}"
+            "every corrupted fragment must be quarantined: {s:?}"
         );
         assert_eq!(
-            warm.stats.fragments.hits + warm.stats.emits.hits,
-            0,
-            "nothing may be served from a corrupted record: {:?} {:?}",
-            warm.stats.fragments,
-            warm.stats.emits
+            warm.stats.fragments.hits, 0,
+            "nothing may be served from a corrupted record: {:?}",
+            warm.stats.fragments
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

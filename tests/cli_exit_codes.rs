@@ -13,7 +13,7 @@
 //! its two functions, which exceeds the default 25% budget but fits a
 //! budget of 1.0.
 
-use incremental_cfg_patching::obj::Binary;
+use incremental_cfg_patching::obj::{Binary, Relocation};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,15 +135,29 @@ fn internal_error_exits_three() {
 /// loads one, however deep they nest: the JSON reader bounds nesting
 /// at 128 levels instead of recursing until the stack overflows. A
 /// container that parses but lists its symbols out of address order is
-/// refused at load too, since every symbol lookup binary-searches them.
+/// refused at load too, since every symbol lookup binary-searches them,
+/// and so is one whose sections overlap or whose relocation slot no
+/// section maps: no loader could place it, and `run` must not panic.
 #[test]
 fn malformed_containers_exit_three() {
     let deep = "[".repeat(200_000) + &"]".repeat(200_000);
     let raw = gen_switch_demo();
     let mut swapped: Binary = serde_json::from_slice(&std::fs::read(&raw).unwrap()).unwrap();
     let _ = std::fs::remove_file(&raw);
+    let mut stray_reloc = swapped.clone();
+    let mut overlapping = swapped.clone();
     // `dispatch` and `main`, its two function symbols.
     swapped.symbols_mut().swap(0, 1);
+    // A RELATIVE relocation whose slot no section maps.
+    stray_reloc
+        .relocations
+        .push(Relocation::relative(0xdead_0000, 0x1000));
+    // `.rodata` moved onto `.text`.
+    let text = overlapping.section(".text").expect("text").addr();
+    overlapping
+        .section_mut(".rodata")
+        .expect("rodata")
+        .set_addr(text);
     let cases = [
         // Not an object: refused at its first byte, before any nesting.
         ("deep.json", deep.clone(), Some("expected object")),
@@ -152,11 +166,21 @@ fn malformed_containers_exit_three() {
         ("truncated.json", r#"{"arch":"X64","kind":"#.to_string(), None),
         ("surrogate.json", r#"{"arch":"\ud800\u0041"}"#.to_string(), Some("unpaired surrogate")),
         ("swapped.json", serde_json::to_string(&swapped).unwrap(), Some("symbol order")),
+        (
+            "stray-reloc.json",
+            serde_json::to_string(&stray_reloc).unwrap(),
+            Some("relocation slot 0xdead0000"),
+        ),
+        (
+            "overlap.json",
+            serde_json::to_string(&overlapping).unwrap(),
+            Some("overlap"),
+        ),
     ];
     for (name, text, needle) in cases {
         let path = tmp(name);
         std::fs::write(&path, &text).unwrap();
-        for cmd in ["rewrite", "verify", "audit"] {
+        for cmd in ["rewrite", "verify", "audit", "run"] {
             let mut c = icfgp();
             c.arg(cmd).arg(&path);
             if cmd == "rewrite" {

@@ -41,7 +41,7 @@ fn arb_params() -> impl Strategy<Value = GenParams> {
 }
 
 fn stage_misses(s: &RewriteStats) -> u64 {
-    s.func_analyses.misses + s.fragments.misses + s.emits.misses + s.liveness.misses
+    s.func_analyses.misses + s.fragments.misses + s.liveness.misses
 }
 
 proptest! {

@@ -80,7 +80,7 @@ proptest! {
         let out_taped = rw.rewrite_cached(&binary, &instr, &taped).expect("taped");
         prop_assert_eq!(out_plain.binary, out_taped.binary,
             "recording the stream must not change output bytes");
-        for stage in [Stage::Func, Stage::Fragment, Stage::Emit, Stage::Liveness] {
+        for stage in [Stage::Func, Stage::Fragment, Stage::Liveness] {
             let a = plain.trace().registry().stage_stats(stage);
             let b = taped.trace().registry().stage_stats(stage);
             prop_assert_eq!(a.hits, b.hits);
@@ -137,7 +137,7 @@ fn sealed_stream_replays_to_matching_summary() {
     let events = cache.trace().sealed();
     let summary = summarize_events(&events);
     assert!(summary.violations().is_empty(), "{:?}", summary.violations());
-    for stage in [Stage::Func, Stage::Fragment, Stage::Emit, Stage::Liveness] {
+    for stage in [Stage::Func, Stage::Fragment, Stage::Liveness] {
         let live = cache.trace().registry().stage_stats(stage);
         let replay = summary.stage_stats(stage);
         assert_eq!(live.hits, replay.hits, "{stage:?} hits");

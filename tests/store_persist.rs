@@ -165,20 +165,20 @@ fn cross_binary_sharing_hits_function_analysis() {
         "the edited function must be recomputed: {:?}",
         out2.stats.func_analyses
     );
-    // Fragment and emit entries are keyed on the weak cross-binary
-    // identity: every function except the edited `main` is served from
-    // the other binary's store, and those hits are flagged `shared`.
+    // Fragment entries (each with its canonical emission) are keyed on
+    // the weak cross-binary identity: every function except the edited
+    // `main` is served from the other binary's store, and those hits
+    // are flagged `shared`.
     assert!(
-        out2.stats.emits.hits >= (n as u64) - 1,
-        "expected >= {} shared emit hits, got {:?}",
+        out2.stats.fragments.hits >= (n as u64) - 1,
+        "expected >= {} shared fragment hits, got {:?}",
         n - 1,
-        out2.stats.emits
+        out2.stats.fragments
     );
     assert!(
-        out2.stats.fragments.shared >= (n as u64) - 1 && out2.stats.emits.shared >= (n as u64) - 1,
-        "cross-binary hits must be counted as shared: frags {:?} emits {:?}",
-        out2.stats.fragments,
-        out2.stats.emits
+        out2.stats.fragments.shared >= (n as u64) - 1,
+        "cross-binary hits must be counted as shared: {:?}",
+        out2.stats.fragments
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -343,7 +343,7 @@ fn two_writers_share_one_directory() {
 /// Per-stage `(hits, misses, shared)` in `Stage::ALL` order, plus the
 /// store's `(lookups, hits, misses, lookup_quarantines,
 /// quarantined_records)`, as totals on the cache's trace.
-type Accounting = ([(u64, u64, u64); 5], (u64, u64, u64, u64, u64));
+type Accounting = ([(u64, u64, u64); 4], (u64, u64, u64, u64, u64));
 
 fn accounting(cache: &RewriteCache) -> Accounting {
     let trace = cache.trace();
@@ -358,8 +358,8 @@ fn accounting(cache: &RewriteCache) -> Accounting {
 
 /// Lookup-time quarantines per stage, in `Stage::ALL` order, from a
 /// recorded trace stream.
-fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 5] {
-    let mut out = [0u64; 5];
+fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 4] {
+    let mut out = [0u64; 4];
     for ev in events {
         if let TraceEvent::Store { op: StoreOp::LookupQuarantine { stage }, .. } = ev {
             out[Stage::ALL.iter().position(|s| s == stage).expect("stage")] += 1;
@@ -370,8 +370,8 @@ fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 5] {
 
 /// The exact lookup accounting of the cache for three scenarios: the
 /// ladder over `small` (x86-64, func-ptr) cold and then warm from a
-/// re-opened store; the warm run again with half the fragment and
-/// emit records corrupted as they are read back; and the audit gate
+/// re-opened store; the warm run again with half the fragment records
+/// corrupted as they are read back; and the audit gate
 /// applied twice over one cache. The figures pin which tier serves
 /// every stage lookup, so a change to the lookup path that silently
 /// stops hitting (or starts double-counting) fails here even when the
@@ -434,26 +434,26 @@ fn lookup_accounting_is_pinned() {
     let gate_acc = accounting(&gate_cache);
     drop(gate_cache);
 
-    // Stage order: func, liveness, fragment, emit, audit.
+    // Stage order: func, liveness, fragment, audit.
     assert_eq!(
         cold_acc,
-        ([(0, 13, 0), (39, 13, 0), (36, 16, 0), (36, 16, 0), (0, 0, 0)], (58, 0, 58, 0, 0)),
+        ([(0, 13, 0), (39, 13, 0), (36, 16, 0), (0, 0, 0)], (42, 0, 42, 0, 0)),
         "cold ladder"
     );
     assert_eq!(
         warm_acc,
-        ([(13, 0, 0), (52, 0, 0), (52, 0, 0), (52, 0, 0), (0, 0, 0)], (58, 58, 0, 0, 0)),
+        ([(13, 0, 0), (52, 0, 0), (52, 0, 0), (0, 0, 0)], (42, 42, 0, 0, 0)),
         "warm ladder"
     );
     assert_eq!(
         faulty_acc,
-        ([(13, 0, 0), (52, 0, 0), (47, 5, 0), (46, 6, 0), (0, 0, 0)], (58, 47, 0, 11, 11)),
+        ([(13, 0, 0), (52, 0, 0), (47, 5, 0), (0, 0, 0)], (42, 37, 0, 5, 5)),
         "warm ladder with patch-point corruption"
     );
-    assert_eq!(quarantined, [0, 0, 5, 6, 0], "fragment and emit quarantines both fire");
+    assert_eq!(quarantined, [0, 0, 5, 0], "only the fragment stage quarantines");
     assert_eq!(
         gate_acc,
-        ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 1, 0)], (1, 0, 1, 0, 0)),
+        ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 1, 0)], (1, 0, 1, 0, 0)),
         "audit gate twice"
     );
     let _ = std::fs::remove_dir_all(&dir);
