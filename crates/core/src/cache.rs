@@ -25,6 +25,11 @@
 //! shared as an `Arc` from a per-stage map, so a lookup never converts
 //! or clones between a stored and a cached form.
 //!
+//! The degradation ladder's demotion rounds ([`LadderRound`]) are
+//! store-only records: a rerun over the same store replays them
+//! ([`RewriteCache::stored_ladder_round`]) to resume a killed or
+//! finished ladder.
+//!
 //! There is no explicit invalidation: demoting a function on the
 //! ladder changes its keys (a miss) while every untouched function
 //! keeps hitting. [`analyze_incremental`] is the parallel analysis
@@ -75,6 +80,8 @@
 //! counted separately ([`StageStats::shared`]), so `--stats` and the
 //! fleet bench can show how much cross-binary reuse happened.
 
+use crate::config::FuncMode;
+use crate::instrument::Instrumentation;
 use crate::pool;
 use crate::relocate::{FuncFragment, RelocEmit};
 use crate::store::{Stage, StoreBackend, StoreStats};
@@ -338,17 +345,25 @@ fn deps_hold(deps: &[FuncDep], binary: &Binary, binary_fp: u64) -> bool {
     })
 }
 
-/// A persisted stage record that is also its in-memory cache entry:
-/// what [`RewriteCache::lookup`] stores, validates and hands out (as
-/// an `Arc`), so no lookup converts or clones between the two forms.
-pub(crate) trait Record: Serialize + Deserialize {
-    /// The pipeline stage this record caches.
+/// A persisted store record: what [`RewriteCache::store_get`] reads
+/// back, validates and quarantines under its stage.
+pub(crate) trait Stored: Serialize + Deserialize {
+    /// The stage this record is stored under.
     const STAGE: Stage;
     /// Why a store record that fails validation is quarantined.
     /// `None` makes the failure a plain miss: a weak function key
     /// legitimately reused by another binary is not corruption (and
     /// liveness and audit records have nothing to re-validate).
     const QUARANTINE: Option<&'static str> = None;
+    /// Chaos: inject the logical corruption a re-validation must catch
+    /// (fragment records only; see [`PatchFault`]).
+    fn corrupt(&mut self) {}
+}
+
+/// A persisted stage record that is also its in-memory cache entry:
+/// what [`RewriteCache::lookup`] stores, validates and hands out (as
+/// an `Arc`), so no lookup converts or clones between the two forms.
+pub(crate) trait Record: Stored {
     /// This stage's in-memory map.
     fn map(cache: &RewriteCache) -> &StageMap<Self>;
     /// The binary the record was first computed for, for stages that
@@ -356,9 +371,6 @@ pub(crate) trait Record: Serialize + Deserialize {
     fn origin_fp(&self) -> Option<u64> {
         None
     }
-    /// Chaos: inject the logical corruption a re-validation must catch
-    /// (fragment records only; see [`PatchFault`]).
-    fn corrupt(&mut self) {}
 }
 
 /// One stage's in-memory map: key → the shared stored record.
@@ -377,8 +389,11 @@ pub(crate) struct FuncPayload {
     origin_fp: u64,
 }
 
-impl Record for FuncPayload {
+impl Stored for FuncPayload {
     const STAGE: Stage = Stage::Func;
+}
+
+impl Record for FuncPayload {
     fn map(cache: &RewriteCache) -> &StageMap<Self> {
         &cache.funcs
     }
@@ -387,8 +402,11 @@ impl Record for FuncPayload {
     }
 }
 
-impl Record for LivenessResult {
+impl Stored for LivenessResult {
     const STAGE: Stage = Stage::Liveness;
+}
+
+impl Record for LivenessResult {
     fn map(cache: &RewriteCache) -> &StageMap<Self> {
         &cache.liveness
     }
@@ -410,26 +428,73 @@ pub(crate) struct FragPayload {
     pub(crate) origin_fp: u64,
 }
 
-impl Record for FragPayload {
+impl Stored for FragPayload {
     const STAGE: Stage = Stage::Fragment;
     const QUARANTINE: Option<&'static str> =
         Some("fragment failed CFG-fingerprint or patch-point re-validation");
+    fn corrupt(&mut self) {
+        self.emit.corrupt_one_patch_point();
+    }
+}
+
+impl Record for FragPayload {
     fn map(cache: &RewriteCache) -> &StageMap<Self> {
         &cache.fragments
     }
     fn origin_fp(&self) -> Option<u64> {
         Some(self.origin_fp)
     }
-    fn corrupt(&mut self) {
-        self.emit.corrupt_one_patch_point();
-    }
+}
+
+impl Stored for AuditReport {
+    const STAGE: Stage = Stage::Audit;
 }
 
 impl Record for AuditReport {
-    const STAGE: Stage = Stage::Audit;
     fn map(cache: &RewriteCache) -> &StageMap<Self> {
         &cache.audits
     }
+}
+
+/// One rung descent of one function on the degradation ladder.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LadderStep {
+    /// Mode before the step.
+    pub from: FuncMode,
+    /// Mode after the step.
+    pub to: FuncMode,
+    /// The verifier diagnostic that forced the step.
+    pub reason: String,
+}
+
+/// One demotion round of the degradation ladder, stored under
+/// [`Stage::Ladder`] at [`ladder_key`]. Only rounds that demoted are
+/// stored, never the clean final round.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LadderRound {
+    /// The step each lowered function took, by entry address.
+    pub demotions: BTreeMap<u64, LadderStep>,
+}
+
+impl Stored for LadderRound {
+    const STAGE: Stage = Stage::Ladder;
+    const QUARANTINE: Option<&'static str> = Some("ladder round failed demotion re-validation");
+}
+
+/// The store key of demotion round `round` (1-based) of the ladder
+/// over `binary_fp` under `config_fp` ([`crate::config_fingerprint`])
+/// and `instr`, as decided by ladder policy version `policy`: any other
+/// input, or a ladder whose verifier or demotion rule changed (a new
+/// `policy`), replays nothing.
+#[must_use]
+pub fn ladder_key(
+    binary_fp: u64,
+    config_fp: u64,
+    instr: &Instrumentation,
+    policy: u64,
+    round: usize,
+) -> u64 {
+    hash_of(&(0x1ADD_u64, binary_fp, config_fp, instr, policy, round as u64))
 }
 
 /// Decode a stored record payload as `stage`'s record type and
@@ -442,7 +507,7 @@ impl Record for AuditReport {
 /// The [`serde::DeError`] of [`serde::from_bin`] when `payload` is not
 /// exactly one well-formed record of the stage's type.
 pub fn recode_payload(stage: Stage, payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
-    fn recode<R: Record>(payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
+    fn recode<R: Stored>(payload: &[u8]) -> Result<Vec<u8>, serde::DeError> {
         serde::from_bin::<R>(payload).map(|v| serde::to_bin(&v))
     }
     match stage {
@@ -450,6 +515,7 @@ pub fn recode_payload(stage: Stage, payload: &[u8]) -> Result<Vec<u8>, serde::De
         Stage::Liveness => recode::<LivenessResult>(payload),
         Stage::Fragment => recode::<FragPayload>(payload),
         Stage::Audit => recode::<AuditReport>(payload),
+        Stage::Ladder => recode::<LadderRound>(payload),
     }
 }
 
@@ -616,9 +682,9 @@ impl RewriteCache {
     /// Persisted-store lookup: payloads are the positional binary
     /// encoding ([`serde::from_bin`]). A record that fails to decode
     /// is quarantined; one that fails `valid` is quarantined under
-    /// [`Record::QUARANTINE`] (or just skipped without a reason).
+    /// [`Stored::QUARANTINE`] (or just skipped without a reason).
     /// Either way the lookup is a miss, never an error.
-    fn store_get<R: Record>(&self, key: u64, valid: impl Fn(&R) -> bool) -> Option<R> {
+    fn store_get<R: Stored>(&self, key: u64, valid: impl Fn(&R) -> bool) -> Option<R> {
         let store = self.store.as_ref()?;
         let payload = store.get(R::STAGE, key)?;
         let mut record: R = match serde::from_bin(&payload) {
@@ -692,6 +758,29 @@ impl RewriteCache {
         let shared = hit && got.origin_fp().is_some_and(|fp| fp != binary_fp);
         self.trace.emit(TraceEvent::CacheLookup { stage: R::STAGE, key, hit, shared });
         Ok(got)
+    }
+
+    /// The demotion round stored under `key` ([`ladder_key`]) if it
+    /// decodes and passes `valid` (else it is quarantined), as one
+    /// [`TraceEvent::CacheLookup`]. Without a store: `None`, no lookup.
+    pub fn stored_ladder_round(
+        &self,
+        key: u64,
+        valid: impl Fn(&LadderRound) -> bool,
+    ) -> Option<LadderRound> {
+        self.store.as_ref()?;
+        let found = self.store_get(key, valid);
+        let hit = found.is_some();
+        self.trace.emit(TraceEvent::CacheLookup { stage: Stage::Ladder, key, hit, shared: false });
+        found
+    }
+
+    /// Buffer a demotion round under `key` for the attached store's
+    /// next flush (no-op without a store).
+    pub fn store_ladder_round(&self, key: u64, round: &LadderRound) {
+        if let Some(store) = &self.store {
+            store.put(Stage::Ladder, key, serde::to_bin(round));
+        }
     }
 
     fn prepass(&self, binary_fp: u64, binary: &Binary) -> Arc<Prepass> {

@@ -335,9 +335,59 @@ impl RewriteConfig {
     }
 }
 
+/// Fingerprint a [`RewriteConfig`], covering every field that
+/// influences the output bytes. The degradation ladder keys its stored
+/// demotion rounds on it (with the binary fingerprint), so a rerun
+/// under any other configuration replays nothing.
+#[must_use]
+pub fn config_fingerprint(cfg: &RewriteConfig) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    cfg.mode.hash(&mut h);
+    cfg.analysis.fingerprint().hash(&mut h);
+    cfg.unwind.hash(&mut h);
+    cfg.placement.hash(&mut h);
+    cfg.poison_text.hash(&mut h);
+    cfg.clone_tables.hash(&mut h);
+    cfg.instr_gap.hash(&mut h);
+    cfg.layout.hash(&mut h);
+    cfg.indirect_site_padding.hash(&mut h);
+    cfg.collect_artifacts.hash(&mut h);
+    cfg.func_modes.hash(&mut h);
+    // FaultPlan carries f64 probabilities; hash its canonical JSON.
+    let plan = cfg
+        .fault_plan
+        .as_ref()
+        .map(|p| serde_json::to_string(p).unwrap_or_default())
+        .unwrap_or_default();
+    plan.hash(&mut h);
+    cfg.degradation.floor.hash(&mut h);
+    cfg.degradation.max_below_floor.to_bits().hash(&mut h);
+    cfg.audit_gate.hash(&mut h);
+    // Mix through the record checksum so the fingerprint is not the
+    // raw DefaultHasher state.
+    crate::store::checksum64(&[&h.finish().to_le_bytes()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_fingerprint_tracks_every_knob() {
+        let base = RewriteConfig::new(RewriteMode::FuncPtr);
+        let fp = config_fingerprint(&base);
+        assert_eq!(fp, config_fingerprint(&base.clone()), "deterministic");
+        let mut other = base.clone();
+        other.mode = RewriteMode::Dir;
+        assert_ne!(fp, config_fingerprint(&other));
+        let mut other = base.clone();
+        other.analysis.func_timeout_ms = Some(5);
+        assert_ne!(fp, config_fingerprint(&other));
+        let mut other = base.clone();
+        other.func_modes.insert(0x99, FuncMode::Skip);
+        assert_ne!(fp, config_fingerprint(&other));
+    }
 
     #[test]
     fn mode_display() {

@@ -235,6 +235,18 @@ impl FaultPlan {
         }
     }
 
+    /// This plan with its store I/O faults (torn writes, bit flips,
+    /// lock contention) cleared and every other class kept.
+    #[must_use]
+    pub fn without_store_faults(&self) -> FaultPlan {
+        FaultPlan {
+            store_torn_write: 0.0,
+            store_bit_flip: 0.0,
+            store_lock_contention: 0.0,
+            ..self.clone()
+        }
+    }
+
     /// The I/O fault classes of this plan, in the form
     /// [`crate::store::StoreBackend::arm_faults`] takes.
     #[must_use]

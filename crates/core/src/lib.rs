@@ -67,7 +67,6 @@ pub mod dynamic;
 mod fault;
 pub mod gate;
 mod instrument;
-pub mod journal;
 pub mod net;
 mod placement;
 pub mod pool;
@@ -80,16 +79,15 @@ pub mod trace;
 pub mod tramp;
 
 pub use cache::{
-    analyze_incremental, binary_fingerprint, AnalysisRun, RewriteCache, RewriteStats, StageStats,
-    StageTimings,
+    analyze_incremental, binary_fingerprint, ladder_key, AnalysisRun, LadderRound, LadderStep,
+    RewriteCache, RewriteStats, StageStats, StageTimings,
 };
 pub use cfl::{cfl_blocks, effective_cfl_blocks, CflReason};
 pub use config::{
-    DegradationPolicy, FuncMode, LayoutOrder, PlacementConfig, RewriteConfig, RewriteMode,
-    UnwindStrategy,
+    config_fingerprint, DegradationPolicy, FuncMode, LayoutOrder, PlacementConfig, RewriteConfig,
+    RewriteMode, UnwindStrategy,
 };
 pub use fault::FaultPlan;
-pub use journal::{config_fingerprint, JournalReplay, RunJournal};
 pub use net::{
     parse_store_url, serve, FaultyTransport, NetFaults, RemoteOptions, RemoteStore, ServeHandle,
     ServeOptions, ServerStats, StoreUrl, TcpTransport, Transport,

@@ -1378,7 +1378,7 @@ mod tests {
     }
 
     /// Stage tags no stage has: 4 belonged to the retired emit stage.
-    const UNKNOWN_STAGE_TAGS: [u8; 3] = [0, 4, 6];
+    const UNKNOWN_STAGE_TAGS: [u8; 3] = [0, 4, 7];
 
     #[test]
     fn hostile_request_frames_get_a_protocol_reply_or_a_closed_connection() {

@@ -98,16 +98,19 @@ pub const FORMAT_VERSION: u32 = 1;
 /// [`serde::to_bin`]). Folding the canonical emission into the
 /// fragment record (retiring the emit stage and its tag 4) changed no
 /// key derivation, only the fragment payload's schema, which the fold
-/// below picks up on its own.
+/// below picks up on its own; so did adding the ladder stage (tag 6).
 ///
 /// Binary payloads carry no field names, so a reordered or retyped
 /// field would decode as plausible garbage. The base number is
 /// therefore folded with the [`serde::Serialize::SCHEMA`] of every
 /// persisted payload type (the three per-function stages, audit reports
-/// and the run journal's records): a build whose payload shapes differ
-/// has a different epoch, so its stale segments are quarantined, the
-/// remote handshake rejects it and the journal refuses to resume —
-/// instead of silently never hitting or mass-failing decode.
+/// and the ladder's demotion rounds): a build whose payload shapes
+/// differ has a different epoch, so its stale segments are quarantined
+/// and the remote handshake rejects it — instead of silently never
+/// hitting or mass-failing decode. The epoch tracks record shapes, not
+/// the rule that produced them: a change to which functions the ladder
+/// demotes is versioned by the policy number folded into
+/// [`crate::cache::ladder_key`] instead.
 pub const KEY_EPOCH: u64 = fold_epoch(
     6,
     &[
@@ -115,9 +118,7 @@ pub const KEY_EPOCH: u64 = fold_epoch(
         <icfgp_cfg::LivenessResult as Serialize>::SCHEMA,
         <crate::cache::FragPayload as Serialize>::SCHEMA,
         <icfgp_audit::AuditReport as Serialize>::SCHEMA,
-        <crate::journal::JournalHeader as Serialize>::SCHEMA,
-        <crate::journal::RoundRecord as Serialize>::SCHEMA,
-        <crate::journal::CompleteRecord as Serialize>::SCHEMA,
+        <crate::cache::LadderRound as Serialize>::SCHEMA,
     ],
 );
 
@@ -154,11 +155,15 @@ pub enum Stage {
     Fragment,
     /// Whole-binary audit reports (predictive mode gating).
     Audit,
+    /// Demotion rounds of the degradation ladder, replayed by a rerun
+    /// of the same binary and configuration.
+    Ladder,
 }
 
 impl Stage {
     /// Every stage, in tag order.
-    pub const ALL: [Stage; 4] = [Stage::Func, Stage::Liveness, Stage::Fragment, Stage::Audit];
+    pub const ALL: [Stage; 5] =
+        [Stage::Func, Stage::Liveness, Stage::Fragment, Stage::Audit, Stage::Ladder];
 
     /// Dense index of the stage: its position in [`Stage::ALL`] (the
     /// declaration order). Per-stage counter arrays are indexed by it.
@@ -172,6 +177,7 @@ impl Stage {
             Stage::Liveness => 2,
             Stage::Fragment => 3,
             Stage::Audit => 5,
+            Stage::Ladder => 6,
         }
     }
 
@@ -181,6 +187,7 @@ impl Stage {
             2 => Some(Stage::Liveness),
             3 => Some(Stage::Fragment),
             5 => Some(Stage::Audit),
+            6 => Some(Stage::Ladder),
             _ => None,
         }
     }
@@ -193,6 +200,7 @@ impl Stage {
             Stage::Liveness => "liveness",
             Stage::Fragment => "fragment",
             Stage::Audit => "audit",
+            Stage::Ladder => "ladder",
         }
     }
 }
@@ -996,7 +1004,7 @@ fn encode_record(out: &mut Vec<u8>, stage: Stage, key: u64, payload: &[u8]) {
 
 /// Append one checksummed record frame (`tag ‖ key ‖ len ‖ checksum ‖
 /// payload`, all little-endian) — the framing shared by store segments
-/// and run journals.
+/// and the remote protocol.
 pub(crate) fn encode_frame(out: &mut Vec<u8>, tag: u8, key: u64, payload: &[u8]) {
     out.push(tag);
     out.extend_from_slice(&key.to_le_bytes());
@@ -1054,35 +1062,23 @@ pub(crate) fn scan_frames(data: &[u8], valid_tag: impl Fn(u8) -> bool) -> FrameS
     FrameScan { frames, corrupt, truncated }
 }
 
-/// Why a file header failed [`check_header`].
-pub(crate) enum BadHeader {
-    /// The file is shorter than the header.
-    Short,
-    /// The magic bytes differ.
-    Magic,
-    /// A different format version (the one found).
-    Version(u32),
-    /// A different [`KEY_EPOCH`] (the one found).
-    Epoch(u64),
-}
-
 /// Check the `magic ‖ version u32 ‖ KEY_EPOCH u64` header that opens
-/// every store segment, quarantined segment and run journal. Each
-/// caller words the failure for its own file kind.
-pub(crate) fn check_header(data: &[u8], magic: &[u8; 8], version: u32) -> Result<(), BadHeader> {
+/// every store segment and quarantined segment; `Err` says what
+/// differs.
+fn check_header(data: &[u8]) -> Result<(), String> {
     if data.len() < HEADER_LEN {
-        return Err(BadHeader::Short);
+        return Err("shorter than the header".into());
     }
-    if &data[..8] != magic {
-        return Err(BadHeader::Magic);
+    if &data[..8] != MAGIC {
+        return Err("bad magic".into());
     }
     let found = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    if found != version {
-        return Err(BadHeader::Version(found));
+    if found != FORMAT_VERSION {
+        return Err(format!("format version {found} (expected {FORMAT_VERSION})"));
     }
     let epoch = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
     if epoch != KEY_EPOCH {
-        return Err(BadHeader::Epoch(epoch));
+        return Err(format!("key epoch {epoch:#x} (expected {KEY_EPOCH:#x})"));
     }
     Ok(())
 }
@@ -1101,13 +1097,8 @@ enum SegmentScan {
 /// tag) ends the scan with the tail dropped; a checksum mismatch with
 /// intact framing skips just that record.
 fn scan_segment(data: &[u8]) -> SegmentScan {
-    if let Err(bad) = check_header(data, MAGIC, FORMAT_VERSION) {
-        return SegmentScan::BadHeader(match bad {
-            BadHeader::Short => "shorter than the header".into(),
-            BadHeader::Magic => "bad magic".into(),
-            BadHeader::Version(v) => format!("format version {v} (expected {FORMAT_VERSION})"),
-            BadHeader::Epoch(e) => format!("key epoch {e:#x} (expected {KEY_EPOCH:#x})"),
-        });
+    if let Err(why) = check_header(data) {
+        return SegmentScan::BadHeader(why);
     }
     let scan = scan_frames(&data[HEADER_LEN..], |tag| Stage::from_tag(tag).is_some());
     let records = scan
@@ -1234,7 +1225,7 @@ pub fn sweep_stale_quarantine(dir: &Path) -> u64 {
             continue;
         }
         let stale = std::fs::read(entry.path())
-            .map_or(true, |data| check_header(&data, MAGIC, FORMAT_VERSION).is_err());
+            .map_or(true, |data| check_header(&data).is_err());
         if stale && std::fs::remove_file(entry.path()).is_ok() {
             removed += 1;
         }
@@ -1796,11 +1787,11 @@ mod tests {
     }
 
     /// Tag 4 belonged to the retired emit stage. In a current-epoch
-    /// segment it is an unknown tag like 0 or 6: the scan stops there,
+    /// segment it is an unknown tag like 0 or 7: the scan stops there,
     /// the records before it load, and the tail is dropped as torn.
     #[test]
     fn retired_and_unknown_tags_end_the_segment_scan() {
-        for tag in [0u8, 4, 6] {
+        for tag in [0u8, 4, 7] {
             let dir = tmp_dir(&format!("tag{tag}"));
             std::fs::create_dir_all(&dir).unwrap();
             let mut body = header(MAGIC, FORMAT_VERSION, KEY_EPOCH);

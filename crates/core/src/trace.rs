@@ -5,7 +5,7 @@
 //! counter sections — is a *projection* of one stream of typed
 //! [`TraceEvent`]s collected by a shared [`Trace`]. Subsystems emit
 //! events (cache hit/miss/quarantine, store flush, retry, breaker
-//! trip, ladder demotion, journal append) and open
+//! trip, ladder demotion) and open
 //! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
 //! store flush); the [`Registry`] folds the stream into counters as it
 //! arrives and derives every legacy stats shape on demand, so the
@@ -245,11 +245,6 @@ pub enum TraceEvent {
         /// Mode after the demotion.
         to: String,
     },
-    /// A supervision journal round was appended.
-    JournalAppend {
-        /// 1-based round number.
-        round: u32,
-    },
     /// A persistent-store operation.
     Store {
         /// Which backend emitted it.
@@ -362,7 +357,6 @@ struct RegistryInner {
     rpc_ns: u64,
     store: [StoreCtr; 3],
     demotions: u64,
-    journal_appends: u64,
     /// Per-function `(entry, ns)` samples from [`TraceEvent::FuncSpan`];
     /// the `slowest:` line is derived from the per-rewrite suffix.
     func_samples: Vec<(u64, u64)>,
@@ -405,7 +399,6 @@ impl RegistryInner {
                 self.rounds += u64::from(*rounds);
             }
             TraceEvent::Demotion { .. } => self.demotions += 1,
-            TraceEvent::JournalAppend { .. } => self.journal_appends += 1,
             TraceEvent::Store { src, op } => {
                 let c = &mut self.store[src.idx()];
                 match op {
@@ -552,12 +545,6 @@ impl Trace {
         if buf.is_none() {
             *buf = Some(Vec::new());
         }
-    }
-
-    /// Whether a stream buffer is being kept.
-    #[must_use]
-    pub fn is_recording(&self) -> bool {
-        self.buf.lock().expect("trace poisoned").is_some()
     }
 
     /// Emit one event: fold it into the registry and (when recording)
@@ -748,11 +735,14 @@ pub fn canonical_lines(events: &[TraceEvent]) -> Vec<String> {
     events.iter().map(|e| e.canonical().to_json()).collect()
 }
 
-/// The structural projection: span tree plus ladder/journal events,
+/// The structural projection: span tree plus ladder demotions,
 /// with every cache-dependent record (lookups, memo consults, store
 /// operations, leaf spans) removed and timings zeroed. Warm and cold
-/// runs of the same input agree on this projection — they take
-/// different cache paths but the same shape.
+/// runs of the same input over an in-memory cache agree on this
+/// projection — they take different cache paths but the same shape.
+/// Over a store, a flush span appears only when there was something to
+/// write, and a ladder round replayed from the store keeps its round
+/// span and demotions but holds no rewrite spans.
 #[must_use]
 pub fn structural_lines(events: &[TraceEvent]) -> Vec<String> {
     events
@@ -763,7 +753,6 @@ pub fn structural_lines(events: &[TraceEvent]) -> Vec<String> {
                 TraceEvent::SpanOpen { .. }
                     | TraceEvent::SpanClose { .. }
                     | TraceEvent::Demotion { .. }
-                    | TraceEvent::JournalAppend { .. }
             )
         })
         .map(|e| e.canonical().to_json())
@@ -926,11 +915,8 @@ impl TraceSummary {
                 ));
             }
         }
-        if r.demotions + r.journal_appends > 0 {
-            out.push_str(&format!(
-                "ladder: {} demotion(s), {} journal append(s)\n",
-                r.demotions, r.journal_appends
-            ));
+        if r.demotions > 0 {
+            out.push_str(&format!("ladder: {} demotion(s)\n", r.demotions));
         }
 
         let violations = self.violations();
@@ -991,7 +977,6 @@ pub fn render_diff(a: &TraceSummary, b: &TraceSummary) -> String {
         row(&format!("store.{p}.remote_misses"), sa.remote_misses, sb.remote_misses);
     }
     row("ladder.demotions", a.inner.demotions, b.inner.demotions);
-    row("journal.appends", a.inner.journal_appends, b.inner.journal_appends);
     for i in 0..SPAN_N {
         row(
             &format!("span.{}.opens", SpanKind::name(i)),
@@ -1082,7 +1067,6 @@ mod tests {
                 from: "func-ptr".to_string(),
                 to: "jt".to_string(),
             },
-            TraceEvent::JournalAppend { round: 2 },
             TraceEvent::Store { src: StoreSrc::Remote, op: StoreOp::Flushed { records: 7 } },
             TraceEvent::Store { src: StoreSrc::Local, op: StoreOp::Lookup { stage: Stage::Audit } },
         ];

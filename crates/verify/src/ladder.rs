@@ -10,9 +10,10 @@
 //!   full(func-ptr) ──► full(jt) ──► full(dir) ──► trap-only ──► skip
 //! ```
 //!
-//! Each round rewrites, verifies with [`verify_rewrite`] (the strict
-//! re-analysis is the oracle), attributes every error diagnostic to
-//! the function it occurred in, and lowers each offending function one
+//! Each round rewrites, verifies like [`verify_rewrite`](crate::verify_rewrite)
+//! (one strict re-analysis per run is the oracle), attributes every
+//! error diagnostic to the function it occurred in, and lowers each
+//! offending function one
 //! rung. The loop converges because ranks strictly decrease and are
 //! bounded below by skip; a round with errors but no attributable
 //! victim is [`LadderError::NoConvergence`].
@@ -23,12 +24,12 @@
 //! turns the count of functions below the floor into a pass/fail
 //! budget verdict.
 
-use crate::{verify_rewrite, VerifyError, VerifyReport};
+use crate::{strict_analysis, verify_against, VerifyError, VerifyReport};
 use icfgp_cfg::AnalysisFailure;
-use icfgp_core::journal::{JournalDemotion, JournalReplay, RoundRecord, RunJournal};
 use icfgp_core::{
-    apply_audit_gate, FuncMode, GateSummary, Instrumentation, RewriteCache, RewriteConfig,
-    RewriteError, RewriteOutcome, RewriteStats, Rewriter, SkipReason, SpanKind, TraceEvent,
+    apply_audit_gate, binary_fingerprint, config_fingerprint, ladder_key, FuncMode, GateSummary,
+    Instrumentation, LadderRound, LadderStep, RewriteCache, RewriteConfig, RewriteError,
+    RewriteOutcome, RewriteStats, Rewriter, SkipReason, SpanKind, TraceEvent,
 };
 use icfgp_obj::Binary;
 use serde::{Deserialize, Serialize};
@@ -40,16 +41,14 @@ use std::fmt;
 /// any converging ladder finishes well within this.
 pub const MAX_ROUNDS: usize = 12;
 
-/// One rung descent of one function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LadderStep {
-    /// Mode before the step.
-    pub from: FuncMode,
-    /// Mode after the step.
-    pub to: FuncMode,
-    /// The verifier diagnostic that forced the step.
-    pub reason: String,
-}
+/// Version of the ladder's policy, folded into every stored round's
+/// key ([`ladder_key`]). Bump it with any change that can alter which
+/// functions a round demotes: the verifier's checks, the strict
+/// re-analysis, victim attribution or the lowering rule. Rounds stored
+/// under an older policy then replay nothing, instead of imposing
+/// demotions the current ladder would not make (the final round's
+/// verification cannot catch an over-demotion).
+pub const LADDER_POLICY: u64 = 1;
 
 /// What finally happened to one point-selected function.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,7 +88,7 @@ pub struct LadderOutcome {
     /// the audit verdicts and every starting rung the gate installed
     /// before round one.
     pub gate: Option<GateSummary>,
-    /// Rounds replayed from a journal instead of executed (0 for a
+    /// Rounds replayed from the store instead of executed (0 for a
     /// cold run). `rounds` includes them, so a resumed run reports the
     /// same total as its uninterrupted twin while having executed only
     /// `rounds - resumed_rounds` of them.
@@ -125,14 +124,13 @@ pub enum LadderError {
         /// The error diagnostics that remained.
         remaining_errors: Vec<String>,
     },
-    /// The run was deliberately aborted by the supervisor's
-    /// [`Supervisor::abort_after_rounds`] knob after journaling and
-    /// flushing — the chaos kill campaign's in-process stand-in for
-    /// SIGKILL at a journal boundary. Resume with the journal to
-    /// finish the run.
+    /// The run was deliberately aborted by the `abort_after_rounds`
+    /// knob of [`rewrite_with_ladder_supervised`] after the round was
+    /// stored and flushed — the chaos kill campaign's in-process
+    /// stand-in for SIGKILL at a round boundary. Rerun over the same
+    /// store to finish the run.
     Interrupted {
-        /// Total rounds journaled (replayed + executed) before the
-        /// abort.
+        /// Total rounds (replayed + executed) before the abort.
         rounds: usize,
     },
 }
@@ -149,7 +147,7 @@ impl fmt::Display for LadderError {
             ),
             LadderError::Interrupted { rounds } => write!(
                 f,
-                "run interrupted after {rounds} journaled round(s); resume to finish"
+                "run interrupted after {rounds} stored round(s); rerun over the same store to finish"
             ),
         }
     }
@@ -198,6 +196,12 @@ pub fn rewrite_with_ladder(
 /// ladder rungs never change the [`icfgp_cfg::AnalysisConfig`]). Pass
 /// the same cache across seeds or related binaries to share further.
 ///
+/// With a store attached, each demotion round is stored as a
+/// [`LadderRound`] in the round's flush ([`ladder_key`]), and a run
+/// over the same store replays the stored rounds before it rewrites
+/// anything: a rerun of a killed or finished ladder executes only the
+/// rounds no store holds. Without a store nothing is replayed.
+///
 /// # Errors
 ///
 /// As [`rewrite_with_ladder`].
@@ -207,52 +211,25 @@ pub fn rewrite_with_ladder_cached(
     instr: &Instrumentation,
     cache: &RewriteCache,
 ) -> Result<LadderOutcome, LadderError> {
-    rewrite_with_ladder_supervised(binary, config, instr, cache, &Supervisor::default())
+    rewrite_with_ladder_supervised(binary, config, instr, cache, None)
 }
 
-/// Supervision controls for [`rewrite_with_ladder_supervised`]. The
-/// default supervisor journals nothing, resumes nothing, and never
-/// aborts — identical to [`rewrite_with_ladder_cached`].
-#[derive(Debug, Default)]
-pub struct Supervisor<'a> {
-    /// Append one [`RoundRecord`] per completed round (after the
-    /// round's store flush) and a completion record at the end.
-    /// Journal I/O failures are absorbed — supervision is best-effort
-    /// and must never fail an otherwise sound rewrite.
-    pub journal: Option<&'a RunJournal>,
-    /// Replay these journaled rounds instead of executing them: their
-    /// demotions are applied to the starting configuration and their
-    /// steps folded into the dispositions, so a resumed run converges
-    /// to byte-identical output and identical [`FuncDisposition`]s.
-    /// The caller is responsible for fingerprint-matching the journal
-    /// to `(binary, config)` first.
-    pub resume: Option<&'a JournalReplay>,
-    /// Abort with [`LadderError::Interrupted`] after this many rounds
-    /// have been executed *in this process* — each already journaled
-    /// and flushed, so the abort lands exactly at a journal boundary
-    /// (the chaos kill campaign's deterministic stand-in for SIGKILL).
-    pub abort_after_rounds: Option<usize>,
-}
-
-/// [`rewrite_with_ladder_cached`] under a [`Supervisor`]: per-round
-/// journaling + store flushing, resume-from-journal, and deterministic
-/// abort for kill campaigns.
-///
-/// Every round — not just the clean last one — flushes the attached
-/// store before its journal record is written, so a run killed at any
-/// journal boundary leaves a warm store and a resumed run re-does
-/// strictly less work than a cold one.
+/// [`rewrite_with_ladder_cached`] that aborts with
+/// [`LadderError::Interrupted`] once it has executed
+/// `abort_after_rounds` rounds (replayed ones do not count), each
+/// stored and flushed: exactly the store a SIGKILL at that round
+/// boundary leaves (the chaos kill axis's stand-in for one).
 ///
 /// # Errors
 ///
 /// As [`rewrite_with_ladder`], plus [`LadderError::Interrupted`] when
-/// the supervisor's abort knob fires.
+/// the abort fires.
 pub fn rewrite_with_ladder_supervised(
     binary: &Binary,
     config: &RewriteConfig,
     instr: &Instrumentation,
     cache: &RewriteCache,
-    supervisor: &Supervisor<'_>,
+    abort_after_rounds: Option<usize>,
 ) -> Result<LadderOutcome, LadderError> {
     let mut cfg = config.clone();
     cfg.collect_artifacts = true;
@@ -268,44 +245,54 @@ pub fn rewrite_with_ladder_supervised(
     let mut steps: BTreeMap<u64, Vec<LadderStep>> = BTreeMap::new();
     let mut round_stats: Vec<RewriteStats> = Vec::new();
 
-    // Replay journaled rounds: the demotions they recorded are applied
-    // up front (over the gate's starting rungs, exactly as the
-    // interrupted run applied them), and the loop continues from the
-    // next round number.
-    let replayed = supervisor.resume.map_or(0, |r| r.rounds.len());
-    if let Some(replay) = supervisor.resume {
-        for d in replay.demotions() {
-            steps.entry(d.entry).or_default().push(LadderStep {
-                from: d.from,
-                to: d.to,
-                reason: d.reason.clone(),
-            });
-            cfg.func_modes.insert(d.entry, d.to);
+    // Replay the stored demotion rounds over the gate's starting rungs,
+    // exactly as the run that stored them applied them, up to the first
+    // round the store lacks or that fails the ladder's own rule. A
+    // replayed round keeps its place in the trace: its span and its
+    // demotions, without the rewrite it no longer runs.
+    let fps = cache.store().map(|_| (binary_fingerprint(binary), config_fingerprint(config)));
+    let key = |round: usize| fps.map(|(b, c)| ladder_key(b, c, instr, LADDER_POLICY, round));
+    let trace = cache.trace();
+    let demoted = |entry: u64, round: usize, step: &LadderStep| {
+        trace.emit(TraceEvent::Demotion {
+            entry,
+            round: round as u32,
+            from: step.from.to_string(),
+            to: step.to.to_string(),
+        });
+    };
+    let mut replayed = 0;
+    while replayed + 1 < MAX_ROUNDS {
+        let round = replayed + 1;
+        let Some(stored) = key(round)
+            .and_then(|k| cache.stored_ladder_round(k, |r| replayable(binary, &cfg, r)))
+        else {
+            break;
+        };
+        let round_span = trace.span(SpanKind::Round { round: round as u32 });
+        for (entry, step) in stored.demotions {
+            demoted(entry, round, &step);
+            cfg.func_modes.insert(entry, step.to);
+            steps.entry(entry).or_default().push(step);
         }
+        round_span.close();
+        replayed = round;
     }
 
-    let trace = cache.trace();
+    // Rungs change only `func_modes`, never the analysis config, so
+    // every round verifies against one strict re-analysis.
+    let strict = strict_analysis(binary, &cfg);
     for round in replayed + 1..=MAX_ROUNDS {
         let round_span = trace.span(SpanKind::Round { round: round as u32 });
         let outcome = Rewriter::new(cfg.clone()).rewrite_cached(binary, instr, cache)?;
         round_stats.push(outcome.stats);
-        let verify = verify_rewrite(binary, &outcome, &cfg)?;
+        let verify = verify_against(binary, &outcome, &cfg, &strict)?;
         if verify.is_clean() {
             // Persist everything this ladder computed (no-op without
             // an attached store) before handing the outcome back, so a
             // later process starts warm even if this one never exits
             // cleanly.
             cache.flush_store();
-            if let Some(journal) = supervisor.journal {
-                // The clean round gets a (demotion-free) record of its
-                // own before the completion marker, so a journal's
-                // round count always matches the run's and a load can
-                // cross-check the completion record against it.
-                let _ = journal
-                    .append_round(&RoundRecord { round: round as u32, demotions: Vec::new() });
-                trace.emit(TraceEvent::JournalAppend { round: round as u32 });
-                let _ = journal.append_complete(round as u32);
-            }
             round_span.close();
             return Ok(finish(
                 config,
@@ -366,24 +353,17 @@ pub fn rewrite_with_ladder_supervised(
         // Lower each victim one rung; a victim already at skip cannot
         // go lower.
         let mut lowered = false;
-        let mut demotions: Vec<JournalDemotion> = Vec::new();
+        let mut demotions = BTreeMap::new();
         for (entry, reason) in victims {
             let cur = cfg.func_mode(entry);
             let Some(next) = cur.lower() else {
                 unattributed.push(format!("{entry:#x} already at {cur}, cannot lower: {reason}"));
                 continue;
             };
-            steps
-                .entry(entry)
-                .or_default()
-                .push(LadderStep { from: cur, to: next, reason: reason.clone() });
-            trace.emit(TraceEvent::Demotion {
-                entry,
-                round: round as u32,
-                from: cur.to_string(),
-                to: next.to_string(),
-            });
-            demotions.push(JournalDemotion { entry, from: cur, to: next, reason });
+            let step = LadderStep { from: cur, to: next, reason };
+            steps.entry(entry).or_default().push(step.clone());
+            demoted(entry, round, &step);
+            demotions.insert(entry, step);
             cfg.func_modes.insert(entry, next);
             lowered = true;
         }
@@ -393,20 +373,15 @@ pub fn rewrite_with_ladder_supervised(
                 remaining_errors: unattributed,
             });
         }
-        // Persist the round's per-function results *before* journaling
-        // it: a journal record must never acknowledge work the store
-        // has not seen, or a resume would redo it (correct, but not
-        // "strictly fewer functions").
-        cache.flush_store();
-        if let Some(journal) = supervisor.journal {
-            let _ = journal.append_round(&RoundRecord {
-                round: round as u32,
-                demotions,
-            });
-            trace.emit(TraceEvent::JournalAppend { round: round as u32 });
+        // The round record goes into the same flush as the round's
+        // per-function results, so a stored round is always backed by
+        // them.
+        if let Some(k) = key(round) {
+            cache.store_ladder_round(k, &LadderRound { demotions });
         }
+        cache.flush_store();
         round_span.close();
-        if supervisor.abort_after_rounds.is_some_and(|k| round - replayed >= k) {
+        if abort_after_rounds.is_some_and(|k| round - replayed >= k) {
             return Err(LadderError::Interrupted { rounds: round });
         }
     }
@@ -414,6 +389,18 @@ pub fn rewrite_with_ladder_supervised(
         rounds: MAX_ROUNDS,
         remaining_errors: vec!["round limit reached with errors remaining".into()],
     })
+}
+
+/// Whether a stored round is one this ladder could have produced over
+/// `cfg`: at least one demotion, each of a function of `binary`,
+/// exactly one rung down from the function's current rung.
+fn replayable(binary: &Binary, cfg: &RewriteConfig, round: &LadderRound) -> bool {
+    !round.demotions.is_empty()
+        && round.demotions.iter().all(|(&entry, step)| {
+            binary.function_starting_at(entry).is_some()
+                && step.from == cfg.func_mode(entry)
+                && step.from.lower() == Some(step.to)
+        })
 }
 
 /// Build the final outcome: dispositions from the last round's
@@ -535,6 +522,50 @@ mod tests {
                 assert!(s.to < s.from, "{s:?} must strictly descend");
             }
         }
+    }
+
+    /// Every round verifies against the one strict analysis computed
+    /// before the loop. Replay a multi-round faulted ladder round by
+    /// round from its stored demotions: each round's report equals a
+    /// fresh [`crate::verify_rewrite`] of that round's outcome.
+    #[test]
+    fn shared_strict_analysis_matches_per_round_verify() {
+        use icfgp_core::{binary_fingerprint, config_fingerprint, CacheStore};
+        let bin = small(Arch::X64, 7);
+        let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
+        let plan = FaultPlan::standard(2).without_store_faults();
+        config.fault_plan = Some(plan.clone());
+        config.degradation.max_below_floor = 1.0;
+        let instr = Instrumentation::empty(Points::EveryBlock);
+        let dir = std::env::temp_dir()
+            .join(format!("icfgp-ladder-strict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = RewriteCache::with_store(std::sync::Arc::new(CacheStore::open(&dir)));
+        let out = rewrite_with_ladder_cached(&bin, &config, &instr, &cache).unwrap();
+        assert!(out.rounds > 1, "the faulted ladder must demote");
+
+        let mut cfg = config.clone();
+        cfg.collect_artifacts = true;
+        plan.arm_cached(&bin, &mut cfg, &cache);
+        let strict = strict_analysis(&bin, &cfg);
+        let (bfp, cfp) = (binary_fingerprint(&bin), config_fingerprint(&config));
+        for round in 1..=out.rounds {
+            let outcome = Rewriter::new(cfg.clone()).rewrite_cached(&bin, &instr, &cache).unwrap();
+            let shared = verify_against(&bin, &outcome, &cfg, &strict).unwrap();
+            assert_eq!(shared, crate::verify_rewrite(&bin, &outcome, &cfg).unwrap(), "round {round}");
+            assert_eq!(shared.is_clean(), round == out.rounds, "round {round}");
+            if round == out.rounds {
+                assert_eq!(shared, out.verify);
+                break;
+            }
+            let stored = cache
+                .stored_ladder_round(ladder_key(bfp, cfp, &instr, LADDER_POLICY, round), |_| true)
+                .expect("every demotion round is stored");
+            for (entry, step) in stored.demotions {
+                cfg.func_modes.insert(entry, step.to);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -51,13 +51,14 @@ mod report;
 mod tramps;
 
 pub use eval::{eval_sequence, SeqEffect, Transfer};
+pub use icfgp_core::LadderStep;
 pub use ladder::{
     rewrite_with_ladder, rewrite_with_ladder_cached, rewrite_with_ladder_supervised,
-    FuncDisposition, LadderError, LadderOutcome, LadderStep, Supervisor, MAX_ROUNDS,
+    FuncDisposition, LadderError, LadderOutcome, LADDER_POLICY, MAX_ROUNDS,
 };
 pub use report::{Check, Diagnostic, Severity, VerifyReport};
 
-use icfgp_cfg::analyze;
+use icfgp_cfg::{analyze, BinaryAnalysis};
 use icfgp_core::{RewriteArtifacts, RewriteConfig, RewriteOutcome};
 use icfgp_obj::Binary;
 use std::fmt;
@@ -99,19 +100,35 @@ pub fn verify_rewrite(
     outcome: &RewriteOutcome,
     config: &RewriteConfig,
 ) -> Result<VerifyReport, VerifyError> {
+    verify_against(original, outcome, config, &strict_analysis(original, config))
+}
+
+/// The verifier's oracle: the strict re-analysis of `original`, with
+/// the same resolution limits as the rewrite (so clean rewrites
+/// re-analyse identically), but heuristics off and injected faults
+/// cleared. Functions only the heuristics can classify become analysis
+/// failures here and are skipped with an info diagnostic — the
+/// verifier never guesses. It reads only `config.analysis`, so every
+/// ladder round shares one.
+fn strict_analysis(original: &Binary, config: &RewriteConfig) -> BinaryAnalysis {
+    analyze(original, &config.analysis.strictened())
+}
+
+/// [`verify_rewrite`] against an already computed
+/// [`strict_analysis`] of `original` under `config.analysis`.
+fn verify_against(
+    original: &Binary,
+    outcome: &RewriteOutcome,
+    config: &RewriteConfig,
+    strict: &BinaryAnalysis,
+) -> Result<VerifyReport, VerifyError> {
     let artifacts: &RewriteArtifacts =
         outcome.artifacts.as_ref().ok_or(VerifyError::MissingArtifacts)?;
-    // The strict re-analysis: same resolution limits as the rewrite
-    // (so clean rewrites re-analyse identically), but heuristics off
-    // and injected faults cleared. Functions only the heuristics can
-    // classify become analysis failures here and are skipped with an
-    // info diagnostic — the verifier never guesses.
-    let strict = analyze(original, &config.analysis.strictened());
     let mut report = VerifyReport::default();
     patches::check_patches(artifacts, &mut report);
-    tramps::check_trampolines(original, outcome, artifacts, &strict, &mut report);
-    cfl::check_cfl(outcome, artifacts, &strict, config, &mut report);
-    clones::check_clones(original, outcome, artifacts, &strict, config, &mut report);
+    tramps::check_trampolines(original, outcome, artifacts, strict, &mut report);
+    cfl::check_cfl(outcome, artifacts, strict, config, &mut report);
+    clones::check_clones(original, outcome, artifacts, strict, config, &mut report);
     maps::check_maps(outcome, artifacts, config, &mut report);
     Ok(report)
 }

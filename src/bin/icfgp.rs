@@ -13,15 +13,15 @@ use incremental_cfg_patching::audit::{render_text, to_sarif};
 use incremental_cfg_patching::chaos::{parse_floor, run_campaign, CampaignConfig, FaultAxis};
 use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, FuncStatus};
 use incremental_cfg_patching::core::{
-    apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, parse_store_url,
-    pool, serve, store, trace, CacheStore, CorruptKind, FaultPlan, Instrumentation, Points,
-    RemoteOptions, RemoteStore, RewriteCache, RewriteConfig, RewriteMode, RunJournal, ServeOptions,
-    SpanKind, StoreBackend, StoreSrc, Trace, UnwindStrategy,
+    apply_audit_gate, audit_mode_of, parse_store_url, pool, serve, store, trace, CacheStore,
+    CorruptKind, FaultPlan, Instrumentation, Points, RemoteOptions, RemoteStore, RewriteCache,
+    RewriteConfig, RewriteMode, ServeOptions, SpanKind, StoreBackend, StoreSrc, Trace,
+    UnwindStrategy,
 };
 use incremental_cfg_patching::emu::{run, LoadOptions, Outcome};
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::obj::Binary;
-use incremental_cfg_patching::verify::{rewrite_with_ladder_supervised, Supervisor};
+use incremental_cfg_patching::verify::{rewrite_with_ladder_cached, LadderOutcome};
 use incremental_cfg_patching::workloads::{
     docker_like, driverlib_like, firefox_like, generate, spec_params, switch_demo, GenParams,
     SPEC_NAMES,
@@ -45,8 +45,7 @@ USAGE:
                      [--fault-seed N] [--intensity <none|quiet|standard|aggressive>]
                      [--floor <dir|jt|func-ptr|trap-only|skip>] [--budget FRAC]
                      [--audit-gate] [--cache-dir DIR] [--stats] [--trace FILE]
-                     [--quiet] [--func-timeout-ms N]
-                     [--journal FILE [--resume]] -o FILE
+                     [--quiet] [--func-timeout-ms N] -o FILE
   icfgp verify FILE [--mode <dir|jt|func-ptr>] [--unwind <ra|emulate|none>]
                     [--no-poison] [--points <blocks|entries|none>]
                     [--fault-seed N] [--intensity I] [--floor F] [--budget FRAC]
@@ -85,7 +84,7 @@ values are rejected with exit code 64, as are non-integer
 
 `--trace FILE` (or `ICFGP_TRACE`) records the structured event spine
 — spans (run, rewrite, analysis rounds, store flushes), cache
-lookups, demotions, retries, breaker trips, journal appends — as
+lookups, demotions, retries, breaker trips — as
 newline-delimited JSON. The stream is sealed into a deterministic
 address-ordered form: bytes are identical for any
 `ICFGP_THREADS`, and rewriting output is identical with tracing on or
@@ -100,16 +99,24 @@ vs cold, for instance). `--quiet`/`-q` on `rewrite`, `fleet` and
 `--func-timeout-ms N` (or `ICFGP_FUNC_TIMEOUT_MS`) arms the
 per-function watchdog: a function whose analysis overruns the budget
 is skipped with a typed Budget failure and degrades through the
-ladder instead of hanging the run. `--journal FILE` records each
-ladder round durably; after a crash or kill, rerunning with
-`--resume` replays the journal and redoes only the unfinished rounds,
-producing byte-identical output.
+ladder instead of hanging the run.
+
+With a store attached (`--cache-dir` or `--store-url`), each ladder
+round that demotes is stored with the round's results. After a crash
+or kill, rerunning the same command over the same store is the resume:
+it replays the stored rounds, redoes only the unfinished ones and
+produces byte-identical output. A rerun of a finished run replays all
+but the final round. A run without a store recomputes everything.
+`--fault-seed` injects analysis and transport faults only, never store
+I/O faults into the user's own store; `chaos` injects those.
 
 `chaos` sweeps workloads × arches × modes × seeds over one fault
 axis. By default each seed's fault plan hits the analyses, and every
 case must end in a verified rewrite that emulates identically.
-`--kill-resume` kills every journal boundary of each case and checks
-that the resume is byte-identical and redoes strictly less work.
+`--kill-resume` kills every round boundary of each case, with and
+without the seed's store I/O faults, reruns it over the same store, and
+checks that the rerun is byte-identical and redoes strictly less work
+(no more, when an injected store fault destroyed what the kill left).
 `--net` sweeps network faults (delays, drops, torn and bit-flipped
 replies, server kill mid-PUT) against a live in-process store server:
 output bytes must match a cold run, every lookup must be accounted
@@ -148,7 +155,8 @@ usage error (exit 64). `icfgp cache stats --store-url U` queries a
 live server.
 
 EXIT CODES: 0 clean, 1 degraded within budget, 2 budget exceeded
-(chaos: any case failed), 3 internal error, 64 usage.
+(chaos: any case failed), 3 internal error, 64 usage (an unknown
+`--mode`, `--unwind`, `--points` or `--arch` value included).
 
 Architectures: x86-64 (default), ppc64le, aarch64."
     );
@@ -276,11 +284,53 @@ fn finish_cache(cache: &RewriteCache, quiet: bool) {
     }
 }
 
-fn parse_arch(args: &[String]) -> Arch {
-    match arg_value(args, "--arch").as_deref() {
-        Some("ppc64le") => Arch::Ppc64le,
-        Some("aarch64") => Arch::Aarch64,
-        _ => Arch::X64,
+/// Why a command failed: a usage error exits 64, anything else 3.
+enum Failure {
+    /// A flag value the command does not accept.
+    Usage(String),
+    /// Any other error.
+    Internal(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Internal(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Failure {
+        Failure::Internal(e.to_string())
+    }
+}
+
+/// The accepted values of each enumerated flag.
+const MODES: [(&str, RewriteMode); 3] =
+    [("dir", RewriteMode::Dir), ("jt", RewriteMode::Jt), ("func-ptr", RewriteMode::FuncPtr)];
+const UNWINDS: [(&str, UnwindStrategy); 3] = [
+    ("ra", UnwindStrategy::RaTranslation),
+    ("emulate", UnwindStrategy::CallEmulation),
+    ("none", UnwindStrategy::None),
+];
+const POINTS: [(&str, Points); 3] =
+    [("blocks", Points::EveryBlock), ("entries", Points::FunctionEntries), ("none", Points::None)];
+const ARCHES: [(&str, Arch); 3] =
+    [("x86-64", Arch::X64), ("ppc64le", Arch::Ppc64le), ("aarch64", Arch::Aarch64)];
+
+/// The value of `flag` among `choices`, `None` when the flag is
+/// absent. Any other value is a usage error naming the accepted ones.
+fn choice<T: Clone>(
+    args: &[String],
+    flag: &str,
+    choices: &[(&str, T)],
+) -> Result<Option<T>, Failure> {
+    let Some(value) = arg_value(args, flag) else { return Ok(None) };
+    match choices.iter().find(|(name, _)| *name == value) {
+        Some((_, v)) => Ok(Some(v.clone())),
+        None => {
+            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+            Err(Failure::Usage(format!("unknown {flag} {value} (expected {})", names.join("|"))))
+        }
     }
 }
 
@@ -298,8 +348,8 @@ fn save_binary(binary: &Binary, path: &str) -> Result<(), String> {
     std::fs::write(path, data).map_err(|e| format!("writing {path}: {e}"))
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let arch = parse_arch(args);
+fn cmd_gen(args: &[String]) -> Result<u8, Failure> {
+    let arch = choice(args, "--arch", &ARCHES)?.unwrap_or(Arch::X64);
     let pie = has_flag(args, "--pie");
     let seed = arg_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
     let perturb: u64 = match arg_value(args, "--perturb") {
@@ -335,7 +385,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             "docker" => docker_like(arch, seed, 100),
             "driverlib" => driverlib_like(arch, 400, 30).0,
             "switch_demo" | "switch-demo" => switch_demo(arch, pie),
-            other => return Err(format!("unknown workload {other}")),
+            other => return Err(format!("unknown workload {other}").into()),
         }
     };
     save_binary(&workload.binary, &out)?;
@@ -345,7 +395,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         workload.binary.functions().count(),
         workload.binary.loaded_size()
     );
-    Ok(())
+    Ok(0)
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
@@ -369,19 +419,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the rewrite options shared by `rewrite` and `verify`.
-fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), String> {
-    let mode = match arg_value(args, "--mode").as_deref() {
-        Some("dir") => RewriteMode::Dir,
-        Some("func-ptr") => RewriteMode::FuncPtr,
-        _ => RewriteMode::Jt,
-    };
-    let mut config = RewriteConfig::new(mode);
-    config.unwind = match arg_value(args, "--unwind").as_deref() {
-        Some("emulate") => UnwindStrategy::CallEmulation,
-        Some("none") => UnwindStrategy::None,
-        _ => UnwindStrategy::RaTranslation,
-    };
+/// Parse the rewrite options shared by `rewrite`, `verify`, `fleet`
+/// and `audit`.
+fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), Failure> {
+    let mut config = RewriteConfig::new(choice(args, "--mode", &MODES)?.unwrap_or(RewriteMode::Jt));
+    if let Some(unwind) = choice(args, "--unwind", &UNWINDS)? {
+        config.unwind = unwind;
+    }
     if has_flag(args, "--no-poison") {
         config.poison_text = false;
     }
@@ -389,9 +433,12 @@ fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), Stri
         let seed: u64 = seed.parse().map_err(|_| format!("bad --fault-seed {seed}"))?;
         let intensity =
             arg_value(args, "--intensity").unwrap_or_else(|| "standard".to_string());
+        // Store I/O faults are seeded per open: on the user's own store
+        // every run would lose the same flushes and ladder rounds.
         config.fault_plan = Some(
             FaultPlan::named(&intensity, seed)
-                .ok_or_else(|| format!("unknown --intensity {intensity}"))?,
+                .ok_or_else(|| format!("unknown --intensity {intensity}"))?
+                .without_store_faults(),
         );
     }
     if let Some(floor) = arg_value(args, "--floor") {
@@ -416,11 +463,7 @@ fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), Stri
         )
         .unwrap_or(None),
     };
-    let points = match arg_value(args, "--points").as_deref() {
-        Some("entries") => Points::FunctionEntries,
-        Some("none") => Points::None,
-        _ => Points::EveryBlock,
-    };
+    let points = choice(args, "--points", &POINTS)?.unwrap_or(Points::EveryBlock);
     Ok((config, points))
 }
 
@@ -432,16 +475,10 @@ fn run_ladder(
     config: &RewriteConfig,
     points: Points,
     cache: &RewriteCache,
-    supervisor: &Supervisor<'_>,
-) -> Result<(incremental_cfg_patching::verify::LadderOutcome, u8), String> {
-    let ladder = rewrite_with_ladder_supervised(
-        binary,
-        config,
-        &Instrumentation::empty(points),
-        cache,
-        supervisor,
-    )
-    .map_err(|e| e.to_string())?;
+) -> Result<(LadderOutcome, u8), String> {
+    let ladder =
+        rewrite_with_ladder_cached(binary, config, &Instrumentation::empty(points), cache)
+            .map_err(|e| e.to_string())?;
     let code = if ladder.budget_exceeded {
         2
     } else if ladder.fully_clean() {
@@ -452,7 +489,7 @@ fn run_ladder(
     Ok((ladder, code))
 }
 
-fn print_dispositions(ladder: &incremental_cfg_patching::verify::LadderOutcome) {
+fn print_dispositions(ladder: &LadderOutcome) {
     for d in ladder.degraded() {
         let why = d
             .steps
@@ -486,7 +523,7 @@ fn print_stats(round_stats: &[incremental_cfg_patching::core::RewriteStats]) {
 }
 
 /// Print the predictive-gate summary a gated ladder run carries.
-fn print_gate(ladder: &incremental_cfg_patching::verify::LadderOutcome) {
+fn print_gate(ladder: &LadderOutcome) {
     let Some(gate) = &ladder.gate else { return };
     println!(
         "  audit gate : {} — {} function(s) pre-gated{}",
@@ -498,7 +535,7 @@ fn print_gate(ladder: &incremental_cfg_patching::verify::LadderOutcome) {
 
 /// `icfgp audit FILE` — run the static soundness audit and report
 /// findings without rewriting. Exit 0 clean, 1 findings, 64 usage.
-fn cmd_audit(args: &[String]) -> Result<u8, String> {
+fn cmd_audit(args: &[String]) -> Result<u8, Failure> {
     let Some(path) = args.first() else {
         eprintln!("error: missing FILE (icfgp audit FILE [--mode M] [--format text|json|sarif])");
         return Ok(64);
@@ -544,63 +581,18 @@ fn cmd_audit(args: &[String]) -> Result<u8, String> {
     Ok(u8::from(!report.is_clean(mode)))
 }
 
-fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
+fn cmd_rewrite(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
     let out = arg_value(args, "-o").ok_or("missing -o FILE")?;
-    let journal_path = arg_value(args, "--journal").map(PathBuf::from);
-    let resume = has_flag(args, "--resume");
-    if resume && journal_path.is_none() {
-        eprintln!("error: --resume requires --journal FILE");
-        return Ok(64);
-    }
     let binary = load_binary(path)?;
     let (config, points) = parse_rewrite_config(args)?;
     let mode = config.mode;
-    let bfp = binary_fingerprint(&binary);
-    let cfp = config_fingerprint(&config);
-    // `--resume` replays the journal's completed rounds instead of
-    // executing them; it refuses a journal recorded for a different
-    // binary or configuration, which would silently diverge.
-    let replay = match (&journal_path, resume) {
-        (Some(p), true) => {
-            let r = RunJournal::load(p)?;
-            if r.header.binary_fp != bfp || r.header.config_fp != cfp {
-                return Err(format!(
-                    "{}: journal was recorded for a different binary or configuration; \
-                     refusing to resume",
-                    p.display()
-                ));
-            }
-            Some(r)
-        }
-        _ => None,
-    };
-    let journal = match &journal_path {
-        Some(p) => {
-            let j = RunJournal::create(p, bfp, cfp)
-                .map_err(|e| format!("journal {}: {e}", p.display()))?;
-            // Re-append the replayed rounds, so a resumed run that is
-            // itself killed leaves a journal the next resume can use.
-            if let Some(r) = &replay {
-                for round in &r.rounds {
-                    j.append_round(round).map_err(|e| format!("journal {}: {e}", p.display()))?;
-                }
-            }
-            Some(j)
-        }
-        None => None,
-    };
-    let supervisor = Supervisor {
-        journal: journal.as_ref(),
-        resume: replay.as_ref(),
-        abort_after_rounds: None,
-    };
     let quiet = is_quiet(args);
     let cache = open_cache(args);
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let (ladder, code) = run_ladder(&binary, &config, points, &cache, &supervisor)?;
+    let (ladder, code) = run_ladder(&binary, &config, points, &cache)?;
     save_binary(&ladder.outcome.binary, &out)?;
     if !quiet {
         let r = &ladder.outcome.report;
@@ -630,7 +622,7 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
         print_gate(&ladder);
         if ladder.resumed_rounds > 0 {
             println!(
-                "  resumed    : {} journaled round(s) replayed, {} executed",
+                "  resumed    : {} stored round(s) replayed, {} executed",
                 ladder.resumed_rounds,
                 ladder.rounds - ladder.resumed_rounds
             );
@@ -675,7 +667,7 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, String> {
 /// computed for the first binary serve the rest; per-stage hit rates
 /// and cross-binary `shared` counts are reported per binary and in
 /// aggregate. Exit code is the worst per-binary ladder code.
-fn cmd_fleet(args: &[String]) -> Result<u8, String> {
+fn cmd_fleet(args: &[String]) -> Result<u8, Failure> {
     let files: Vec<String> =
         args.iter().take_while(|a| !a.starts_with('-')).cloned().collect();
     if files.is_empty() {
@@ -697,8 +689,7 @@ fn cmd_fleet(args: &[String]) -> Result<u8, String> {
     let mut code = 0u8;
     for (fi, path) in files.iter().enumerate() {
         let binary = load_binary(path)?;
-        let (ladder, c) =
-            run_ladder(&binary, &config, points.clone(), &cache, &Supervisor::default())?;
+        let (ladder, c) = run_ladder(&binary, &config, points.clone(), &cache)?;
         code = code.max(c);
         let out = format!("{path}.rw");
         save_binary(&ladder.outcome.binary, &out)?;
@@ -750,7 +741,7 @@ fn fleet_cell(name: &str, v: &[u64; 3]) -> String {
     format!("{name} {}/{total} hit ({rate:.0}%, shared: {})", v[0], v[2])
 }
 
-fn cmd_verify(args: &[String]) -> Result<u8, String> {
+fn cmd_verify(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
     let binary = load_binary(path)?;
     let (config, points) = parse_rewrite_config(args)?;
@@ -758,7 +749,7 @@ fn cmd_verify(args: &[String]) -> Result<u8, String> {
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let (ladder, code) = run_ladder(&binary, &config, points, &cache, &Supervisor::default())?;
+    let (ladder, code) = run_ladder(&binary, &config, points, &cache)?;
     let report = &ladder.verify;
     if has_flag(args, "--json") {
         println!("{}", report.to_json().map_err(|e| e.to_string())?);
@@ -791,7 +782,7 @@ fn cmd_verify(args: &[String]) -> Result<u8, String> {
 
 /// `icfgp chaos` — one campaign runner; `--kill-resume` and `--net`
 /// select the fault axis.
-fn cmd_chaos(args: &[String]) -> Result<u8, String> {
+fn cmd_chaos(args: &[String]) -> Result<u8, Failure> {
     let axis = match (has_flag(args, "--kill-resume"), has_flag(args, "--net")) {
         (true, true) => {
             eprintln!("error: chaos sweeps one fault axis: --kill-resume or --net, not both");
@@ -813,20 +804,15 @@ fn cmd_chaos(args: &[String]) -> Result<u8, String> {
     if let Some(w) = arg_value(args, "--workloads") {
         config.workloads = w.split(',').map(str::to_string).collect();
     }
-    if has_flag(args, "--arch") {
-        config.arches = vec![parse_arch(args)];
+    if let Some(arch) = choice(args, "--arch", &ARCHES)? {
+        config.arches = vec![arch];
     }
-    if let Some(m) = arg_value(args, "--mode") {
-        config.modes = vec![match m.as_str() {
-            "dir" => RewriteMode::Dir,
-            "jt" => RewriteMode::Jt,
-            "func-ptr" => RewriteMode::FuncPtr,
-            other => return Err(format!("unknown --mode {other}")),
-        }];
+    if let Some(mode) = choice(args, "--mode", &MODES)? {
+        config.modes = vec![mode];
     }
     if let Some(i) = arg_value(args, "--intensity") {
         if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}"));
+            return Err(format!("unknown --intensity {i}").into());
         }
         config.intensity = i;
     }
@@ -1119,16 +1105,16 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else { return usage() };
     let rest = &args[1..];
     let result = match cmd.as_str() {
-        "gen" => cmd_gen(rest).map(|()| 0),
-        "analyze" => cmd_analyze(rest).map(|()| 0),
+        "gen" => cmd_gen(rest),
+        "analyze" => cmd_analyze(rest).map(|()| 0).map_err(Failure::from),
         "audit" => cmd_audit(rest),
         "rewrite" => cmd_rewrite(rest),
         "fleet" => cmd_fleet(rest),
         "verify" => cmd_verify(rest),
-        "run" => cmd_run(rest).map(|()| 0),
+        "run" => cmd_run(rest).map(|()| 0).map_err(Failure::from),
         "chaos" => cmd_chaos(rest),
-        "cache" => cmd_cache(rest),
-        "trace" => cmd_trace(rest),
+        "cache" => cmd_cache(rest).map_err(Failure::from),
+        "trace" => cmd_trace(rest).map_err(Failure::from),
         "list-workloads" => {
             println!("small  firefox  docker  driverlib  switch_demo");
             for n in SPEC_NAMES {
@@ -1140,7 +1126,11 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(code) => ExitCode::from(code),
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::from(64)
+        }
+        Err(Failure::Internal(e)) => {
             eprintln!("error: {e}");
             ExitCode::from(3)
         }

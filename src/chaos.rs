@@ -12,7 +12,7 @@
 //! | axis | injects | oracles |
 //! |---|---|---|
 //! | [`FaultAxis::Seed`] | analysis faults (store I/O faults too, over a store directory) | the ladder converges; the rewrite emulates equivalently; the budget verdict; no verify-forced demotion on an audited-proven function |
-//! | [`FaultAxis::KillResume`] | a kill after every journal boundary | the reference journal is complete; the run stops at exactly round *k*; the journal header matches; at every kill point the resume is byte-identical, has identical dispositions and correct round accounting, and misses strictly fewer stages than cold |
+//! | [`FaultAxis::KillResume`] | a kill after every round boundary, then a plain rerun over the same store; each kill point twice, with the seed's store I/O faults and without them | the run stops at exactly round *k*; at every kill point the rerun is byte-identical, has identical dispositions and the reference's round count, and misses strictly fewer stages than cold; without store faults it replays exactly *k* rounds |
 //! | [`FaultAxis::Net`] | transport faults against a live store server | store conservation for every client; byte identity with a cold run; the 120 s deadline; the server store is undamaged; lookup conservation against a fault-free client; a second warm client is strictly warmer |
 //!
 //! Every case yields one [`CaseResult`]; the cases roll up into a
@@ -20,17 +20,14 @@
 //! exit code.
 
 use icfgp_core::{
-    apply_audit_gate, audit_mode_of, binary_fingerprint, config_fingerprint, CacheStore,
-    DegradationPolicy, FaultPlan, FuncMode, Instrumentation, Points, Registry, RemoteStore,
-    RewriteCache, RewriteConfig, RewriteMode, RewriteStats, RunJournal, StoreBackend,
-    StoreStats, Trace,
+    apply_audit_gate, audit_mode_of, CacheStore, DegradationPolicy, FaultPlan, FuncMode,
+    Instrumentation, Points, Registry, RemoteStore, RewriteCache, RewriteConfig, RewriteMode,
+    RewriteStats, StoreBackend, StoreStats, Trace,
 };
 use icfgp_emu::{run, LoadOptions, Outcome};
 use icfgp_isa::Arch;
 use icfgp_obj::Binary;
-use icfgp_verify::{
-    rewrite_with_ladder_cached, rewrite_with_ladder_supervised, LadderError, Supervisor,
-};
+use icfgp_verify::{rewrite_with_ladder_cached, rewrite_with_ladder_supervised, LadderError};
 use icfgp_workloads::{
     docker_like, driverlib_like, firefox_like, generate, spec_params, switch_demo, GenParams,
     SPEC_NAMES,
@@ -48,8 +45,8 @@ pub enum FaultAxis {
     /// Seeded analysis faults, plus store I/O faults over a store
     /// directory.
     Seed,
-    /// A deterministic kill after every journal boundary, then a
-    /// resume.
+    /// A deterministic kill after every round boundary, then a plain
+    /// rerun over the same store.
     KillResume,
     /// Seeded transport faults against a live in-process store server.
     Net,
@@ -76,7 +73,7 @@ pub struct CampaignConfig {
     /// case: each case's fault plan also arms the store's I/O fault
     /// hooks, so store damage is judged by the same oracles. On the
     /// kill-resume and net axes, the scratch root for each case's
-    /// store, journal and server subdirectories (a temporary
+    /// store and server subdirectories (a temporary
     /// directory when unset); each case empties its subdirectories
     /// before use.
     pub dir: Option<PathBuf>,
@@ -595,7 +592,7 @@ fn seed_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
         unknown: gate.counts.unknown,
         demoted_proven: 0,
     };
-    // No supervisor is attached, so `Interrupted` cannot occur; any
+    // Nothing aborts this ladder, so `Interrupted` cannot occur; any
     // error means the ladder produced no rewrite.
     let ladder = match rewrite_with_ladder_cached(binary, config, &every_block(), cache) {
         Ok(l) => l,
@@ -627,126 +624,98 @@ fn seed_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
 
 /// Kill-resume axis.
 ///
-/// First an uninterrupted supervised run establishes the reference
+/// First an uninterrupted store-backed run establishes the reference
 /// (output bytes, dispositions, cold stage-miss count, round count).
-/// Then for every journal boundary `k` in `1..rounds`, a fresh store
-/// directory hosts a run aborted after `k` rounds (the deterministic
-/// stand-in for SIGKILL — the abort lands after the round's store
-/// flush and journal append, exactly the state a kill leaves behind),
-/// and a process-equivalent (fresh store handle, journal replay)
-/// resumes it; [`resume_at`] judges each kill point.
+/// Then every round boundary `k` in `1..rounds` is killed twice, each
+/// time in a fresh store directory: under the seed's whole plan, store
+/// I/O faults included, and under a copy of the plan without them. A
+/// kill is a run aborted after `k` rounds (the deterministic stand-in
+/// for SIGKILL — the abort lands after the round's record and
+/// per-function results were flushed, exactly the state a kill leaves
+/// behind); a plain rerun over a fresh store handle on the same
+/// directory finishes it, and [`resume_at`] judges it.
 fn kill_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
     let (binary, config) = (case.binary, &case.config);
-    let (bfp, cfp) = (binary_fingerprint(binary), config_fingerprint(config));
+    let mut clean = config.clone();
+    clean.fault_plan = clean.fault_plan.as_ref().map(FaultPlan::without_store_faults);
     let ref_dir = case.fresh_dir("ref")?;
-    let ref_journal = ref_dir.join("run.journal");
     let reference = {
         let cache = RewriteCache::with_store(open_case_store(&ref_dir, case.trace));
-        let journal = RunJournal::create(&ref_journal, bfp, cfp)
-            .map_err(|e| format!("reference journal: {e}"))?;
-        let sup = Supervisor { journal: Some(&journal), ..Supervisor::default() };
-        rewrite_with_ladder_supervised(binary, config, &every_block(), &cache, &sup)
+        rewrite_with_ladder_cached(binary, config, &every_block(), &cache)
             .map_err(|e| format!("reference ladder: {e}"))?
     };
     r.rounds = reference.rounds;
     r.cold_misses = stage_misses(&reference.round_stats);
     let ref_bytes = output_bytes(&reference.outcome.binary);
-    // The reference journal must read back as a completed run.
-    let log = RunJournal::load(&ref_journal).map_err(|e| format!("reference journal load: {e}"))?;
-    if !log.complete || log.rounds.len() != reference.rounds {
-        return Err(format!(
-            "reference journal incomplete: {} round(s), complete={}",
-            log.rounds.len(),
-            log.complete
-        ));
-    }
     emulates_equivalently(binary, &reference.outcome.binary)
         .map_err(|why| format!("reference emulation: {why}"))?;
     r.kill_points = reference.rounds.saturating_sub(1);
     for k in 1..reference.rounds {
-        let misses = resume_at(case, k, &reference, &ref_bytes, r.cold_misses)
-            .map_err(|e| format!("kill point {k}: {e}"))?;
-        r.resumed_misses = r.resumed_misses.max(misses);
+        for (config, store_faults) in [(config, true), (&clean, false)] {
+            let misses =
+                resume_at(case, config, k, store_faults, &reference, &ref_bytes, r.cold_misses)
+                    .map_err(|e| format!("kill point {k} (store faults {store_faults}): {e}"))?;
+            r.resumed_misses = r.resumed_misses.max(misses);
+        }
     }
     Ok(CaseStatus::Clean)
 }
 
-/// One kill point: abort after `k` rounds, resume, and return the
-/// resumed run's stage misses. The oracles: the run stops at exactly
-/// round `k`; the journal replays `k` incomplete rounds under the
-/// reference's header; the resumed output bytes equal `ref_bytes` and
-/// the dispositions equal the reference's; the resume replays `k` of the reference's rounds;
-/// and it misses strictly fewer stages than `cold_misses` — resume
-/// redoes strictly less work.
+/// One kill point: abort after `k` rounds, rerun over the same store,
+/// and return the rerun's stage misses. The oracles: the run stops at
+/// exactly round `k`; the rerun's output bytes equal `ref_bytes` and
+/// its dispositions equal the reference's; it reports the reference's
+/// round count. Without `store_faults` it replays exactly `k` rounds
+/// and misses strictly fewer stages than `cold_misses` — the rerun
+/// redoes strictly less work. With them, it replays at most `k` rounds
+/// and misses no more than `cold_misses`: a torn write of the only
+/// flush before the kill leaves nothing to reuse. (When no store fault
+/// fires, the run is the fault-free one, which the strict oracles
+/// judge.)
 fn resume_at(
     case: &Case,
+    config: &RewriteConfig,
     k: usize,
+    store_faults: bool,
     reference: &icfgp_verify::LadderOutcome,
     ref_bytes: &[u8],
     cold_misses: u64,
 ) -> Result<u64, String> {
-    let (binary, config) = (case.binary, &case.config);
-    let (bfp, cfp) = (binary_fingerprint(binary), config_fingerprint(config));
-    let case_dir = case.fresh_dir(&format!("k{k}"))?;
-    let journal_path = case_dir.join("run.journal");
-    // The run that dies: abort after k journaled-and-flushed rounds,
-    // then drop every handle (the kill).
+    let binary = case.binary;
+    let case_dir = case.fresh_dir(&format!("k{k}{}", if store_faults { "" } else { "-clean" }))?;
+    // The run that dies: abort after k stored-and-flushed rounds, then
+    // drop every handle (the kill).
     {
-        let store = open_case_store(&case_dir, case.trace);
-        let cache = RewriteCache::with_store(store.clone());
-        let journal =
-            RunJournal::create(&journal_path, bfp, cfp).map_err(|e| format!("journal: {e}"))?;
-        let sup = Supervisor {
-            journal: Some(&journal),
-            abort_after_rounds: Some(k),
-            ..Supervisor::default()
-        };
-        match rewrite_with_ladder_supervised(binary, config, &every_block(), &cache, &sup) {
+        let cache = RewriteCache::with_store(open_case_store(&case_dir, case.trace));
+        match rewrite_with_ladder_supervised(binary, config, &every_block(), &cache, Some(k)) {
             Err(LadderError::Interrupted { rounds }) if rounds == k => {}
             Err(e) => return Err(format!("expected interrupt, got: {e}")),
             Ok(_) => return Err("run finished instead of aborting".into()),
         }
-        // Clear any injected-fault backlog so the disk state is exactly
-        // "everything the journal acknowledged": the supervised ladder
-        // flushed each round, but injected lock contention may have
-        // deferred records past the retry budget.
-        store.arm_faults(icfgp_core::StoreFaults::default());
-        store.flush();
     }
-    // The resume: a fresh process-equivalent loads the journal and the
-    // warm store and picks up at round k+1.
-    let replay = RunJournal::load(&journal_path).map_err(|e| format!("journal load: {e}"))?;
-    if replay.complete
-        || replay.rounds.len() != k
-        || replay.header.binary_fp != bfp
-        || replay.header.config_fp != cfp
-    {
-        return Err(format!(
-            "journal replay mismatch ({} round(s), complete={})",
-            replay.rounds.len(),
-            replay.complete
-        ));
-    }
+    // The rerun: a fresh process-equivalent opens the warm store and
+    // replays the stored rounds before it rewrites anything.
     let cache = RewriteCache::with_store(open_case_store(&case_dir, case.trace));
-    let sup = Supervisor { resume: Some(&replay), ..Supervisor::default() };
-    let resumed = rewrite_with_ladder_supervised(binary, config, &every_block(), &cache, &sup)
-        .map_err(|e| format!("resume ladder: {e}"))?;
+    let resumed = rewrite_with_ladder_cached(binary, config, &every_block(), &cache)
+        .map_err(|e| format!("rerun ladder: {e}"))?;
     if output_bytes(&resumed.outcome.binary) != ref_bytes {
-        return Err("resumed bytes diverge from reference".into());
+        return Err("rerun bytes diverge from reference".into());
     }
     if resumed.dispositions != reference.dispositions {
-        return Err("resumed dispositions diverge from reference".into());
+        return Err("rerun dispositions diverge from reference".into());
     }
-    if resumed.rounds != reference.rounds || resumed.resumed_rounds != k {
+    let replay_ok =
+        if store_faults { resumed.resumed_rounds <= k } else { resumed.resumed_rounds == k };
+    if resumed.rounds != reference.rounds || !replay_ok {
         return Err(format!(
-            "resumed {} of {} round(s), expected {k} of {}",
+            "rerun replayed {} of {} round(s), expected {k} of {}",
             resumed.resumed_rounds, resumed.rounds, reference.rounds
         ));
     }
     let misses = stage_misses(&resumed.round_stats);
-    if misses >= cold_misses {
+    if misses > cold_misses || (misses == cold_misses && !store_faults) {
         return Err(format!(
-            "resume recomputed {misses} stage(s), no better than the cold run's {cold_misses}"
+            "rerun recomputed {misses} stage(s), no better than the cold run's {cold_misses}"
         ));
     }
     Ok(misses)

@@ -487,86 +487,100 @@ fn dead_server_rewrite_still_exits_zero() {
     let _ = std::fs::remove_file(&rw2);
 }
 
+/// Rewrite `raw` with the firefox-like run's ladder options (4 rounds
+/// under `--fault-seed 1`) over the store `dir`.
+fn rewrite_over_store(raw: &PathBuf, mode: &str, dir: &PathBuf, out: &PathBuf) -> std::process::Output {
+    icfgp()
+        .args(["rewrite"])
+        .arg(raw)
+        .args(["--mode", mode, "--fault-seed", "1", "--budget", "1.0", "--cache-dir"])
+        .arg(dir)
+        .arg("-o")
+        .arg(out)
+        .output()
+        .expect("rewrite runs")
+}
+
 #[test]
-fn resume_contract_journal_required_and_byte_identical() {
-    let raw = gen_switch_demo();
+fn resume_contract_rerun_over_the_store_is_byte_identical() {
+    let raw = tmp("ff.json");
+    let out = icfgp()
+        .args(["gen", "--workload", "firefox", "-o"])
+        .arg(&raw)
+        .output()
+        .expect("gen runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let rw = tmp("resume-rw.json");
     let rw2 = tmp("resume-rw2.json");
-    let journal = tmp("resume.journal");
     let dir = tmp("resume-store");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // --resume without --journal is a usage error.
-    let out = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--resume", "-o"])
-        .arg(&rw)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(out.status.code(), Some(64), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--journal"));
-
-    // A journaled run followed by --resume replays the journal and
-    // produces byte-identical output under the same exit contract.
-    let first = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--fault-seed", "1", "--budget", "1.0", "--journal"])
-        .arg(&journal)
-        .args(["--cache-dir"])
-        .arg(&dir)
-        .arg("-o")
-        .arg(&rw)
-        .output()
-        .expect("rewrite runs");
+    // A rerun over the same store is the resume: it replays every
+    // stored demotion round (`--fault-seed` leaves the user's store
+    // undamaged) and produces byte-identical output under the same
+    // exit contract.
+    let first = rewrite_over_store(&raw, "func-ptr", &dir, &rw);
     assert_eq!(first.status.code(), Some(1), "{}", String::from_utf8_lossy(&first.stderr));
-    let resumed = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "jt", "--fault-seed", "1", "--budget", "1.0", "--journal"])
-        .arg(&journal)
-        .args(["--resume", "--cache-dir"])
-        .arg(&dir)
-        .arg("-o")
-        .arg(&rw2)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(resumed.status.code(), Some(1), "{}", String::from_utf8_lossy(&resumed.stderr));
-    assert!(
-        String::from_utf8_lossy(&resumed.stdout).contains("resumed"),
-        "{}",
-        String::from_utf8_lossy(&resumed.stdout)
-    );
+    let first_out = String::from_utf8_lossy(&first.stdout);
+    assert!(first_out.contains("ladder     : 4 round(s)"), "{first_out}");
+    assert!(!first_out.contains("resumed"), "a cold store replays nothing: {first_out}");
+    let rerun = rewrite_over_store(&raw, "func-ptr", &dir, &rw2);
+    assert_eq!(rerun.status.code(), Some(1), "{}", String::from_utf8_lossy(&rerun.stderr));
+    let rerun_out = String::from_utf8_lossy(&rerun.stdout);
+    assert!(rerun_out.contains("ladder     : 4 round(s)"), "{rerun_out}");
+    assert!(rerun_out.contains("resumed    : 3 stored round(s) replayed, 1 executed"), "{rerun_out}");
     assert_eq!(
         std::fs::read(&rw).unwrap(),
         std::fs::read(&rw2).unwrap(),
-        "resume must not change output bytes"
+        "a rerun must not change output bytes"
     );
 
-    // Resuming under a different configuration refuses (exit 3): the
-    // journal's config fingerprint no longer matches.
-    let mismatched = icfgp()
-        .args(["rewrite"])
-        .arg(&raw)
-        .args(["--mode", "dir", "--journal"])
-        .arg(&journal)
-        .args(["--resume", "-o"])
-        .arg(&rw2)
-        .output()
-        .expect("rewrite runs");
-    assert_eq!(mismatched.status.code(), Some(3), "{}", String::from_utf8_lossy(&mismatched.stderr));
-    assert!(
-        String::from_utf8_lossy(&mismatched.stderr).contains("refusing to resume"),
-        "{}",
-        String::from_utf8_lossy(&mismatched.stderr)
-    );
+    // A rerun under a different configuration looks up other keys and
+    // replays nothing.
+    let other = rewrite_over_store(&raw, "dir", &dir, &rw2);
+    assert!(other.status.code().is_some_and(|c| c < 3), "{}", String::from_utf8_lossy(&other.stderr));
+    let other_out = String::from_utf8_lossy(&other.stdout);
+    assert!(!other_out.contains("resumed"), "{other_out}");
 
     let _ = std::fs::remove_file(&raw);
     let _ = std::fs::remove_file(&rw);
     let _ = std::fs::remove_file(&rw2);
-    let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unknown value for `--mode`, `--unwind`, `--points` or `--arch`
+/// is a usage error naming the accepted values, on every subcommand
+/// that takes the flag — never a silent default.
+#[test]
+fn unknown_option_values_are_usage_errors() {
+    let raw = gen_switch_demo();
+    let rw = tmp("badval.json");
+    let modes = "dir|jt|func-ptr";
+    let arches = "x86-64|ppc64le|aarch64";
+    let file = raw.to_str().unwrap();
+    let out = rw.to_str().unwrap();
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["rewrite", file, "--mode", "funcptr", "-o", out], modes),
+        (vec!["rewrite", file, "--unwind", "dwarf", "-o", out], "ra|emulate|none"),
+        (vec!["rewrite", file, "--points", "all", "-o", out], "blocks|entries|none"),
+        (vec!["verify", file, "--mode", "funcptr"], modes),
+        (vec!["verify", file, "--points", "all"], "blocks|entries|none"),
+        (vec!["audit", file, "--mode", "funcptr"], modes),
+        (vec!["fleet", file, "--mode", "funcptr"], modes),
+        (vec!["chaos", "--mode", "funcptr", "--seeds", "1"], modes),
+        (vec!["chaos", "--arch", "arm64", "--seeds", "1"], arches),
+        (vec!["gen", "--workload", "small", "--arch", "arm64", "-o", out], arches),
+    ];
+    for (args, accepted) in cases {
+        let run = icfgp().args(&args).output().expect("icfgp runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(64), "{args:?}: {stderr}");
+        assert!(stderr.contains(accepted), "{args:?} must name {accepted}: {stderr}");
+    }
+    assert!(!rw.exists(), "a usage error writes no output");
+    let fleet_out = PathBuf::from(format!("{file}.rw"));
+    assert!(!fleet_out.exists(), "a usage error writes no fleet output");
+    let _ = std::fs::remove_file(&raw);
 }
 
 #[test]

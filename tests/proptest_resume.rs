@@ -1,28 +1,34 @@
-//! Crash-resume equivalence (satellite of the supervised-rewriting
-//! PR): killing a journaled ladder run at *any* journal boundary and
-//! resuming it must reproduce the uninterrupted run exactly —
+//! Crash-resume equivalence: killing a store-backed ladder run at *any*
+//! round boundary and rerunning it over the same store must reproduce
+//! the uninterrupted run exactly —
 //!
-//! 1. **Byte identity** — the resumed outcome's binary serialises to
-//!    the same bytes as the uninterrupted reference;
+//! 1. **Byte identity** — the rerun's binary serialises to the same
+//!    bytes as the uninterrupted reference;
 //! 2. **Disposition identity** — per-function `FuncDisposition`
 //!    records (achieved modes, ladder steps, failures) are equal;
-//! 3. **Accounting** — the resumed run reports the same total round
-//!    count, with exactly the killed rounds replayed;
+//! 3. **Accounting** — the rerun reports the same total round count,
+//!    with at most the killed rounds replayed from the store, and
+//!    exactly them when no store fault is armed;
 //!
 //! across workload seeds, rewrite modes, fault seeds and thread
-//! counts. Kills are the supervisor's deterministic abort, which
-//! lands after a round's store flush + journal append — exactly the
-//! disk state SIGKILL leaves behind.
+//! counts. Kills are the ladder's deterministic abort, which lands
+//! after a round's record and results were flushed — exactly the disk
+//! state SIGKILL leaves behind. Every kill point runs twice: under the
+//! seed's whole plan, whose analysis faults make the multi-round
+//! ladders and whose store I/O faults may cost the rerun replayed
+//! rounds (never bytes), and under a copy of the plan without store
+//! faults, which must replay exactly the killed rounds.
 
 use incremental_cfg_patching::core::{
-    binary_fingerprint, config_fingerprint, CacheStore, FaultPlan, Instrumentation, Points,
-    RewriteCache, RewriteConfig, RewriteMode, RunJournal,
+    CacheStore, FaultPlan, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode,
 };
 use incremental_cfg_patching::isa::Arch;
-use incremental_cfg_patching::verify::{rewrite_with_ladder_supervised, LadderError, Supervisor};
+use incremental_cfg_patching::verify::{
+    rewrite_with_ladder_cached, rewrite_with_ladder_supervised, LadderError,
+};
 use incremental_cfg_patching::workloads::{generate, GenParams};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn arb_mode() -> impl Strategy<Value = RewriteMode> {
@@ -37,6 +43,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+fn open(dir: &Path) -> RewriteCache {
+    RewriteCache::with_store(Arc::new(CacheStore::open(dir)))
 }
 
 proptest! {
@@ -57,76 +67,53 @@ proptest! {
         let mut config = RewriteConfig::new(mode);
         // Standard intensity forces multi-round ladders on most seeds;
         // single-round cases exercise the trivial no-kill-point path.
-        config.fault_plan = FaultPlan::named("standard", fault_seed);
+        config.fault_plan = Some(FaultPlan::standard(fault_seed));
         config.degradation.max_below_floor = 1.0;
+        let mut clean = config.clone();
+        clean.fault_plan = clean.fault_plan.as_ref().map(FaultPlan::without_store_faults);
         let instr = Instrumentation::empty(Points::EveryBlock);
-        let bfp = binary_fingerprint(&w.binary);
-        let cfp = config_fingerprint(&config);
 
-        // Uninterrupted reference, journaled and store-backed like the
-        // runs under test.
+        // Uninterrupted reference, store-backed like the runs under
+        // test.
         let scratch = tmp_dir(&format!("{mode}-{wl_seed}-{fault_seed}-{threads}"));
-        let ref_dir = scratch.join("ref");
-        let reference = {
-            let store = Arc::new(CacheStore::open(&ref_dir));
-            let cache = RewriteCache::with_store(store);
-            let journal = RunJournal::create(&ref_dir.join("run.journal"), bfp, cfp)
-                .map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let sup = Supervisor { journal: Some(&journal), ..Supervisor::default() };
-            rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache, &sup)
-                .map_err(|e| TestCaseError::fail(format!("reference ladder: {e}")))?
-        };
+        let reference = rewrite_with_ladder_cached(&w.binary, &config, &instr, &open(&scratch.join("ref")))
+            .map_err(|e| TestCaseError::fail(format!("reference ladder: {e}")))?;
+        prop_assert_eq!(reference.resumed_rounds, 0, "a fresh store replays nothing");
         let ref_bytes = serde_json::to_vec(&reference.outcome.binary).unwrap();
 
         for k in 1..reference.rounds {
-            let case_dir = scratch.join(format!("k{k}"));
-            let journal_path = case_dir.join("run.journal");
-            {
-                let store = Arc::new(CacheStore::open(&case_dir));
-                let cache = RewriteCache::with_store(store);
-                let journal = RunJournal::create(&journal_path, bfp, cfp)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let sup = Supervisor {
-                    journal: Some(&journal),
-                    abort_after_rounds: Some(k),
-                    ..Supervisor::default()
-                };
-                match rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache, &sup) {
+            for (tag, config, exact) in [("faulted", &config, false), ("clean", &clean, true)] {
+                let case_dir = scratch.join(format!("k{k}-{tag}"));
+                match rewrite_with_ladder_supervised(&w.binary, config, &instr, &open(&case_dir), Some(k)) {
                     Err(LadderError::Interrupted { rounds }) => prop_assert_eq!(rounds, k),
                     other => {
                         return Err(TestCaseError::fail(format!(
-                            "kill point {k}: expected interrupt, got {other:?}"
+                            "kill point {k} ({tag}): expected interrupt, got {other:?}"
                         )))
                     }
                 }
+                let resumed = rewrite_with_ladder_cached(&w.binary, config, &instr, &open(&case_dir))
+                    .map_err(|e| TestCaseError::fail(format!("kill point {k} ({tag}): rerun: {e}")))?;
+                prop_assert_eq!(
+                    serde_json::to_vec(&resumed.outcome.binary).unwrap(),
+                    ref_bytes.clone(),
+                    "kill point {} ({}): rerun bytes diverge",
+                    k,
+                    tag
+                );
+                prop_assert_eq!(
+                    &resumed.dispositions,
+                    &reference.dispositions,
+                    "kill point {} ({}): rerun dispositions diverge",
+                    k,
+                    tag
+                );
+                prop_assert_eq!(resumed.rounds, reference.rounds);
+                prop_assert!(resumed.resumed_rounds <= k, "kill point {} ({})", k, tag);
+                if exact {
+                    prop_assert_eq!(resumed.resumed_rounds, k);
+                }
             }
-            let replay = RunJournal::load(&journal_path)
-                .map_err(|e| TestCaseError::fail(format!("kill point {k}: {e}")))?;
-            prop_assert_eq!(replay.rounds.len(), k, "journal must hold the killed rounds");
-            prop_assert!(!replay.complete, "a killed run must not read as complete");
-            prop_assert_eq!(replay.header.binary_fp, bfp);
-            prop_assert_eq!(replay.header.config_fp, cfp);
-            let resumed = {
-                let store = Arc::new(CacheStore::open(&case_dir));
-                let cache = RewriteCache::with_store(store);
-                let sup = Supervisor { resume: Some(&replay), ..Supervisor::default() };
-                rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache, &sup)
-                    .map_err(|e| TestCaseError::fail(format!("kill point {k}: resume: {e}")))?
-            };
-            prop_assert_eq!(
-                serde_json::to_vec(&resumed.outcome.binary).unwrap(),
-                ref_bytes.clone(),
-                "kill point {}: resumed bytes diverge",
-                k
-            );
-            prop_assert_eq!(
-                &resumed.dispositions,
-                &reference.dispositions,
-                "kill point {}: resumed dispositions diverge",
-                k
-            );
-            prop_assert_eq!(resumed.rounds, reference.rounds);
-            prop_assert_eq!(resumed.resumed_rounds, k);
         }
         let _ = std::fs::remove_dir_all(&scratch);
     }

@@ -6,7 +6,7 @@
 //!    [`Rewriter::with_threads`] and end-to-end via `ICFGP_THREADS`
 //!    on the CLI with `--trace`;
 //! 2. warm and cold runs of the same input agree on the structural
-//!    projection (span tree, demotions, journal appends) — they take
+//!    projection (span tree, demotions) — they take
 //!    different cache paths but the same shape;
 //! 3. recording the stream changes neither output bytes nor any
 //!    registry counter: tracing *is* the stats mechanism, the buffer

@@ -2,14 +2,15 @@
 //! vendored `serde`'s `to_bin`/`from_bin`) over real payloads:
 //!
 //! 1. **Canonical round trip** — on libxul-, driverlib- and gcc-like
-//!    inputs for every architecture, each record a store persists (all
-//!    five stages, audit included) decodes and re-encodes to identical
-//!    bytes.
+//!    inputs for every architecture, each record a store persists
+//!    (every stage, audit and ladder rounds included) decodes and
+//!    re-encodes to identical bytes.
 //! 2. **Hostile bytes** — seeded bit flips, truncations, inflated
 //!    length prefixes and appended bytes over every stage's payloads
 //!    make the decoder return an error or a value, never panic; and a
 //!    value it does return re-encodes to exactly the mutated bytes.
 
+use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, InjectedFault};
 use incremental_cfg_patching::core::cache::recode_payload;
 use incremental_cfg_patching::core::{
     CacheStore, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Stage,
@@ -40,22 +41,38 @@ fn inputs(arch: Arch) -> Vec<(&'static str, Binary)> {
     ]
 }
 
-/// Fill a store at `dir` with one audit-gated ladder run over `binary`,
-/// so every stage persists records.
-fn populate(dir: &Path, binary: &Binary) {
+/// Fill a store at `dir` with an audit-gated ladder run over `binary`,
+/// so every per-function stage and the audit persist records, and —
+/// when `binary` has a jump table — an ungated run whose
+/// under-approximated table forces demotion rounds, so ladder rounds
+/// persist too. Returns whether it did the latter.
+fn populate(dir: &Path, binary: &Binary) -> bool {
     let _ = std::fs::remove_dir_all(dir);
     let cache = RewriteCache::with_store(Arc::new(CacheStore::open(dir)));
-    let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
-    config.audit_gate = true;
-    rewrite_with_ladder_cached(
-        binary,
-        &config,
-        &Instrumentation::empty(Points::EveryBlock),
-        &cache,
-    )
-    .expect("populate run");
+    let mut gated = RewriteConfig::new(RewriteMode::FuncPtr);
+    gated.audit_gate = true;
+    let jump_addr = analyze(binary, &AnalysisConfig::default())
+        .funcs
+        .values()
+        .find_map(|f| f.jump_tables.first().map(|jt| jt.jump_addr));
+    let demoting = jump_addr.map(|jump_addr| {
+        let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
+        config.analysis.inject = vec![InjectedFault::UnderApproximateTable { jump_addr, drop: 1 }];
+        config.degradation.max_below_floor = 1.0;
+        config
+    });
+    for config in std::iter::once(gated).chain(demoting) {
+        rewrite_with_ladder_cached(
+            binary,
+            &config,
+            &Instrumentation::empty(Points::EveryBlock),
+            &cache,
+        )
+        .expect("populate run");
+    }
     // The ladder flushes after every round; this catches any remainder.
     cache.flush_store();
+    jump_addr.is_some()
 }
 
 /// Every `(stage, payload)` in the store's segment files, read straight
@@ -79,6 +96,7 @@ fn records(dir: &Path) -> Vec<(Stage, Vec<u8>)> {
                 2 => Stage::Liveness,
                 3 => Stage::Fragment,
                 5 => Stage::Audit,
+                6 => Stage::Ladder,
                 tag => panic!("{}: unknown stage tag {tag}", path.display()),
             };
             let len = u32::from_le_bytes(data[at + 9..at + 13].try_into().unwrap()) as usize;
@@ -94,9 +112,11 @@ fn every_stored_payload_re_encodes_identically() {
     for arch in [Arch::X64, Arch::Aarch64, Arch::Ppc64le] {
         for (name, binary) in inputs(arch) {
             let dir = tmp_dir(&format!("roundtrip-{name}-{arch:?}"));
-            populate(&dir, &binary);
+            let demoted = populate(&dir, &binary);
             let recs = records(&dir);
-            for stage in Stage::ALL {
+            // The driverlib-like input has no jump table, so nothing
+            // on it demotes and it stores no ladder round.
+            for stage in Stage::ALL.into_iter().filter(|&s| demoted || s != Stage::Ladder) {
                 assert!(
                     recs.iter().any(|(s, _)| *s == stage),
                     "{name}/{arch:?}: no {} record persisted",
@@ -167,7 +187,7 @@ fn hostile_payloads_are_errors_or_values_never_panics() {
     for arch in [Arch::X64, Arch::Aarch64, Arch::Ppc64le] {
         let dir = tmp_dir(&format!("hostile-{arch:?}"));
         let (_, binary) = inputs(arch).swap_remove(0);
-        populate(&dir, &binary);
+        assert!(populate(&dir, &binary), "the libxul-like input has jump tables");
         let recs = records(&dir);
         let mut rejected = [0usize; Stage::ALL.len()];
         for (i, stage) in Stage::ALL.into_iter().enumerate() {

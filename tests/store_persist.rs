@@ -12,7 +12,11 @@
 //! * two stores open on one directory at once both persist, each flush
 //!   into its own segment;
 //! * the exact per-stage and store lookup accounting of a cold, warm
-//!   and corrupted ladder and of the audit gate.
+//!   and corrupted ladder and of the audit gate;
+//! * a rerun of a finished ladder over its store replays every
+//!   demotion round and executes only the final one, and a stored
+//!   round that fails to decode or to re-validate is quarantined and
+//!   costs rounds, never bytes.
 
 use incremental_cfg_patching::core::{
     CacheStore, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter, Stage,
@@ -343,7 +347,7 @@ fn two_writers_share_one_directory() {
 /// Per-stage `(hits, misses, shared)` in `Stage::ALL` order, plus the
 /// store's `(lookups, hits, misses, lookup_quarantines,
 /// quarantined_records)`, as totals on the cache's trace.
-type Accounting = ([(u64, u64, u64); 4], (u64, u64, u64, u64, u64));
+type Accounting = ([(u64, u64, u64); 5], (u64, u64, u64, u64, u64));
 
 fn accounting(cache: &RewriteCache) -> Accounting {
     let trace = cache.trace();
@@ -358,8 +362,8 @@ fn accounting(cache: &RewriteCache) -> Accounting {
 
 /// Lookup-time quarantines per stage, in `Stage::ALL` order, from a
 /// recorded trace stream.
-fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 4] {
-    let mut out = [0u64; 4];
+fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 5] {
+    let mut out = [0u64; 5];
     for ev in events {
         if let TraceEvent::Store { op: StoreOp::LookupQuarantine { stage }, .. } = ev {
             out[Stage::ALL.iter().position(|s| s == stage).expect("stage")] += 1;
@@ -376,23 +380,30 @@ fn quarantines_by_stage(events: &[TraceEvent]) -> [u64; 4] {
 /// every stage lookup, so a change to the lookup path that silently
 /// stops hitting (or starts double-counting) fails here even when the
 /// output bytes stay identical.
-#[test]
-fn lookup_accounting_is_pinned() {
+/// `func-ptr` over `small` with one under-approximated jump table: the
+/// injected fault forces a 4-round ladder (3 demotion rounds).
+fn faulted_ladder_config(binary: &incremental_cfg_patching::obj::Binary) -> RewriteConfig {
     use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, InjectedFault};
-    use incremental_cfg_patching::core::apply_audit_gate;
-    use incremental_cfg_patching::verify::rewrite_with_ladder_cached;
-    let dir = tmp_dir("accounting");
-    let binary = small_binary(7);
-    // One under-approximated jump table forces a demotion round, so
-    // the later rounds exercise in-memory hits on top of the store.
     let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
-    let jump_addr = analyze(&binary, &AnalysisConfig::default())
+    let jump_addr = analyze(binary, &AnalysisConfig::default())
         .funcs
         .values()
         .find_map(|f| f.jump_tables.first().map(|jt| jt.jump_addr))
         .expect("small has a jump table");
     config.analysis.inject = vec![InjectedFault::UnderApproximateTable { jump_addr, drop: 1 }];
     config.degradation.max_below_floor = 1.0;
+    config
+}
+
+#[test]
+fn lookup_accounting_is_pinned() {
+    use incremental_cfg_patching::core::apply_audit_gate;
+    use incremental_cfg_patching::verify::rewrite_with_ladder_cached;
+    let dir = tmp_dir("accounting");
+    let binary = small_binary(7);
+    // One under-approximated jump table forces demotion rounds, so
+    // the later rounds exercise in-memory hits on top of the store.
+    let config = faulted_ladder_config(&binary);
     let ladder = |cache: &RewriteCache| {
         rewrite_with_ladder_cached(&binary, &config, &instr(), cache).expect("ladder")
     };
@@ -434,27 +445,178 @@ fn lookup_accounting_is_pinned() {
     let gate_acc = accounting(&gate_cache);
     drop(gate_cache);
 
-    // Stage order: func, liveness, fragment, audit.
+    // Stage order: func, liveness, fragment, audit, ladder. The cold
+    // ladder looks up round 1 in the store once (a miss) and stores
+    // its 3 demotion rounds. The warm ladder replays those 3 rounds
+    // (3 ladder hits, then the miss for round 4) and executes only
+    // round 4: 13 lookups per per-function stage, all store hits.
     assert_eq!(
         cold_acc,
-        ([(0, 13, 0), (39, 13, 0), (36, 16, 0), (0, 0, 0)], (42, 0, 42, 0, 0)),
+        ([(0, 13, 0), (39, 13, 0), (36, 16, 0), (0, 0, 0), (0, 1, 0)], (43, 0, 43, 0, 0)),
         "cold ladder"
     );
     assert_eq!(
         warm_acc,
-        ([(13, 0, 0), (52, 0, 0), (52, 0, 0), (0, 0, 0)], (42, 42, 0, 0, 0)),
+        ([(13, 0, 0), (13, 0, 0), (13, 0, 0), (0, 0, 0), (3, 1, 0)], (43, 42, 1, 0, 0)),
         "warm ladder"
     );
+    assert_eq!((warm_out.resumed_rounds, warm_out.round_stats.len()), (3, 1));
     assert_eq!(
         faulty_acc,
-        ([(13, 0, 0), (52, 0, 0), (47, 5, 0), (0, 0, 0)], (42, 37, 0, 5, 5)),
+        ([(13, 0, 0), (13, 0, 0), (8, 5, 0), (0, 0, 0), (3, 1, 0)], (43, 37, 1, 5, 5)),
         "warm ladder with patch-point corruption"
     );
-    assert_eq!(quarantined, [0, 0, 5, 0], "only the fragment stage quarantines");
+    assert_eq!(quarantined, [0, 0, 5, 0, 0], "only the fragment stage quarantines");
     assert_eq!(
         gate_acc,
-        ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 1, 0)], (1, 0, 1, 0, 0)),
+        ([(0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 1, 0), (0, 0, 0)], (1, 0, 1, 0, 0)),
         "audit gate twice"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rerun of a finished 4-round ladder over its re-opened store
+/// replays the 3 stored demotion rounds, executes only the clean final
+/// round, and reproduces the cold run's bytes and dispositions. Store
+/// damage after the run may cost replayed rounds, never bytes.
+#[test]
+fn finished_ladder_rerun_replays_every_demotion_round() {
+    use incremental_cfg_patching::core::{store, CorruptKind};
+    use incremental_cfg_patching::verify::rewrite_with_ladder_cached;
+    let dir = tmp_dir("rerun");
+    let binary = small_binary(7);
+    let config = faulted_ladder_config(&binary);
+    let ladder = |cache: &RewriteCache| {
+        rewrite_with_ladder_cached(&binary, &config, &instr(), cache).expect("ladder")
+    };
+    let open = || RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
+    let cold = ladder(&open());
+    assert_eq!((cold.rounds, cold.resumed_rounds), (4, 0));
+    let storeless = ladder(&RewriteCache::new());
+    assert_eq!(storeless.outcome.binary, cold.outcome.binary);
+
+    let rerun = ladder(&open());
+    assert_eq!((rerun.rounds, rerun.resumed_rounds, rerun.round_stats.len()), (4, 3, 1));
+    assert_eq!(rerun.outcome.binary, cold.outcome.binary);
+    assert_eq!(rerun.dispositions, cold.dispositions);
+
+    for (kind, seed) in [(CorruptKind::BitFlip, 1), (CorruptKind::Truncate, 2), (CorruptKind::BitFlip, 3)] {
+        store::corrupt_dir(&dir, kind, seed).expect("corrupt");
+        let damaged = ladder(&open());
+        assert_eq!(damaged.outcome.binary, cold.outcome.binary, "{kind:?} {seed}");
+        assert_eq!(damaged.dispositions, cold.dispositions, "{kind:?} {seed}");
+        assert_eq!(damaged.rounds, 4, "{kind:?} {seed}");
+        assert!(damaged.resumed_rounds <= 3, "{kind:?} {seed}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rerun that replays stored rounds keeps the cold run's trace
+/// structure: the same round spans and demotions (so `trace summarize`
+/// and `trace diff` count the same ladder), while a replayed round
+/// holds no rewrite spans because it rewrites nothing. Flush spans are
+/// dropped on both sides: a flush opens one only when it has records to
+/// write, which a warm run may not.
+#[test]
+fn replayed_rounds_keep_the_cold_trace_structure() {
+    use incremental_cfg_patching::core::trace::structural_lines;
+    use incremental_cfg_patching::core::SpanKind;
+    use incremental_cfg_patching::verify::rewrite_with_ladder_cached;
+    let dir = tmp_dir("trace-structure");
+    let binary = small_binary(7);
+    let config = faulted_ladder_config(&binary);
+    let run = || {
+        let cache = RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
+        cache.trace().record();
+        let out = rewrite_with_ladder_cached(&binary, &config, &instr(), &cache).expect("ladder");
+        (out, cache.trace().sealed())
+    };
+    let (cold, cold_events) = run();
+    let (warm, warm_events) = run();
+    assert_eq!((cold.rounds, warm.rounds, warm.resumed_rounds), (4, 4, 3));
+    assert_eq!(warm.outcome.binary, cold.outcome.binary);
+
+    // The events inside rounds 1..=replayed, other than the round spans
+    // and demotions, are what a replay skips.
+    let shape = |events: &[TraceEvent], replayed: u32| {
+        let mut round = 0;
+        let kept: Vec<TraceEvent> = events
+            .iter()
+            .filter(|e| match e {
+                TraceEvent::SpanOpen { span: SpanKind::Round { round: r } } => {
+                    round = *r;
+                    true
+                }
+                TraceEvent::SpanClose { span: SpanKind::Round { .. }, .. } => {
+                    round = 0;
+                    true
+                }
+                TraceEvent::SpanOpen { span: SpanKind::StoreFlush }
+                | TraceEvent::SpanClose { span: SpanKind::StoreFlush, .. } => false,
+                TraceEvent::Demotion { .. } => true,
+                _ => round == 0 || round > replayed,
+            })
+            .cloned()
+            .collect();
+        structural_lines(&kept)
+    };
+    let warm_shape = shape(&warm_events, 0);
+    assert_eq!(warm_shape, shape(&cold_events, 3));
+    let count = |lines: &[String], needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+    assert_eq!(count(&warm_shape, "\"demotion\""), count(&shape(&cold_events, 0), "\"demotion\""));
+    assert!(count(&warm_shape, "\"demotion\"") > 0, "the faulted ladder demotes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stored round the ladder could not have produced — one that fails
+/// to decode, or whose demotion starts from the wrong rung — is
+/// quarantined; replay stops there and the output equals the cold
+/// bytes.
+#[test]
+fn invalid_ladder_record_is_quarantined_and_replays_nothing() {
+    use incremental_cfg_patching::core::{
+        binary_fingerprint, config_fingerprint, ladder_key, FuncMode, LadderRound, LadderStep,
+    };
+    use incremental_cfg_patching::verify::{rewrite_with_ladder_cached, LADDER_POLICY};
+    let binary = small_binary(7);
+    let config = faulted_ladder_config(&binary);
+    let cold = rewrite_with_ladder_cached(&binary, &config, &instr(), &RewriteCache::new())
+        .expect("cold ladder");
+    let key = ladder_key(
+        binary_fingerprint(&binary),
+        config_fingerprint(&config),
+        &instr(),
+        LADDER_POLICY,
+        1,
+    );
+    let entry = binary.functions().next().expect("a function").addr;
+    // The ladder starts every function at func-ptr, so a first-round
+    // demotion from jt names the wrong rung.
+    let step = LadderStep {
+        from: FuncMode::Full(RewriteMode::Jt),
+        to: FuncMode::Full(RewriteMode::Dir),
+        reason: "forged".into(),
+    };
+    let wrong_from = LadderRound { demotions: [(entry, step)].into() };
+    let records = [
+        ("wrong-from", serde::to_bin(&wrong_from)),
+        ("undecodable", vec![0xff; 7]),
+    ];
+    for (tag, payload) in records {
+        let dir = tmp_dir(&format!("bad-ladder-{tag}"));
+        {
+            let store = CacheStore::open(&dir);
+            store.put(Stage::Ladder, key, payload);
+            assert_eq!(store.flush(), 1, "{tag}");
+        }
+        let cache = RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
+        cache.trace().record();
+        let out = rewrite_with_ladder_cached(&binary, &config, &instr(), &cache).expect("ladder");
+        assert_eq!(out.outcome.binary, cold.outcome.binary, "{tag}");
+        assert_eq!(out.dispositions, cold.dispositions, "{tag}");
+        assert_eq!((out.rounds, out.resumed_rounds), (4, 0), "{tag}");
+        assert_eq!(quarantines_by_stage(&cache.trace().sealed()), [0, 0, 0, 0, 1], "{tag}");
+        assert_eq!(cache.store_stats().lookup_quarantines, 1, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
