@@ -91,7 +91,7 @@ pub struct FaultPlan {
     pub corrupt_patch_point: f64,
     /// Probability a remote-store exchange is delayed
     /// [`FaultPlan::net_delay_ms`] before sending. Net faults damage
-    /// only the transport — the client's retry/hedge/degrade ladder
+    /// only the transport — the client's retry/breaker ladder
     /// absorbs them, so output bytes never change and runs stay
     /// bounded.
     #[serde(default)]
@@ -243,6 +243,20 @@ impl FaultPlan {
             store_torn_write: 0.0,
             store_bit_flip: 0.0,
             store_lock_contention: 0.0,
+            ..self.clone()
+        }
+    }
+
+    /// This plan with its network fault classes cleared and every other
+    /// class kept (a warm-pair oracle runs over a clean wire).
+    #[must_use]
+    pub fn without_net_faults(&self) -> FaultPlan {
+        FaultPlan {
+            net_delay: 0.0,
+            net_drop: 0.0,
+            net_torn_response: 0.0,
+            net_bit_flip_reply: 0.0,
+            net_kill_mid_put: 0.0,
             ..self.clone()
         }
     }

@@ -38,17 +38,14 @@
 //! 1. transient faults (timeout, refused connection, short read, torn
 //!    frame, checksum mismatch) get deterministically jittered bounded
 //!    retries ([`RetryPolicy`]);
-//! 2. a failed or missed read hedges to the read-only **local
-//!    overflow store** (the `--cache-dir`, when one is given);
-//! 3. enough *consecutive* transport failures or unexpected replies
-//!    trip the per-connection **circuit breaker**, degrading the client
-//!    to fully-local operation for the rest of the run — pending
-//!    records flush to the overflow store instead.
+//! 2. enough *consecutive* transport failures or unexpected replies
+//!    trip the per-connection **circuit breaker**: for the rest of the
+//!    run every lookup misses and records not yet sent are dropped.
 
 use crate::retry::RetryPolicy;
 use crate::store::{
-    encode_frame, push_event, scan_frames, CacheStore, FaultRng, Stage, StoreBackend, StoreEvent,
-    StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
+    checksum64, encode_frame, push_event, scan_frames, CacheStore, FaultRng, Stage, StoreBackend,
+    StoreEvent, StoreEventKind, StoreFaults, StoreStats, FORMAT_VERSION, FRAME_LEN, KEY_EPOCH,
 };
 use crate::trace::{StoreOp, StoreSrc, Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -230,7 +227,7 @@ pub fn parse_store_url(raw: &str) -> Result<StoreUrl, String> {
 /// Deterministic network fault injection for the remote-store
 /// transport, armed by the [`FaultPlan`](crate::FaultPlan) `net_*`
 /// knobs. Faults only ever damage the *transport* — the client's
-/// retry/hedge/degrade ladder must absorb every one of them without
+/// retry/breaker ladder must absorb every one of them without
 /// changing output bytes or hanging.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct NetFaults {
@@ -242,11 +239,13 @@ pub struct NetFaults {
     pub delay_ms: u64,
     /// Probability the connection drops before the request is sent.
     pub drop: f64,
-    /// Probability the response arrives torn (truncated mid-frame,
-    /// surfacing as the same error a real short read produces).
+    /// Probability the response arrives torn: the encoded reply is cut
+    /// short and decoded, surfacing as the error a real short read
+    /// produces.
     pub torn_response: f64,
-    /// Probability the response fails its frame checksum (a lying
-    /// server or an on-path bit flip; caught by validation).
+    /// Probability one bit of the encoded response is flipped (a lying
+    /// server or an on-path bit flip) before it is decoded; frame
+    /// validation must catch it.
     pub bit_flip_reply: f64,
     /// Probability the server dies mid-`PUT`: the reply never arrives
     /// and (with an in-process server) every later connection is
@@ -333,8 +332,8 @@ impl Transport for TcpTransport {
 }
 
 /// A transport to a host that could not even be resolved: every
-/// exchange fails immediately. The client's breaker degrades it to
-/// fully-local operation after the usual budget.
+/// exchange fails immediately. The client's breaker trips after the
+/// usual budget.
 struct UnresolvedTransport(String);
 
 impl Transport for UnresolvedTransport {
@@ -347,11 +346,16 @@ impl Transport for UnresolvedTransport {
 }
 
 /// A fault-injecting wrapper around any [`Transport`] (chaos
-/// campaigns). Draws are deterministic in [`NetFaults::seed`].
+/// campaigns). Draws are deterministic in [`NetFaults::seed`]. A torn
+/// or bit-flipped reply is damaged on its encoded bytes, which then go
+/// through the frame decoder like a reply off the wire.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     faults: NetFaults,
     rng: FaultRng,
+    /// Exchanges so far: with the seed, it picks where a reply is
+    /// damaged, leaving the fault decisions to `rng` alone.
+    exchanges: u64,
     injected: Arc<AtomicU64>,
     kill: Option<Arc<AtomicBool>>,
 }
@@ -369,6 +373,7 @@ impl FaultyTransport {
         FaultyTransport {
             inner,
             rng: FaultRng(faults.seed ^ 0x0051_570F_4E45_5400_u64),
+            exchanges: 0,
             faults,
             injected: Arc::new(AtomicU64::new(0)),
             kill,
@@ -394,6 +399,7 @@ impl Transport for FaultyTransport {
         payload: &[u8],
     ) -> std::io::Result<(u8, u64, Vec<u8>)> {
         let f = self.faults;
+        self.exchanges += 1;
         if self.rng.chance(f.delay) && f.delay_ms > 0 {
             self.inject();
             std::thread::sleep(Duration::from_millis(f.delay_ms));
@@ -419,21 +425,21 @@ impl Transport for FaultyTransport {
             ));
         }
         let reply = self.inner.exchange(tag, key, payload)?;
-        if self.rng.chance(f.torn_response) {
-            self.inject();
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "injected torn response",
-            ));
+        let torn = self.rng.chance(f.torn_response);
+        if !torn && !self.rng.chance(f.bit_flip_reply) {
+            return Ok(reply);
         }
-        if self.rng.chance(f.bit_flip_reply) {
-            self.inject();
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "injected bit-flipped response (frame checksum mismatch)",
-            ));
+        self.inject();
+        let mut wire = Vec::new();
+        write_message(&mut wire, reply.0, reply.1, &reply.2)?;
+        let at = checksum64(&[&f.seed.to_le_bytes(), &self.exchanges.to_le_bytes()]) as usize;
+        if torn {
+            wire.truncate(at % wire.len());
+        } else {
+            let bit = at % (wire.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
         }
-        Ok(reply)
+        read_message(&mut wire.as_slice(), response_tag)
     }
 }
 
@@ -737,14 +743,10 @@ fn serve_connection(shared: &ServerShared, mut stream: TcpStream) {
 /// Client construction knobs for [`RemoteStore`].
 #[derive(Debug, Clone)]
 pub struct RemoteOptions {
-    /// Local overflow store directory: hedged reads probe it, and a
-    /// degraded client flushes into it. `None` means degrade to
-    /// in-memory-only (every store lookup misses).
-    pub overflow_dir: Option<PathBuf>,
     /// Per-exchange connect/read/write timeout.
     pub timeout: Duration,
     /// Consecutive transport failures before the circuit breaker
-    /// trips and the client degrades to fully-local operation.
+    /// trips and every later lookup misses.
     pub breaker_threshold: u32,
     /// Retry policy for transient transport faults.
     pub retry: RetryPolicy,
@@ -756,7 +758,6 @@ pub struct RemoteOptions {
 impl Default for RemoteOptions {
     fn default() -> RemoteOptions {
         RemoteOptions {
-            overflow_dir: None,
             timeout: Duration::from_millis(1000),
             breaker_threshold: 4,
             retry: RetryPolicy::default(),
@@ -775,8 +776,8 @@ fn op_name(tag: u8) -> &'static str {
 }
 
 /// The remote store backend: a [`StoreBackend`] whose records live on
-/// an `icfgp cache serve` server, with bounded retries, hedged local
-/// reads and degrade-to-local (see the module docs for the ladder).
+/// an `icfgp cache serve` server, with bounded retries and a circuit
+/// breaker (see the module docs for the ladder).
 pub struct RemoteStore {
     url: String,
     transport: Mutex<Box<dyn Transport>>,
@@ -789,23 +790,20 @@ pub struct RemoteStore {
     breaker_threshold: u32,
     consecutive: AtomicU32,
     degraded: AtomicBool,
-    local: Option<Arc<CacheStore>>,
     pending: Mutex<Vec<(Stage, u64, Vec<u8>)>>,
     known: Mutex<HashSet<(Stage, u64)>>,
     /// Keys quarantined this run: never re-served from the server, so
     /// a poisoned record cannot hit-quarantine-hit forever.
     poisoned: Mutex<HashSet<(Stage, u64)>>,
-    /// The unified trace spine; all counting is a registry projection
-    /// (`StoreSrc::Remote` for this client, `StoreSrc::Hedge` for its
-    /// local overflow store, which shares the same trace).
+    /// The unified trace spine; all counting is its registry's
+    /// `StoreSrc::Remote` projection.
     trace: Arc<Trace>,
     events: Mutex<Vec<StoreEvent>>,
 }
 
 impl RemoteStore {
     /// Connect lazily to `url`. Never fails: an unresolvable host
-    /// yields a client whose breaker trips on first use and degrades
-    /// to the overflow store.
+    /// yields a client whose breaker trips on first use.
     #[must_use]
     pub fn connect(url: &StoreUrl, opts: RemoteOptions) -> RemoteStore {
         let transport: Box<dyn Transport> =
@@ -839,10 +837,7 @@ impl RemoteStore {
         opts: RemoteOptions,
         net_armed: bool,
     ) -> RemoteStore {
-        let trace = opts.trace.clone().unwrap_or_default();
-        let local = opts.overflow_dir.as_deref().map(|d| {
-            Arc::new(CacheStore::open_traced(d, Arc::clone(&trace), StoreSrc::Hedge))
-        });
+        let trace = opts.trace.unwrap_or_default();
         let store = RemoteStore {
             url,
             transport: Mutex::new(transport),
@@ -851,7 +846,6 @@ impl RemoteStore {
             consecutive: AtomicU32::new(0),
             degraded: AtomicBool::new(false),
             net_armed: AtomicBool::new(net_armed),
-            local,
             pending: Mutex::new(Vec::new()),
             known: Mutex::new(HashSet::new()),
             poisoned: Mutex::new(HashSet::new()),
@@ -862,7 +856,7 @@ impl RemoteStore {
         store
     }
 
-    /// Whether the circuit breaker has tripped (fully-local operation).
+    /// Whether the circuit breaker has tripped (every lookup misses).
     #[must_use]
     pub fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst)
@@ -933,59 +927,10 @@ impl RemoteStore {
                 StoreEventKind::IoError,
                 format!(
                     "circuit breaker tripped after {failures} consecutive transport \
-                     failure(s); degraded to {}",
-                    self.local
-                        .as_ref()
-                        .map_or_else(|| "in-memory only".to_string(), |s| {
-                            StoreBackend::describe(&**s)
-                        })
+                     failure(s); every later lookup misses"
                 ),
             );
         }
-    }
-
-    fn local_probe(&self, stage: Stage, key: u64) -> Option<Vec<u8>> {
-        self.local.as_ref().and_then(|s| s.get(stage, key))
-    }
-
-    /// Flush `records` into the degraded path: the local overflow
-    /// store becomes the writer of record.
-    fn flush_local(&self, records: Vec<(Stage, u64, Vec<u8>)>) -> usize {
-        let Some(local) = &self.local else { return 0 };
-        for (stage, key, payload) in records {
-            local.put(stage, key, payload);
-        }
-        let n = local.flush();
-        if n > 0 {
-            self.emit(StoreOp::Flushed { records: n as u64 });
-        }
-        n
-    }
-
-    /// Send `records` to the server. Returns how many it accepted;
-    /// unsent or unacknowledged records go back to `pending` (or, once
-    /// the breaker has tripped, to the overflow store).
-    fn flush_remote(&self, mut records: Vec<(Stage, u64, Vec<u8>)>) -> usize {
-        let mut sent = 0usize;
-        for (stage, key, payload) in &records {
-            if self.request(OP_PUT, *key, &record_body(*stage, payload), &[RE_OK]).is_err() {
-                break;
-            }
-            sent += 1;
-        }
-        let rest = records.split_off(sent);
-        let mut done = sent;
-        if !rest.is_empty() {
-            if self.is_degraded() {
-                done += self.flush_local(rest);
-            } else {
-                self.pending.lock().expect("pending poisoned").extend(rest);
-            }
-        }
-        if sent > 0 {
-            self.emit(StoreOp::Flushed { records: sent as u64 });
-        }
-        done
     }
 
     /// Fetch the server's stats (the `icfgp cache stats --store-url`
@@ -1010,38 +955,21 @@ impl StoreBackend for RemoteStore {
         }
         if self.is_degraded() {
             self.emit(StoreOp::Degraded);
-            return match self.local_probe(stage, key) {
-                Some(p) => {
-                    self.emit(StoreOp::Hit { stage });
-                    Some(p)
-                }
-                None => {
-                    self.emit(StoreOp::Miss { stage });
-                    None
-                }
-            };
+            self.emit(StoreOp::Miss { stage });
+            return None;
         }
-        let outcome = match self.request(OP_GET, key, &record_body(stage, &[]), &[RE_HIT, RE_MISS])
-        {
+        match self.request(OP_GET, key, &record_body(stage, &[]), &[RE_HIT, RE_MISS]) {
             Ok((RE_HIT, payload)) => {
                 self.emit(StoreOp::RemoteHit);
+                self.emit(StoreOp::Hit { stage });
                 Some(payload)
             }
-            Ok(_) => {
-                self.emit(StoreOp::RemoteMiss);
-                // Definite remote miss: hedge to the local overflow.
-                self.local_probe(stage, key)
-            }
-            // A transport fault or a lying or incompatible server,
-            // already charged to the breaker: hedge local.
-            Err(_) => self.local_probe(stage, key),
-        };
-        match outcome {
-            Some(p) => {
-                self.emit(StoreOp::Hit { stage });
-                Some(p)
-            }
-            None => {
+            outcome => {
+                // A definite remote miss, or a transport fault or lying
+                // or incompatible server already charged to the breaker.
+                if outcome.is_ok() {
+                    self.emit(StoreOp::RemoteMiss);
+                }
                 self.emit(StoreOp::Miss { stage });
                 None
             }
@@ -1064,22 +992,31 @@ impl StoreBackend for RemoteStore {
         );
     }
 
+    /// Sends the pending records to the server. Unsent or
+    /// unacknowledged records stay pending, or are dropped once the
+    /// breaker has tripped.
     fn flush(&self) -> usize {
-        let records = std::mem::take(&mut *self.pending.lock().expect("pending poisoned"));
-        if records.is_empty() {
+        let mut records = std::mem::take(&mut *self.pending.lock().expect("pending poisoned"));
+        if records.is_empty() || self.is_degraded() {
             return 0;
         }
-        if self.is_degraded() {
-            self.flush_local(records)
-        } else {
-            self.flush_remote(records)
+        let mut sent = 0usize;
+        for (stage, key, payload) in &records {
+            if self.request(OP_PUT, *key, &record_body(*stage, payload), &[RE_OK]).is_err() {
+                break;
+            }
+            sent += 1;
         }
+        if !self.is_degraded() {
+            self.pending.lock().expect("pending poisoned").extend(records.split_off(sent));
+        }
+        if sent > 0 {
+            self.emit(StoreOp::Flushed { records: sent as u64 });
+        }
+        sent
     }
 
     fn stats(&self) -> StoreStats {
-        // The registry projection for this client's own source; the
-        // hedge store's counters live under `StoreSrc::Hedge` on the
-        // same trace and are reported by the hedge store itself.
         self.trace.registry().store_stats(StoreSrc::Remote)
     }
 
@@ -1091,30 +1028,21 @@ impl StoreBackend for RemoteStore {
         self.pending.lock().expect("pending poisoned").len()
     }
 
+    /// A client keeps no records of its own.
     fn entry_counts(&self) -> Vec<(Stage, usize)> {
-        self.local
-            .as_ref()
-            .map_or_else(|| Stage::ALL.iter().map(|s| (*s, 0)).collect(), |s| s.entry_counts())
+        Stage::ALL.iter().map(|s| (*s, 0)).collect()
     }
 
     fn describe(&self) -> String {
         if self.is_degraded() {
-            match &self.local {
-                Some(local) => {
-                    format!("{} (degraded to {})", self.url, StoreBackend::describe(&**local))
-                }
-                None => format!("{} (degraded, no overflow store)", self.url),
-            }
+            format!("{} (degraded)", self.url)
         } else {
             self.url.clone()
         }
     }
 
-    fn arm_faults(&self, faults: StoreFaults) {
-        if let Some(local) = &self.local {
-            local.arm_faults(faults);
-        }
-    }
+    /// A client writes no segments, so there is no I/O to damage.
+    fn arm_faults(&self, _: StoreFaults) {}
 
     fn arm_net_faults(&self, faults: NetFaults) {
         if !faults.any() || self.net_armed.swap(true, Ordering::SeqCst) {
@@ -1130,9 +1058,6 @@ impl StoreBackend for RemoteStore {
 
     fn set_retry_policy(&self, policy: RetryPolicy) {
         *self.retry.lock().expect("retry poisoned") = policy;
-        if let Some(local) = &self.local {
-            local.set_retry_policy(policy);
-        }
     }
 
     fn trace(&self) -> Arc<Trace> {
@@ -1166,13 +1091,12 @@ mod tests {
         dir
     }
 
-    fn client(handle: &ServeHandle, overflow: Option<PathBuf>) -> RemoteStore {
+    fn client(handle: &ServeHandle) -> RemoteStore {
         let url = parse_store_url(&handle.url()).unwrap();
         RemoteStore::connect(
             &url,
             RemoteOptions {
                 trace: None,
-                overflow_dir: overflow,
                 timeout: Duration::from_millis(500),
                 breaker_threshold: 3,
                 retry: RetryPolicy { base_delay_ms: 0, max_delay_ms: 0, ..RetryPolicy::seeded(7) },
@@ -1206,7 +1130,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
         {
-            let a = client(&server, None);
+            let a = client(&server);
             assert_eq!(a.get(Stage::Func, 1), None, "cold lookup misses");
             a.put(Stage::Func, 1, b"alpha".to_vec());
             a.put(Stage::Fragment, 2, b"beta".to_vec());
@@ -1217,7 +1141,7 @@ mod tests {
             assert_eq!(s.remote_hits, 1);
             assert_eq!(s.breaker_trips, 0);
         }
-        let b = client(&server, None);
+        let b = client(&server);
         assert_eq!(b.get(Stage::Func, 1).as_deref(), Some(&b"alpha"[..]));
         assert_eq!(b.get(Stage::Fragment, 2).as_deref(), Some(&b"beta"[..]));
         let stats = server.stats();
@@ -1235,7 +1159,6 @@ mod tests {
                 timeout: Duration::from_millis(100),
                 breaker_threshold: 2,
                 retry: RetryPolicy { base_delay_ms: 0, max_delay_ms: 0, ..RetryPolicy::none() },
-                overflow_dir: None,
             },
         );
         let start = Instant::now();
@@ -1251,29 +1174,6 @@ mod tests {
         assert_eq!(s.misses, 8, "dead server only costs misses");
         assert!(s.degraded > 0, "post-trip lookups count as degraded");
         assert!(start.elapsed() < Duration::from_secs(10), "bounded, no hang");
-    }
-
-    #[test]
-    fn degraded_client_flushes_to_overflow_store() {
-        let overflow = tmp_dir("overflow");
-        let url = parse_store_url("icfgp://127.0.0.1:1").unwrap();
-        {
-            let store = RemoteStore::connect(
-                &url,
-                RemoteOptions {
-                    trace: None,
-                    timeout: Duration::from_millis(100),
-                    breaker_threshold: 1,
-                    retry: RetryPolicy::none(),
-                    overflow_dir: Some(overflow.clone()),
-                },
-            );
-            assert_eq!(store.get(Stage::Func, 5), None, "trips the breaker");
-            store.put(Stage::Func, 5, b"local".to_vec());
-            assert_eq!(StoreBackend::flush(&store), 1, "degraded flush goes local");
-        }
-        let reopened = CacheStore::open(&overflow);
-        assert_eq!(reopened.get(Stage::Func, 5).as_deref(), Some(&b"local"[..]));
     }
 
     #[test]
@@ -1300,8 +1200,8 @@ mod tests {
     fn two_live_clients_both_persist() {
         let dir = tmp_dir("two-clients");
         let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
-        let a = client(&server, None);
-        let b = client(&server, None);
+        let a = client(&server);
+        let b = client(&server);
         a.put(Stage::Func, 1, b"one".to_vec());
         b.put(Stage::Func, 2, b"two".to_vec());
         assert_eq!(StoreBackend::flush(&a), 1);
@@ -1318,8 +1218,8 @@ mod tests {
     fn queued_put_is_served_before_the_server_flushes() {
         let dir = tmp_dir("queued");
         let server = serve("127.0.0.1:0", &dir, ServeOptions::default()).unwrap();
-        let a = client(&server, None);
-        let b = client(&server, None);
+        let a = client(&server);
+        let b = client(&server);
         a.put(Stage::Func, 1, b"one".to_vec());
         a.put(Stage::Fragment, 2, b"two".to_vec());
         assert_eq!(StoreBackend::flush(&a), 2);
@@ -1368,6 +1268,26 @@ mod tests {
             "{events:?}"
         );
         assert!(events.iter().all(|e| e.kind != StoreEventKind::LockTimeout), "{events:?}");
+    }
+
+    /// Every single-bit flip and every strict prefix of an encoded
+    /// reply fails `read_message`: the damage `FaultyTransport` does
+    /// to replies can never decode as a reply.
+    #[test]
+    fn damaged_reply_bytes_never_decode() {
+        let reply = wire(RE_HIT, 7, b"payload");
+        assert_eq!(
+            read_message(&mut reply.as_slice(), response_tag).unwrap(),
+            (RE_HIT, 7, b"payload".to_vec())
+        );
+        for bit in 0..reply.len() * 8 {
+            let mut flipped = reply.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_message(&mut flipped.as_slice(), response_tag).is_err(), "bit {bit}");
+        }
+        for len in 0..reply.len() {
+            assert!(read_message(&mut &reply[..len], response_tag).is_err(), "prefix {len}");
+        }
     }
 
     /// One length-prefixed request as a client writes it.
@@ -1513,7 +1433,6 @@ mod tests {
                 timeout: Duration::from_millis(200),
                 breaker_threshold: 2,
                 retry: RetryPolicy { base_delay_ms: 0, max_delay_ms: 0, ..RetryPolicy::none() },
-                overflow_dir: None,
             },
         );
         assert_eq!(store.get(Stage::Func, 1), None, "works before the kill");
@@ -1557,7 +1476,6 @@ mod tests {
                     max_delay_ms: 0,
                     seed: 11,
                 },
-                overflow_dir: None,
             },
         );
         store.put(Stage::Func, 1, b"payload".to_vec());

@@ -22,13 +22,15 @@
 //! * `LOCK` — an empty file that carries the directory lock (below).
 //!
 //! Segment layout: a 20-byte header (`magic, format version, key
-//! epoch`) followed by records. Each record is framed as
+//! epoch`), then records, then one end frame. Each record is framed as
 //! `tag u8 · key u64 · len u32 · checksum u64 · payload[len]` with the
 //! checksum (FNV-1a/64 + avalanche finaliser) taken over
-//! `tag ‖ key ‖ payload`. Payloads are the positional binary encoding of
-//! the cached value ([`serde::to_bin`]: fields in declaration order, no
-//! names, LEB128 integers), guarded by the schema fold in
-//! [`KEY_EPOCH`].
+//! `tag ‖ key ‖ payload`. The end frame has the same framing under a
+//! tag no stage has, and its payload is the segment's record count, so
+//! a segment cut at a frame boundary is still seen as torn. Payloads
+//! are the positional binary encoding of the cached value
+//! ([`serde::to_bin`]: fields in declaration order, no names, LEB128
+//! integers), guarded by the schema fold in [`KEY_EPOCH`].
 //!
 //! # Failure semantics (all graceful)
 //!
@@ -36,7 +38,7 @@
 //! |---|---|
 //! | bad magic / unknown format version / wrong key epoch | whole segment quarantined |
 //! | per-record checksum mismatch (bit flip) | record quarantined, scan continues |
-//! | truncated segment (torn write) or unknown record tag | valid prefix kept, tail quarantined |
+//! | torn write, unknown record tag, or no end frame counting the records | valid prefix kept, tail quarantined |
 //! | payload fails to deserialise | record quarantined at lookup time |
 //! | directory lock busy (another writer) | flush retried, then deferred; records stay pending |
 //! | any I/O error | logged, store degrades to miss-everything |
@@ -85,7 +87,8 @@ use std::sync::{Arc, Mutex};
 /// Segment file magic.
 const MAGIC: &[u8; 8] = b"ICFGPST\x01";
 /// On-disk format version; a mismatch quarantines the segment.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 closes every segment with an end frame.
+pub const FORMAT_VERSION: u32 = 2;
 /// Cache-key derivation epoch. Keys come from the standard library's
 /// `DefaultHasher`, which is stable within one Rust release; bump the
 /// base number when the key derivation in `cache.rs` changes (epoch 3:
@@ -137,6 +140,10 @@ const fn fold_epoch(epoch: u64, schemas: &[u64]) -> u64 {
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8;
 /// Per-record frame length before the payload: tag + key + len + checksum.
 pub(crate) const FRAME_LEN: usize = 1 + 8 + 4 + 8;
+/// Tag of the end frame that closes every segment; no [`Stage`] has it.
+const END_TAG: u8 = 0xFF;
+/// End frame length: its frame plus the `u64` record count.
+const END_LEN: usize = FRAME_LEN + 8;
 /// Upper bound on a single record payload (corrupt length fields must
 /// not cause huge allocations).
 const MAX_PAYLOAD: u32 = 256 << 20;
@@ -327,17 +334,17 @@ pub struct StoreStats {
     pub remote_hits: u64,
     /// Lookups the remote server answered with a definite miss (the
     /// request round-tripped; the server had no record). A lookup the
-    /// *transport* failed on is not a remote miss — it hedges to the
-    /// local overflow store and counts only under `hits`/`misses`.
+    /// *transport* failed on is not a remote miss: it counts only under
+    /// `misses`.
     #[serde(default)]
     pub remote_misses: u64,
     /// Circuit-breaker trips: the remote client exhausted its
-    /// consecutive-transient-failure budget and degraded to
-    /// fully-local operation for the rest of the run.
+    /// consecutive-transient-failure budget, and every later lookup of
+    /// the run misses.
     #[serde(default)]
     pub breaker_trips: u64,
-    /// Lookups served while degraded to fully-local operation (after a
-    /// breaker trip). Zero on local backends and on healthy remotes.
+    /// Lookups answered after a breaker trip, each one a miss. Zero on
+    /// local backends and on healthy remotes.
     #[serde(default)]
     pub degraded: u64,
 }
@@ -457,12 +464,11 @@ struct Inner {
 /// [`RewriteCache::with_store`](crate::RewriteCache::with_store); it
 /// answers through [`StoreBackend`].
 /// All counting goes through the unified [`Trace`] spine; `stats()` is
-/// the registry's [`StoreSrc`]-scoped projection.
+/// the registry's [`StoreSrc::Local`] projection.
 pub struct CacheStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
     trace: Arc<Trace>,
-    src: StoreSrc,
     /// Hard-disabled after an unrecoverable I/O error at open.
     disabled: bool,
 }
@@ -507,20 +513,17 @@ impl CacheStore {
     /// [`StoreBackend::events`].
     #[must_use]
     pub fn open(dir: &Path) -> CacheStore {
-        CacheStore::open_traced(dir, Trace::new(), StoreSrc::Local)
+        CacheStore::open_traced(dir, Trace::new())
     }
 
-    /// Open the store onto an existing trace spine, attributing its
-    /// events to `src`. This is how a [`RemoteStore`](crate::net::RemoteStore)
-    /// shares one registry with its local hedge store while keeping
-    /// the two backends' [`StoreStats`] separate.
+    /// Open the store onto an existing trace spine (a recorded run, or
+    /// a chaos campaign sharing one collector across cases).
     #[must_use]
-    pub fn open_traced(dir: &Path, trace: Arc<Trace>, src: StoreSrc) -> CacheStore {
+    pub fn open_traced(dir: &Path, trace: Arc<Trace>) -> CacheStore {
         let mut store = CacheStore {
             dir: dir.to_path_buf(),
             inner: Mutex::new(Inner::default()),
             trace,
-            src,
             disabled: false,
         };
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -540,17 +543,16 @@ impl CacheStore {
                 );
             }
         }
-        let loaded_before = store.trace.registry().store_stats(store.src).records_loaded;
+        let loaded_before = store.stats().records_loaded;
         store.load_all();
-        let loaded = store.trace.registry().store_stats(store.src).records_loaded - loaded_before;
+        let loaded = store.stats().records_loaded - loaded_before;
         store.event(StoreEventKind::Opened, format!("{} ({loaded} record(s))", dir.display()));
         store
     }
 
-    /// Emit one store operation onto the trace, tagged with this
-    /// store's source.
+    /// Emit one store operation onto the trace.
     fn emit(&self, op: StoreOp) {
-        self.trace.emit(TraceEvent::Store { src: self.src, op });
+        self.trace.emit(TraceEvent::Store { src: StoreSrc::Local, op });
     }
 
     /// The store directory.
@@ -745,6 +747,7 @@ impl CacheStore {
         if records == 0 {
             return Ok(0); // a concurrent flush took them
         }
+        end_segment(&mut body, records);
 
         // Fault: tear the segment inside the record area.
         if let Some(r) = torn_at {
@@ -895,7 +898,7 @@ impl StoreBackend for CacheStore {
     }
 
     fn stats(&self) -> StoreStats {
-        self.trace.registry().store_stats(self.src)
+        self.trace.registry().store_stats(StoreSrc::Local)
     }
 
     fn events(&self) -> Vec<StoreEvent> {
@@ -931,10 +934,6 @@ impl StoreBackend for CacheStore {
 
     fn trace(&self) -> Arc<Trace> {
         Arc::clone(&self.trace)
-    }
-
-    fn trace_src(&self) -> StoreSrc {
-        self.src
     }
 }
 
@@ -1000,6 +999,11 @@ fn write_atomic(dir: &Path, name: &str, body: &[u8]) -> std::io::Result<()> {
 
 fn encode_record(out: &mut Vec<u8>, stage: Stage, key: u64, payload: &[u8]) {
     encode_frame(out, stage.tag(), key, payload);
+}
+
+/// Close a segment image holding `records` records with its end frame.
+fn end_segment(out: &mut Vec<u8>, records: usize) {
+    encode_frame(out, END_TAG, 0, &(records as u64).to_le_bytes());
 }
 
 /// Append one checksummed record frame (`tag ‖ key ‖ len ‖ checksum ‖
@@ -1095,21 +1099,28 @@ enum SegmentScan {
 /// Parse one segment image: header check, then record-by-record
 /// checksum validation. Framing damage (implausible length, unknown
 /// tag) ends the scan with the tail dropped; a checksum mismatch with
-/// intact framing skips just that record.
+/// intact framing skips just that record. A segment whose last frame
+/// is not an intact end frame counting every frame before it lost its
+/// tail, wherever the cut fell.
 fn scan_segment(data: &[u8]) -> SegmentScan {
     if let Err(why) = check_header(data) {
         return SegmentScan::BadHeader(why);
     }
-    let scan = scan_frames(&data[HEADER_LEN..], |tag| Stage::from_tag(tag).is_some());
+    let mut scan =
+        scan_frames(&data[HEADER_LEN..], |tag| tag == END_TAG || Stage::from_tag(tag).is_some());
+    let end = scan.frames.pop_if(|(tag, ..)| *tag == END_TAG);
+    let count = (scan.frames.len() as u64 + scan.corrupt).to_le_bytes();
+    let whole = end.is_some_and(|(.., payload)| payload == count);
     let records = scan
         .frames
         .into_iter()
-        .map(|(tag, key, payload)| {
-            let stage = Stage::from_tag(tag).expect("tag validated by scan_frames");
-            (stage, key, payload)
-        })
+        .filter_map(|(tag, key, payload)| Some((Stage::from_tag(tag)?, key, payload)))
         .collect();
-    SegmentScan::Records { records, corrupt_records: scan.corrupt, truncated: scan.truncated }
+    SegmentScan::Records {
+        records,
+        corrupt_records: scan.corrupt,
+        truncated: scan.truncated || !whole,
+    }
 }
 
 // ----- offline maintenance (icfgp cache …) -------------------------------
@@ -1329,6 +1340,7 @@ pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
         for ((stage, key), payload) in &entries {
             encode_record(&mut body, *stage, *key, payload);
         }
+        end_segment(&mut body, entries.len());
         report.bytes_after = body.len() as u64;
         write_atomic(dir, &new_name, &body).map_err(|e| format!("write {new_name}: {e}"))?;
     }
@@ -1354,7 +1366,8 @@ pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
 /// matrix (`icfgp cache corrupt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptKind {
-    /// Flip one bit inside a record area.
+    /// Flip one bit inside the records (between the header and the
+    /// end frame).
     BitFlip,
     /// Truncate a segment mid-record (torn write).
     Truncate,
@@ -1392,10 +1405,10 @@ pub fn corrupt_dir(dir: &Path, kind: CorruptKind, seed: u64) -> Result<String, S
     let mut data = std::fs::read(&path).map_err(|e| format!("read {name}: {e}"))?;
     let what = match kind {
         CorruptKind::BitFlip => {
-            if data.len() <= HEADER_LEN {
+            if data.len() <= HEADER_LEN + END_LEN {
                 return Err(format!("{name}: no record bytes to flip"));
             }
-            let span = (data.len() - HEADER_LEN) * 8;
+            let span = (data.len() - HEADER_LEN - END_LEN) * 8;
             let bit = HEADER_LEN * 8 + rng.below(span as u64) as usize;
             data[bit / 8] ^= 1 << (bit % 8);
             format!("{name}: flipped bit {bit}")
@@ -1533,11 +1546,11 @@ mod tests {
             }
             store.flush();
         }
-        // Cut one byte off the end: the last record is torn.
+        // Cut the end frame and one byte more: the last record is torn.
         let name = CacheStore::segment_names(&dir).pop().unwrap();
         let path = dir.join(&name);
         let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 1]).unwrap();
+        std::fs::write(&path, &data[..data.len() - END_LEN - 1]).unwrap();
         let store = CacheStore::open(&dir);
         assert_eq!(store.stats().records_loaded, 5);
         assert!(store.get(Stage::Liveness, 5).is_none());
@@ -1637,7 +1650,56 @@ mod tests {
         for (stage, key, payload) in records {
             encode_record(&mut body, *stage, *key, payload);
         }
+        end_segment(&mut body, records.len());
         body
+    }
+
+    /// A flushed segment cut at any frame boundary, the end frame's
+    /// own included, has a torn tail: `verify_dir` flags it, a load
+    /// counts it, and every record before the cut still loads. So does
+    /// a whole segment whose end frame miscounts its records.
+    #[test]
+    fn a_cut_at_every_frame_boundary_is_a_torn_tail() {
+        let dir = tmp_dir("boundary");
+        {
+            let store = CacheStore::open(&dir);
+            for k in 0..4u64 {
+                store.put(Stage::Func, k, vec![k as u8; 10 + k as usize]);
+            }
+            assert_eq!(store.flush(), 4);
+        }
+        assert!(verify_dir(&dir).is_clean());
+        let name = CacheStore::segment_names(&dir).pop().unwrap();
+        let seg = std::fs::read(dir.join(&name)).unwrap();
+        let mut cuts = vec![HEADER_LEN];
+        for k in 0..4 {
+            cuts.push(cuts[k] + FRAME_LEN + 10 + k);
+        }
+        assert_eq!(cuts[4] + END_LEN, seg.len(), "one end frame closes the segment");
+        let mut miscounted = seg[..cuts[4]].to_vec();
+        end_segment(&mut miscounted, 3);
+        let images: Vec<(usize, &[u8])> = cuts
+            .iter()
+            .enumerate()
+            .map(|(kept, &cut)| (kept, &seg[..cut]))
+            .chain([(4, &miscounted[..])])
+            .collect();
+        for (kept, image) in images {
+            let what = format!("{} of {} byte(s)", image.len(), seg.len());
+            std::fs::write(dir.join(&name), image).unwrap();
+            let report = verify_dir(&dir);
+            let torn = (report.truncated_segments, report.valid_records);
+            assert_eq!(torn, (1, kept as u64), "{what}");
+            assert!(!report.is_clean(), "{what}");
+            let store = CacheStore::open(&dir);
+            let s = store.stats();
+            assert_eq!((s.records_loaded, s.quarantined_records), (kept as u64, 1), "{what}");
+            assert!(
+                store.events().iter().any(|e| e.kind == StoreEventKind::TruncatedSegment),
+                "{what}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1799,6 +1861,7 @@ mod tests {
             encode_record(&mut body, Stage::Fragment, 2, b"two");
             encode_frame(&mut body, tag, 3, b"stray");
             encode_record(&mut body, Stage::Audit, 4, b"after");
+            end_segment(&mut body, 4);
             std::fs::write(dir.join("seg-000001.seg"), &body).unwrap();
             let store = CacheStore::open(&dir);
             let s = store.stats();

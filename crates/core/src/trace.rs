@@ -42,8 +42,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Which backend a store event came from. Each backend owns one
-/// source slot in the registry, so a remote client and its local
-/// hedge store never pollute each other's [`StoreStats`].
+/// source slot in the registry, so a remote client and a local store
+/// on one spine never pollute each other's [`StoreStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum StoreSrc {
@@ -51,18 +51,15 @@ pub enum StoreSrc {
     Local,
     /// A [`RemoteStore`](crate::net::RemoteStore) TCP client.
     Remote,
-    /// The remote client's local hedge/overflow store.
-    Hedge,
 }
 
 impl StoreSrc {
-    const ALL: [StoreSrc; 3] = [StoreSrc::Local, StoreSrc::Remote, StoreSrc::Hedge];
+    const ALL: [StoreSrc; 2] = [StoreSrc::Local, StoreSrc::Remote];
 
     fn idx(self) -> usize {
         match self {
             StoreSrc::Local => 0,
             StoreSrc::Remote => 1,
-            StoreSrc::Hedge => 2,
         }
     }
 
@@ -72,7 +69,6 @@ impl StoreSrc {
         match self {
             StoreSrc::Local => "local",
             StoreSrc::Remote => "remote",
-            StoreSrc::Hedge => "hedge",
         }
     }
 }
@@ -179,7 +175,7 @@ pub enum StoreOp {
     RemoteMiss,
     /// The remote circuit breaker tripped.
     BreakerTrip,
-    /// A lookup was served while degraded to fully-local operation.
+    /// A lookup was answered after a breaker trip (always a miss).
     Degraded,
 }
 
@@ -355,7 +351,7 @@ struct RegistryInner {
     func_span_ns: u64,
     rpc_spans: u64,
     rpc_ns: u64,
-    store: [StoreCtr; 3],
+    store: [StoreCtr; 2],
     demotions: u64,
     /// Per-function `(entry, ns)` samples from [`TraceEvent::FuncSpan`];
     /// the `slowest:` line is derived from the per-rewrite suffix.

@@ -70,6 +70,9 @@ pub enum ObjError {
     /// The 8-byte slot of the run-time relocation at `at` does not lie
     /// inside one allocated section, so no loader can apply it.
     RelocationOutsideSections { at: u64 },
+    /// Function symbol `name`'s `[addr, addr + size)` does not lie
+    /// inside one allocated executable section.
+    SymbolOutsideCode { name: String, addr: u64, size: u64 },
 }
 
 impl fmt::Display for ObjError {
@@ -89,6 +92,11 @@ impl fmt::Display for ObjError {
                 f,
                 "relocation slot {at:#x}..{:#x} is not inside one allocated section",
                 at.wrapping_add(8)
+            ),
+            ObjError::SymbolOutsideCode { name, addr, size } => write!(
+                f,
+                "function symbol {name} at {addr:#x} (size {size:#x}) is not inside one \
+                 executable section"
             ),
         }
     }
@@ -283,6 +291,34 @@ impl Binary {
             }
         }
         Ok(())
+    }
+
+    /// Verify that every function symbol's `[addr, addr + size)` lies
+    /// inside one allocated executable section. The rewriter reads and
+    /// sizes a function by its symbol, so one that runs past its code
+    /// would read bytes that are not code or ask for an impossible
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`ObjError::SymbolOutsideCode`] naming the first offending
+    /// symbol.
+    pub fn validate_symbols(&self) -> Result<(), ObjError> {
+        let code: Vec<&Section> =
+            self.sections.iter().filter(|s| s.flags().alloc && s.flags().exec).collect();
+        let outside = self.functions().find(|f| {
+            !f.addr
+                .checked_add(f.size)
+                .is_some_and(|end| code.iter().any(|s| s.addr() <= f.addr && end <= s.end()))
+        });
+        match outside {
+            Some(f) => Err(ObjError::SymbolOutsideCode {
+                name: f.name.clone(),
+                addr: f.addr,
+                size: f.size,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Verify that the symbols are sorted by address, the invariant
@@ -550,6 +586,27 @@ mod tests {
         ));
         b.relocations.push(Relocation::relative(0x3000, 0x1000));
         assert!(b.validate_layout().is_err());
+    }
+
+    #[test]
+    fn function_symbols_must_lie_inside_code() {
+        let mut b = bin();
+        assert!(b.validate_symbols().is_ok());
+        // Data objects are not held to it.
+        let data = Symbol::func("d", 0x2000, 0x1000, Language::C);
+        b.add_symbol(Symbol { kind: SymbolKind::Object, ..data });
+        assert!(b.validate_symbols().is_ok());
+        // Past the end of `.text`, wrapping the address space, in
+        // `.rodata`, and in no section at all.
+        for (addr, size) in [(0x1080, 0x81), (0x1000, u64::MAX), (0x2000, 0x10), (0x5000, 0)] {
+            let mut bad = b.clone();
+            bad.add_symbol(Symbol::func("f", addr, size, Language::C));
+            assert_eq!(
+                bad.validate_symbols(),
+                Err(ObjError::SymbolOutsideCode { name: "f".into(), addr, size }),
+                "{addr:#x}+{size:#x}"
+            );
+        }
     }
 
     #[test]

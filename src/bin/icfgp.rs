@@ -15,8 +15,7 @@ use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, FuncStatus};
 use incremental_cfg_patching::core::{
     apply_audit_gate, audit_mode_of, parse_store_url, pool, serve, store, trace, CacheStore,
     CorruptKind, FaultPlan, Instrumentation, Points, RemoteOptions, RemoteStore, RewriteCache,
-    RewriteConfig, RewriteMode, ServeOptions, SpanKind, StoreBackend, StoreSrc, Trace,
-    UnwindStrategy,
+    RewriteConfig, RewriteMode, ServeOptions, SpanKind, StoreBackend, Trace, UnwindStrategy,
 };
 use incremental_cfg_patching::emu::{run, LoadOptions, Outcome};
 use incremental_cfg_patching::isa::Arch;
@@ -147,12 +146,13 @@ remote cache served by `icfgp cache serve`: lookups and flushes go
 over a length-prefixed checksummed TCP protocol, any number of clients
 write at once (the server queues their records and flushes them under
 the same directory lock as a local store), and transient faults are
-retried with bounded jittered backoff. When the server is unreachable
-or lying, the client hedges to the local `--cache-dir` overflow store
-and finally degrades to fully-local — a dead server only ever costs
-cache misses, never wrong bytes or a hung run. A malformed URL is a
-usage error (exit 64). `icfgp cache stats --store-url U` queries a
-live server.
+retried with bounded jittered backoff. When the server stays
+unreachable or lying, a circuit breaker trips and the rest of the run
+misses and persists nothing — a dead server only ever costs cache
+misses, never wrong bytes or a hung run. A malformed URL is a usage
+error (exit 64), and so is naming two stores: a store URL together
+with `--cache-dir`/`ICFGP_CACHE_DIR` for rewrite, verify, fleet or
+audit. `icfgp cache stats --store-url U` queries a live server.
 
 EXIT CODES: 0 clean, 1 degraded within budget, 2 budget exceeded
 (chaos: any case failed), 3 internal error, 64 usage (an unknown
@@ -223,33 +223,30 @@ fn write_trace(trace: &Trace, path: &std::path::Path) -> Result<(), String> {
 }
 
 /// Build the rewrite cache for a command: attached to the remote store
-/// when a store URL is configured (with any cache dir as the local
-/// overflow/hedge store), to the persistent local store when only a
-/// cache dir is configured, plain in-memory otherwise.
-fn open_cache(args: &[String]) -> RewriteCache {
-    if let Some(raw) = store_url(args) {
-        // Already validated in `main`; a parse failure here means the
-        // flag appeared after `--` tricks — treat it the same way.
-        let url = parse_store_url(&raw).expect("store url validated at startup");
-        let store = Arc::new(RemoteStore::connect(
-            &url,
-            RemoteOptions { overflow_dir: cache_dir(args), ..RemoteOptions::default() },
-        ));
-        for e in store.events() {
-            eprintln!("cache-store: {e}");
+/// when a store URL is configured, to the persistent local store when a
+/// cache dir is, plain in-memory otherwise. A cache has one store, so
+/// configuring both is a usage error.
+fn open_cache(args: &[String]) -> Result<RewriteCache, Failure> {
+    let store: Arc<dyn StoreBackend> = match (store_url(args), cache_dir(args)) {
+        (Some(_), Some(_)) => {
+            return Err(Failure::Usage(
+                "a run has one store: give a store URL (--store-url or ICFGP_STORE_URL) \
+                 or a cache dir (--cache-dir or ICFGP_CACHE_DIR), not both"
+                    .into(),
+            ))
         }
-        return RewriteCache::with_store(store);
+        // Already validated in `main`.
+        (Some(raw), None) => Arc::new(RemoteStore::connect(
+            &parse_store_url(&raw).expect("store url validated at startup"),
+            RemoteOptions::default(),
+        )),
+        (None, Some(dir)) => Arc::new(CacheStore::open(&dir)),
+        (None, None) => return Ok(RewriteCache::new()),
+    };
+    for e in store.events() {
+        eprintln!("cache-store: {e}");
     }
-    match cache_dir(args) {
-        Some(dir) => {
-            let store = Arc::new(CacheStore::open(&dir));
-            for e in store.events() {
-                eprintln!("cache-store: {e}");
-            }
-            RewriteCache::with_store(store)
-        }
-        None => RewriteCache::new(),
-    }
+    Ok(RewriteCache::with_backend(store))
 }
 
 /// Flush the attached store (if any) and report what was persisted
@@ -340,6 +337,7 @@ fn load_binary(path: &str) -> Result<Binary, String> {
         serde_json::from_slice(&data).map_err(|e| format!("parsing {path}: {e}"))?;
     binary.validate_symbol_order().map_err(|e| format!("{path}: {e}"))?;
     binary.validate_layout().map_err(|e| format!("{path}: {e}"))?;
+    binary.validate_symbols().map_err(|e| format!("{path}: {e}"))?;
     Ok(binary)
 }
 
@@ -548,7 +546,7 @@ fn cmd_audit(args: &[String]) -> Result<u8, Failure> {
     let binary = load_binary(path)?;
     let (config, _) = parse_rewrite_config(args)?;
     let mode = audit_mode_of(config.mode);
-    let cache = open_cache(args);
+    let cache = open_cache(args)?;
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
@@ -588,7 +586,7 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, Failure> {
     let (config, points) = parse_rewrite_config(args)?;
     let mode = config.mode;
     let quiet = is_quiet(args);
-    let cache = open_cache(args);
+    let cache = open_cache(args)?;
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
@@ -645,18 +643,11 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, Failure> {
     // the input and every cached stage record would cost tens of
     // milliseconds on a large binary and do nothing the exit does not.
     // A store's `Drop` only flushes, so flush here (a no-op when
-    // nothing is pending) and skip the teardown. The exception is a
-    // remote client with an overflow directory: it owns a second,
-    // local store whose own `Drop` retries a deferred flush, so it is
-    // dropped as usual.
+    // nothing is pending) and skip the teardown.
     cache.flush_store();
     std::mem::forget(ladder);
     std::mem::forget(binary);
-    if store_url(args).is_some() && cache_dir(args).is_some() {
-        drop(cache);
-    } else {
-        std::mem::forget(cache);
-    }
+    std::mem::forget(cache);
     Ok(code)
 }
 
@@ -679,7 +670,7 @@ fn cmd_fleet(args: &[String]) -> Result<u8, Failure> {
     }
     let (config, points) = parse_rewrite_config(args)?;
     let quiet = is_quiet(args);
-    let cache = open_cache(args);
+    let cache = open_cache(args)?;
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
@@ -745,7 +736,7 @@ fn cmd_verify(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
     let binary = load_binary(path)?;
     let (config, points) = parse_rewrite_config(args)?;
-    let cache = open_cache(args);
+    let cache = open_cache(args)?;
     let tpath = arm_trace(args, &cache);
     let spine = cache.trace();
     let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
@@ -918,7 +909,7 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
             let tpath = trace_path(rest);
             let spine = tpath.as_ref().map(|_| Trace::recording());
             let store = match &spine {
-                Some(t) => CacheStore::open_traced(&dir, Arc::clone(t), StoreSrc::Local),
+                Some(t) => CacheStore::open_traced(&dir, Arc::clone(t)),
                 None => CacheStore::open(&dir),
             };
             let s = store.stats();

@@ -563,9 +563,7 @@ fn stage_misses(stats: &[RewriteStats]) -> u64 {
 /// campaign trace when one is configured.
 fn open_case_store(dir: &Path, trace: Option<&Arc<Trace>>) -> Arc<CacheStore> {
     match trace {
-        Some(t) => {
-            Arc::new(CacheStore::open_traced(dir, Arc::clone(t), icfgp_core::StoreSrc::Local))
-        }
+        Some(t) => Arc::new(CacheStore::open_traced(dir, Arc::clone(t))),
         None => Arc::new(CacheStore::open(dir)),
     }
 }
@@ -721,18 +719,6 @@ fn resume_at(
     Ok(misses)
 }
 
-/// Strip the network knobs from a plan, leaving compute and store
-/// faults intact (the warm-pair oracle must run over a clean wire).
-fn without_net_faults(plan: &FaultPlan) -> FaultPlan {
-    let mut p = plan.clone();
-    p.net_delay = 0.0;
-    p.net_drop = 0.0;
-    p.net_torn_response = 0.0;
-    p.net_bit_flip_reply = 0.0;
-    p.net_kill_mid_put = 0.0;
-    p
-}
-
 /// Rewrite through a remote `store` client, flush, and check the
 /// registry's conservation laws on the client's store delta. Returns
 /// the output bytes, the stage misses and the delta.
@@ -806,7 +792,6 @@ fn net_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
         Box::new(faulty),
         server.url(),
         RemoteOptions {
-            overflow_dir: None,
             timeout,
             breaker_threshold: 4,
             retry: RetryPolicy::seeded(case.seed),
@@ -835,7 +820,7 @@ fn net_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
     // stay armed (same plan, net knobs zeroed), so both clients do the
     // same work and only the store changes between them.
     let mut warm_config = config.clone();
-    warm_config.fault_plan = config.fault_plan.as_ref().map(without_net_faults);
+    warm_config.fault_plan = config.fault_plan.as_ref().map(FaultPlan::without_net_faults);
     let server = serve("127.0.0.1:0", &case.fresh_dir("warm")?, ServeOptions::default())
         .map_err(|e| format!("warm serve: {e}"))?;
     let url = parse_store_url(&server.url()).expect("server url is well-formed");

@@ -138,6 +138,8 @@ fn internal_error_exits_three() {
 /// refused at load too, since every symbol lookup binary-searches them,
 /// and so is one whose sections overlap or whose relocation slot no
 /// section maps: no loader could place it, and `run` must not panic.
+/// So is one whose function symbol runs past its code, or past the end
+/// of the address space.
 #[test]
 fn malformed_containers_exit_three() {
     let deep = "[".repeat(200_000) + &"]".repeat(200_000);
@@ -146,6 +148,12 @@ fn malformed_containers_exit_three() {
     let _ = std::fs::remove_file(&raw);
     let mut stray_reloc = swapped.clone();
     let mut overlapping = swapped.clone();
+    let main_sized = |size: u64| {
+        let mut b = swapped.clone();
+        b.symbols_mut().iter_mut().find(|s| s.name == "main").expect("main").size = size;
+        serde_json::to_string(&b).unwrap()
+    };
+    let (huge_main, long_main) = (main_sized(0xffff_ffff_ffff), main_sized(0x10_0000));
     // `dispatch` and `main`, its two function symbols.
     swapped.symbols_mut().swap(0, 1);
     // A RELATIVE relocation whose slot no section maps.
@@ -176,6 +184,9 @@ fn malformed_containers_exit_three() {
             serde_json::to_string(&overlapping).unwrap(),
             Some("overlap"),
         ),
+        // `main` sized past the address space, and past `.text`.
+        ("huge-main.json", huge_main, Some("function symbol main")),
+        ("long-main.json", long_main, Some("function symbol main")),
     ];
     for (name, text, needle) in cases {
         let path = tmp(name);
@@ -451,6 +462,40 @@ fn garbage_store_urls_are_usage_errors() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// A cache has one store: a store URL and a cache dir together are a
+/// usage error for every command that rewrites through a cache,
+/// whether each comes from its flag or its environment variable.
+#[test]
+fn a_store_url_with_a_cache_dir_is_a_usage_error() {
+    let raw = gen_switch_demo();
+    let dir = tmp("two-stores");
+    let out = tmp("two-stores.json");
+    let (url, dir_s) = ("icfgp://127.0.0.1:9", dir.to_str().expect("utf-8 temp path"));
+    let cases = [
+        ("flag with flag", vec![], vec!["--store-url", url, "--cache-dir", dir_s]),
+        ("env url with flag", vec![("ICFGP_STORE_URL", url)], vec!["--cache-dir", dir_s]),
+        ("env dir with flag", vec![("ICFGP_CACHE_DIR", dir_s)], vec!["--store-url", url]),
+    ];
+    for cmd in ["rewrite", "verify", "fleet", "audit"] {
+        for (how, env, flags) in &cases {
+            let mut c = icfgp();
+            c.arg(cmd).arg(&raw).args(["--mode", "jt"]).args(flags).envs(env.iter().copied());
+            if cmd == "rewrite" {
+                c.arg("-o").arg(&out);
+            }
+            let o = c.output().expect("runs");
+            let stderr = String::from_utf8_lossy(&o.stderr);
+            assert_eq!(o.status.code(), Some(64), "{cmd} ({how}): {stderr}");
+            assert!(
+                stderr.contains("--store-url") && stderr.contains("--cache-dir"),
+                "{cmd} ({how}): {stderr}"
+            );
+        }
+    }
+    assert!(!out.exists() && !dir.exists(), "a refused run writes nothing");
+    let _ = std::fs::remove_file(&raw);
 }
 
 #[test]

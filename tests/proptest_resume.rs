@@ -11,14 +11,17 @@
 //!    exactly them when no store fault is armed;
 //!
 //! across workload seeds, rewrite modes, fault seeds and thread
-//! counts. Kills are the ladder's deterministic abort, which lands
-//! after a round's record and results were flushed — exactly the disk
-//! state SIGKILL leaves behind. Every kill point runs twice: under the
-//! seed's whole plan, whose analysis faults make the multi-round
-//! ladders and whose store I/O faults may cost the rerun replayed
-//! rounds (never bytes), and under a copy of the plan without store
-//! faults, which must replay exactly the killed rounds.
+//! counts. Every case drops one entry of a jump table, a fault the
+//! verifier always catches, so every reference ladder runs at least two
+//! rounds and has a kill point. Kills are the ladder's deterministic
+//! abort, which lands after a round's record and results were flushed
+//! — exactly the disk state SIGKILL leaves behind. Every kill point
+//! runs twice: under the seed's whole plan, whose store I/O faults may
+//! cost the rerun replayed rounds (never bytes), and under a copy of
+//! the plan without store faults, which must replay exactly the killed
+//! rounds.
 
+use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, InjectedFault};
 use incremental_cfg_patching::core::{
     CacheStore, FaultPlan, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode,
 };
@@ -65,9 +68,30 @@ proptest! {
         std::env::set_var("ICFGP_THREADS", threads.to_string());
         let w = generate(&GenParams::small("resume", Arch::X64, wl_seed));
         let mut config = RewriteConfig::new(mode);
-        // Standard intensity forces multi-round ladders on most seeds;
-        // single-round cases exercise the trivial no-kill-point path.
-        config.fault_plan = Some(FaultPlan::standard(fault_seed));
+        // Drop one entry of a jump table in a function the plan does
+        // not fail, panic or stall, so the verifier sees the table.
+        let plan = FaultPlan::standard(fault_seed);
+        let mut armed = config.clone();
+        plan.arm(&w.binary, &mut armed);
+        let victims: Vec<u64> = armed
+            .analysis
+            .inject
+            .iter()
+            .filter_map(|f| match f {
+                InjectedFault::FailFunction { entry }
+                | InjectedFault::PanicFunction { entry }
+                | InjectedFault::StallFunction { entry, .. } => Some(*entry),
+                _ => None,
+            })
+            .collect();
+        let jump_addr = analyze(&w.binary, &AnalysisConfig::default())
+            .funcs
+            .values()
+            .filter(|f| !victims.contains(&f.entry))
+            .find_map(|f| f.jump_tables.first().map(|jt| jt.jump_addr))
+            .expect("a jump table the plan leaves analysable");
+        config.analysis.inject.push(InjectedFault::UnderApproximateTable { jump_addr, drop: 1 });
+        config.fault_plan = Some(plan);
         config.degradation.max_below_floor = 1.0;
         let mut clean = config.clone();
         clean.fault_plan = clean.fault_plan.as_ref().map(FaultPlan::without_store_faults);
@@ -79,6 +103,7 @@ proptest! {
         let reference = rewrite_with_ladder_cached(&w.binary, &config, &instr, &open(&scratch.join("ref")))
             .map_err(|e| TestCaseError::fail(format!("reference ladder: {e}")))?;
         prop_assert_eq!(reference.resumed_rounds, 0, "a fresh store replays nothing");
+        prop_assert!(reference.rounds >= 2, "{} round(s): no kill point", reference.rounds);
         let ref_bytes = serde_json::to_vec(&reference.outcome.binary).unwrap();
 
         for k in 1..reference.rounds {

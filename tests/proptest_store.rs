@@ -40,7 +40,9 @@ const FRAME_LEN: usize = 21;
 
 /// Truncate or extend roughly every other record payload in `dir`'s
 /// segments (seeded), rewriting each damaged frame's length and
-/// checksum so it still loads. Returns how many payloads were damaged.
+/// checksum so it still loads. Each segment's end frame (tag 0xFF,
+/// the record count) is copied as it is. Returns how many payloads
+/// were damaged.
 fn damage_payloads(dir: &std::path::Path, seed: u64) -> usize {
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let mut next = move || {
@@ -67,7 +69,7 @@ fn damage_payloads(dir: &std::path::Path, seed: u64) -> usize {
             let len = u32::from_le_bytes(data[at + 9..at + 13].try_into().unwrap()) as usize;
             let mut payload = data[at + FRAME_LEN..at + FRAME_LEN + len].to_vec();
             at += FRAME_LEN + len;
-            if next() % 2 == 0 {
+            if tag != 0xFF && next() % 2 == 0 {
                 // A self-delimiting decoder can accept neither a proper
                 // prefix nor trailing bytes.
                 if next() % 2 == 0 && !payload.is_empty() {

@@ -97,6 +97,8 @@ fn records(dir: &Path) -> Vec<(Stage, Vec<u8>)> {
                 3 => Stage::Fragment,
                 5 => Stage::Audit,
                 6 => Stage::Ladder,
+                // The end frame closes the segment.
+                0xFF => break,
                 tag => panic!("{}: unknown stage tag {tag}", path.display()),
             };
             let len = u32::from_le_bytes(data[at + 9..at + 13].try_into().unwrap()) as usize;
