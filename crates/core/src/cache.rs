@@ -576,8 +576,8 @@ pub struct RewriteCache {
     audits: StageMap<AuditReport>,
     store: Option<Arc<dyn StoreBackend>>,
     trace: Arc<Trace>,
-    /// Chaos: corrupt fragment records read back from the store
-    /// (armed by [`crate::FaultPlan::arm_cached`]).
+    /// Chaos: corrupt fragment records read back from the store (armed by
+    /// [`RewriteCache::arm_patch_corruption`]).
     patch_fault: Mutex<Option<PatchFault>>,
 }
 

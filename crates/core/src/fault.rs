@@ -26,6 +26,15 @@
 //! * `shrink_budgets` / `starve_scratch` / `exhaust_reach` — placement
 //!   stress: no superblocks, no scratch sources (so no islands), and a
 //!   `.instr` gap beyond the short-branch reach.
+//!
+//! Arming touches only the [`RewriteConfig`]. The `store_*`, `net_*`
+//! and `corrupt_patch_point` knobs describe faults in the machinery
+//! around a rewrite; the code that opens the store, builds the
+//! transport or builds the cache arms them ([`FaultPlan::store_faults`],
+//! [`FaultPlan::net_faults`],
+//! [`RewriteCache::arm_patch_corruption`](crate::RewriteCache::arm_patch_corruption)).
+//! Only chaos campaigns and tests do, so `--fault-seed` on a user's run
+//! never damages the user's store or wire.
 
 use crate::config::RewriteConfig;
 use icfgp_cfg::{FuncStatus, InjectedFault};
@@ -235,32 +244,6 @@ impl FaultPlan {
         }
     }
 
-    /// This plan with its store I/O faults (torn writes, bit flips,
-    /// lock contention) cleared and every other class kept.
-    #[must_use]
-    pub fn without_store_faults(&self) -> FaultPlan {
-        FaultPlan {
-            store_torn_write: 0.0,
-            store_bit_flip: 0.0,
-            store_lock_contention: 0.0,
-            ..self.clone()
-        }
-    }
-
-    /// This plan with its network fault classes cleared and every other
-    /// class kept (a warm-pair oracle runs over a clean wire).
-    #[must_use]
-    pub fn without_net_faults(&self) -> FaultPlan {
-        FaultPlan {
-            net_delay: 0.0,
-            net_drop: 0.0,
-            net_torn_response: 0.0,
-            net_bit_flip_reply: 0.0,
-            net_kill_mid_put: 0.0,
-            ..self.clone()
-        }
-    }
-
     /// The I/O fault classes of this plan, in the form
     /// [`crate::store::StoreBackend::arm_faults`] takes.
     #[must_use]
@@ -291,7 +274,8 @@ impl FaultPlan {
 
     /// Materialise the plan against `binary`: run a clean analysis to
     /// pick victims and fill `config` with injections and stress
-    /// knobs. Deterministic in `(self, binary)`.
+    /// knobs. Deterministic in `(self, binary)`. Store, wire and
+    /// read-back faults are left to whoever builds those.
     pub fn arm(&self, binary: &Binary, config: &mut RewriteConfig) {
         self.arm_cached(binary, config, &crate::cache::RewriteCache::new());
     }
@@ -365,13 +349,6 @@ impl FaultPlan {
             // `.instr` directly, long forms and islands still can.
             let gap = binary.arch.short_branch_reach() as u64 + (32 << 20);
             config.instr_gap = config.instr_gap.max(gap);
-        }
-        if let Some(store) = cache.store() {
-            store.arm_faults(self.store_faults());
-            store.arm_net_faults(self.net_faults());
-        }
-        if self.corrupt_patch_point > 0.0 {
-            cache.arm_patch_corruption(self.seed, self.corrupt_patch_point);
         }
     }
 }

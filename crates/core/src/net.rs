@@ -225,10 +225,11 @@ pub fn parse_store_url(raw: &str) -> Result<StoreUrl, String> {
 // ----- fault injection ---------------------------------------------------
 
 /// Deterministic network fault injection for the remote-store
-/// transport, armed by the [`FaultPlan`](crate::FaultPlan) `net_*`
-/// knobs. Faults only ever damage the *transport* — the client's
-/// retry/breaker ladder must absorb every one of them without
-/// changing output bytes or hanging.
+/// transport, described by the [`FaultPlan`](crate::FaultPlan) `net_*`
+/// knobs and armed by whoever builds the transport (a
+/// [`FaultyTransport`] in chaos campaigns and tests). Faults only ever
+/// damage the *transport* — the client's retry/breaker ladder must
+/// absorb every one of them without changing output bytes or hanging.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct NetFaults {
     /// PRNG seed for the fault draws.
@@ -251,18 +252,6 @@ pub struct NetFaults {
     /// and (with an in-process server) every later connection is
     /// refused.
     pub kill_mid_put: f64,
-}
-
-impl NetFaults {
-    /// Whether any fault class is armed.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.delay > 0.0
-            || self.drop > 0.0
-            || self.torn_response > 0.0
-            || self.bit_flip_reply > 0.0
-            || self.kill_mid_put > 0.0
-    }
 }
 
 // ----- transports --------------------------------------------------------
@@ -781,11 +770,6 @@ fn op_name(tag: u8) -> &'static str {
 pub struct RemoteStore {
     url: String,
     transport: Mutex<Box<dyn Transport>>,
-    /// Set once a fault transport is installed — campaigns that wrap
-    /// the transport themselves (to wire the server kill flag) must
-    /// not get double-wrapped by [`FaultPlan`](crate::FaultPlan)
-    /// arming.
-    net_armed: AtomicBool,
     retry: Mutex<RetryPolicy>,
     breaker_threshold: u32,
     consecutive: AtomicU32,
@@ -815,27 +799,17 @@ impl RemoteStore {
                 Some(addr) => Box::new(TcpTransport::new(addr, opts.timeout)),
                 None => Box::new(UnresolvedTransport(url.to_string())),
             };
-        RemoteStore::build(transport, url.to_string(), opts, false)
+        RemoteStore::with_transport(transport, url.to_string(), opts)
     }
 
     /// A client over an explicit transport (chaos campaigns wrap a
-    /// [`TcpTransport`] in a [`FaultyTransport`] here). The transport
-    /// counts as caller-owned: a later
-    /// [`StoreBackend::arm_net_faults`] will not wrap it again.
+    /// [`TcpTransport`] in a [`FaultyTransport`] here: the code that
+    /// builds the transport is the code that arms its faults).
     #[must_use]
     pub fn with_transport(
         transport: Box<dyn Transport>,
         url: String,
         opts: RemoteOptions,
-    ) -> RemoteStore {
-        RemoteStore::build(transport, url, opts, true)
-    }
-
-    fn build(
-        transport: Box<dyn Transport>,
-        url: String,
-        opts: RemoteOptions,
-        net_armed: bool,
     ) -> RemoteStore {
         let trace = opts.trace.unwrap_or_default();
         let store = RemoteStore {
@@ -845,7 +819,6 @@ impl RemoteStore {
             breaker_threshold: opts.breaker_threshold.max(1),
             consecutive: AtomicU32::new(0),
             degraded: AtomicBool::new(false),
-            net_armed: AtomicBool::new(net_armed),
             pending: Mutex::new(Vec::new()),
             known: Mutex::new(HashSet::new()),
             poisoned: Mutex::new(HashSet::new()),
@@ -1043,18 +1016,6 @@ impl StoreBackend for RemoteStore {
 
     /// A client writes no segments, so there is no I/O to damage.
     fn arm_faults(&self, _: StoreFaults) {}
-
-    fn arm_net_faults(&self, faults: NetFaults) {
-        if !faults.any() || self.net_armed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let mut transport = self.transport.lock().expect("transport poisoned");
-        let inner = std::mem::replace(
-            &mut *transport,
-            Box::new(UnresolvedTransport(self.url.clone())),
-        );
-        *transport = Box::new(FaultyTransport::new(inner, faults, None));
-    }
 
     fn set_retry_policy(&self, policy: RetryPolicy) {
         *self.retry.lock().expect("retry poisoned") = policy;

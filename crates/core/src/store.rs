@@ -391,10 +391,12 @@ impl StoreStats {
     }
 }
 
-/// Deterministic I/O fault injection, armed by the chaos layer
-/// ([`FaultPlan`](crate::FaultPlan) store knobs). Faults only ever
-/// *damage* persistence — they must never change rewrite output bytes,
-/// which is exactly the invariant the campaigns assert.
+/// Deterministic I/O fault injection, described by the
+/// [`FaultPlan`](crate::FaultPlan) store knobs and armed by whoever
+/// opens the store (chaos campaigns and tests, through
+/// [`StoreBackend::arm_faults`]). Faults only ever *damage*
+/// persistence — they must never change rewrite output bytes, which is
+/// exactly the invariant the campaigns assert.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StoreFaults {
     /// PRNG seed for the fault draws.
@@ -833,8 +835,10 @@ pub trait StoreBackend: Send + Sync {
     fn describe(&self) -> String;
     /// Arm deterministic I/O fault injection (chaos campaigns).
     fn arm_faults(&self, faults: StoreFaults);
-    /// Arm deterministic network fault injection; no-op on backends
-    /// without a network leg.
+    /// Arm deterministic network fault injection. A no-op on every
+    /// backend here (a faulted client is built over a
+    /// [`FaultyTransport`](crate::net::FaultyTransport)); kept because
+    /// the `icfgp-perf` bench's `TimedStore` forwards the whole trait.
     fn arm_net_faults(&self, faults: crate::net::NetFaults) {
         let _ = faults;
     }
@@ -926,8 +930,6 @@ impl StoreBackend for CacheStore {
         self.inner.lock().expect("store poisoned").faults = faults.any().then_some((faults, rng));
     }
 
-    /// Chaos campaigns re-seed the policy from the fault-plan seed so
-    /// delay schedules replay exactly.
     fn set_retry_policy(&self, policy: RetryPolicy) {
         self.inner.lock().expect("store poisoned").retry = policy;
     }

@@ -490,20 +490,6 @@ impl Registry {
         }
         v
     }
-
-    /// Run [`Registry::check`] over every store source with activity.
-    #[must_use]
-    pub fn violations(&self) -> Vec<String> {
-        let inner = self.lock();
-        let mut v = Vec::new();
-        for src in StoreSrc::ALL {
-            let s = inner.store[src.idx()].stats();
-            if s.lookups > 0 || s.total() > 0 {
-                v.extend(Registry::check(&format!("{} store", src.name()), &s));
-            }
-        }
-        v
-    }
 }
 
 // ----- the collector -----------------------------------------------------
@@ -1102,7 +1088,6 @@ mod tests {
         assert_eq!(s.lookup_quarantines, 1);
         assert_eq!(s.quarantined_records, 1);
         assert!(Registry::check("local store", &s).is_empty());
-        assert!(trace.registry().violations().is_empty());
     }
 
     #[test]

@@ -533,7 +533,7 @@ mod tests {
         use icfgp_core::{binary_fingerprint, config_fingerprint, CacheStore};
         let bin = small(Arch::X64, 7);
         let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
-        let plan = FaultPlan::standard(2).without_store_faults();
+        let plan = FaultPlan::standard(2);
         config.fault_plan = Some(plan.clone());
         config.degradation.max_below_floor = 1.0;
         let instr = Instrumentation::empty(Points::EveryBlock);

@@ -25,9 +25,37 @@ use incremental_cfg_patching::workloads::{
     docker_like, driverlib_like, firefox_like, generate, spec_params, switch_demo, GenParams,
     SPEC_NAMES,
 };
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The first failed stdout write; `main` exits 3 with it.
+static STDOUT_ERROR: OnceLock<String> = OnceLock::new();
+
+/// Every stdout write goes through here, so a closed pipe ends the
+/// command inside the exit contract instead of panicking. After the
+/// first failure the rest of the output is dropped.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_ERROR.get().is_some() {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        let _ = STDOUT_ERROR.set(format!("writing stdout: {e}"));
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -106,8 +134,9 @@ or kill, rerunning the same command over the same store is the resume:
 it replays the stored rounds, redoes only the unfinished ones and
 produces byte-identical output. A rerun of a finished run replays all
 but the final round. A run without a store recomputes everything.
-`--fault-seed` injects analysis and transport faults only, never store
-I/O faults into the user's own store; `chaos` injects those.
+`--fault-seed` injects analysis and placement faults only; the user's
+store, wire and cache read-back stay undamaged. `chaos` injects store,
+wire and read-back faults.
 
 `chaos` sweeps workloads × arches × modes × seeds over one fault
 axis. By default each seed's fault plan hits the analyses, and every
@@ -205,14 +234,6 @@ fn is_quiet(args: &[String]) -> bool {
     has_flag(args, "--quiet") || has_flag(args, "-q")
 }
 
-/// Arm stream recording on a command's trace spine when `--trace` /
-/// `ICFGP_TRACE` asks for it; returns the output path.
-fn arm_trace(args: &[String], cache: &RewriteCache) -> Option<PathBuf> {
-    let path = trace_path(args)?;
-    cache.trace().record();
-    Some(path)
-}
-
 /// Seal the recorded stream and write it as JSONL to `path`.
 fn write_trace(trace: &Trace, path: &std::path::Path) -> Result<(), String> {
     let f = std::fs::File::create(path)
@@ -263,7 +284,7 @@ fn finish_cache(cache: &RewriteCache, quiet: bool) {
         return;
     }
     let s = store.stats();
-    println!(
+    outln!(
         "  cache store: {} — {} hit / {} miss persisted, {} record(s) flushed, \
          {} quarantined",
         store.describe(),
@@ -273,12 +294,45 @@ fn finish_cache(cache: &RewriteCache, quiet: bool) {
         s.quarantined_records + s.quarantined_segments,
     );
     if s.remote_hits + s.remote_misses + s.breaker_trips + s.degraded > 0 {
-        println!(
+        outln!(
             "  remote     : {} hit / {} miss, {} retries, {} breaker trip(s), \
              {} degraded lookup(s)",
             s.remote_hits, s.remote_misses, s.retries, s.breaker_trips, s.degraded,
         );
     }
+}
+
+/// The run scaffold of the ladder commands (`rewrite`, `verify`,
+/// `fleet`, `audit`): open the command's cache, record the trace when
+/// `--trace`/`ICFGP_TRACE` asks, run `body` inside the `Run` span, then
+/// flush and report the store (`quiet` drops the stdout summary) and
+/// write the trace (`announce` prints its path). Returns the body's
+/// value and the cache.
+fn run_command<T>(
+    args: &[String],
+    quiet: bool,
+    announce: bool,
+    body: impl FnOnce(&RewriteCache) -> Result<T, Failure>,
+) -> Result<(T, RewriteCache), Failure> {
+    let cache = open_cache(args)?;
+    let tpath = trace_path(args);
+    let spine = cache.trace();
+    let run_span = tpath.as_ref().map(|_| {
+        spine.record();
+        spine.span(SpanKind::Run)
+    });
+    let value = body(&cache)?;
+    finish_cache(&cache, quiet);
+    if let Some(s) = run_span {
+        s.close();
+    }
+    if let Some(p) = &tpath {
+        write_trace(&spine, p)?;
+        if announce {
+            outln!("  trace      : {}", p.display());
+        }
+    }
+    Ok((value, cache))
 }
 
 /// Why a command failed: a usage error exits 64, anything else 3.
@@ -387,7 +441,7 @@ fn cmd_gen(args: &[String]) -> Result<u8, Failure> {
         }
     };
     save_binary(&workload.binary, &out)?;
-    println!(
+    outln!(
         "{}: {} functions, {} bytes loaded, arch {arch}, pie {pie} -> {out}",
         workload.name,
         workload.binary.functions().count(),
@@ -405,14 +459,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let blocks: usize = a.funcs.values().map(|f| f.blocks.len()).sum();
     let tables: usize = a.funcs.values().map(|f| f.jump_tables.len()).sum();
     let tailcalls: usize = a.funcs.values().map(|f| f.indirect_tailcalls.len()).sum();
-    println!("{path}: {} ({})", binary.arch, if binary.meta.pie { "PIE" } else { "no-PIE" });
-    println!("  functions        : {funcs} ({ok} analysable, {:.2}% coverage)", a.coverage() * 100.0);
-    println!("  basic blocks     : {blocks}");
-    println!("  jump tables      : {tables}");
-    println!("  indirect tailcalls (heuristic): {tailcalls}");
-    println!("  function-pointer defs: {}", a.fp_defs.len());
+    outln!("{path}: {} ({})", binary.arch, if binary.meta.pie { "PIE" } else { "no-PIE" });
+    outln!("  functions        : {funcs} ({ok} analysable, {:.2}% coverage)", a.coverage() * 100.0);
+    outln!("  basic blocks     : {blocks}");
+    outln!("  jump tables      : {tables}");
+    outln!("  indirect tailcalls (heuristic): {tailcalls}");
+    outln!("  function-pointer defs: {}", a.fp_defs.len());
     for f in a.funcs.values().filter(|f| f.status != FuncStatus::Ok) {
-        println!("  FAILED {}: {:?}", if f.name.is_empty() { "<stripped>" } else { &f.name }, f.status);
+        outln!("  FAILED {}: {:?}", if f.name.is_empty() { "<stripped>" } else { &f.name }, f.status);
     }
     Ok(())
 }
@@ -431,12 +485,9 @@ fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), Fail
         let seed: u64 = seed.parse().map_err(|_| format!("bad --fault-seed {seed}"))?;
         let intensity =
             arg_value(args, "--intensity").unwrap_or_else(|| "standard".to_string());
-        // Store I/O faults are seeded per open: on the user's own store
-        // every run would lose the same flushes and ladder rounds.
         config.fault_plan = Some(
             FaultPlan::named(&intensity, seed)
-                .ok_or_else(|| format!("unknown --intensity {intensity}"))?
-                .without_store_faults(),
+                .ok_or_else(|| format!("unknown --intensity {intensity}"))?,
         );
     }
     if let Some(floor) = arg_value(args, "--floor") {
@@ -500,9 +551,9 @@ fn print_dispositions(ladder: &LadderOutcome) {
                 },
                 |s| s.reason.clone(),
             );
-        println!("  degraded {:#x}: {} -> {} ({why})", d.entry, d.requested, d.achieved);
+        outln!("  degraded {:#x}: {} -> {} ({why})", d.entry, d.requested, d.achieved);
     }
-    println!(
+    outln!(
         "  ladder     : {} round(s), {} function(s), {} degraded, {} below floor{}",
         ladder.rounds,
         ladder.dispositions.len(),
@@ -517,13 +568,13 @@ fn print_dispositions(ladder: &LadderOutcome) {
 /// [`trace::render_stats_text`]; the `shared` counter distinguishes
 /// weak-key hits first computed for a *different* binary.
 fn print_stats(round_stats: &[incremental_cfg_patching::core::RewriteStats]) {
-    print!("{}", trace::render_stats_text(round_stats));
+    out!("{}", trace::render_stats_text(round_stats));
 }
 
 /// Print the predictive-gate summary a gated ladder run carries.
 fn print_gate(ladder: &LadderOutcome) {
     let Some(gate) = &ladder.gate else { return };
-    println!(
+    outln!(
         "  audit gate : {} — {} function(s) pre-gated{}",
         gate.counts,
         gate.gated.len(),
@@ -546,37 +597,29 @@ fn cmd_audit(args: &[String]) -> Result<u8, Failure> {
     let binary = load_binary(path)?;
     let (config, _) = parse_rewrite_config(args)?;
     let mode = audit_mode_of(config.mode);
-    let cache = open_cache(args)?;
-    let tpath = arm_trace(args, &cache);
-    let spine = cache.trace();
-    let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let mut cfg = config;
-    if let Some(plan) = cfg.fault_plan.clone() {
-        // Audit the same faulted analysis a rewrite would see.
-        plan.arm_cached(&binary, &mut cfg, &cache);
-    }
-    // The gate path memoises the report through the cache (and its
-    // persistent store); the installed func modes are discarded.
-    let summary = apply_audit_gate(&binary, &mut cfg, &cache);
-    let report = &summary.report;
-    match format.as_str() {
-        "json" => println!("{}", report.to_json().map_err(|e| e.to_string())?),
-        "sarif" => println!("{}", to_sarif(report, mode, path)),
-        _ => {
-            print!("{}", render_text(report, mode));
-            if summary.cache_hit {
-                println!("  (report served from cache)");
+    run_command(args, format != "text", false, |cache| {
+        let mut cfg = config;
+        if let Some(plan) = cfg.fault_plan.clone() {
+            // Audit the same faulted analysis a rewrite would see.
+            plan.arm_cached(&binary, &mut cfg, cache);
+        }
+        // The gate path memoises the report through the cache (and its
+        // persistent store); the installed func modes are discarded.
+        let summary = apply_audit_gate(&binary, &mut cfg, cache);
+        let report = &summary.report;
+        match format.as_str() {
+            "json" => outln!("{}", report.to_json().map_err(|e| e.to_string())?),
+            "sarif" => outln!("{}", to_sarif(report, mode, path)),
+            _ => {
+                out!("{}", render_text(report, mode));
+                if summary.cache_hit {
+                    outln!("  (report served from cache)");
+                }
             }
         }
-    }
-    finish_cache(&cache, format != "text");
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if let Some(p) = &tpath {
-        write_trace(&spine, p)?;
-    }
-    Ok(u8::from(!report.is_clean(mode)))
+        Ok(u8::from(!report.is_clean(mode)))
+    })
+    .map(|(code, _)| code)
 }
 
 fn cmd_rewrite(args: &[String]) -> Result<u8, Failure> {
@@ -586,59 +629,48 @@ fn cmd_rewrite(args: &[String]) -> Result<u8, Failure> {
     let (config, points) = parse_rewrite_config(args)?;
     let mode = config.mode;
     let quiet = is_quiet(args);
-    let cache = open_cache(args)?;
-    let tpath = arm_trace(args, &cache);
-    let spine = cache.trace();
-    let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let (ladder, code) = run_ladder(&binary, &config, points, &cache)?;
-    save_binary(&ladder.outcome.binary, &out)?;
-    if !quiet {
-        let r = &ladder.outcome.report;
-        println!("rewrote {path} -> {out} ({mode} mode)");
-        println!("  coverage   : {:.2}%", r.coverage * 100.0);
-        println!(
-            "  trampolines: {} ({} short, {} long, {} multi-hop, {} trap)",
-            r.trampolines(),
-            r.tramp_short,
-            r.tramp_long,
-            r.tramp_multi_hop,
-            r.tramp_trap
-        );
-        println!("  cloned jump tables: {}", r.cloned_tables);
-        println!("  ra-map entries    : {}", r.ra_map_entries);
-        println!("  size       : {} -> {} (+{:.2}%)", r.original_size, r.rewritten_size,
-            r.size_increase() * 100.0);
-        println!(
-            "  verify     : {} error(s), {} warning(s) over {} trampolines, {} patches, {} clones",
-            ladder.verify.errors().count(),
-            ladder.verify.warnings().count(),
-            ladder.verify.trampolines_checked,
-            ladder.verify.patches_checked,
-            ladder.verify.clones_checked
-        );
-        print_dispositions(&ladder);
-        print_gate(&ladder);
-        if ladder.resumed_rounds > 0 {
-            println!(
-                "  resumed    : {} stored round(s) replayed, {} executed",
-                ladder.resumed_rounds,
-                ladder.rounds - ladder.resumed_rounds
-            );
-        }
-        if has_flag(args, "--stats") {
-            print_stats(&ladder.round_stats);
-        }
-    }
-    finish_cache(&cache, quiet);
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if let Some(p) = &tpath {
-        write_trace(&spine, p)?;
+    let ((ladder, code), cache) = run_command(args, quiet, !quiet, |cache| {
+        let (ladder, code) = run_ladder(&binary, &config, points, cache)?;
+        save_binary(&ladder.outcome.binary, &out)?;
         if !quiet {
-            println!("  trace      : {}", p.display());
+            let r = &ladder.outcome.report;
+            outln!("rewrote {path} -> {out} ({mode} mode)");
+            outln!("  coverage   : {:.2}%", r.coverage * 100.0);
+            outln!(
+                "  trampolines: {} ({} short, {} long, {} multi-hop, {} trap)",
+                r.trampolines(),
+                r.tramp_short,
+                r.tramp_long,
+                r.tramp_multi_hop,
+                r.tramp_trap
+            );
+            outln!("  cloned jump tables: {}", r.cloned_tables);
+            outln!("  ra-map entries    : {}", r.ra_map_entries);
+            outln!("  size       : {} -> {} (+{:.2}%)", r.original_size, r.rewritten_size,
+                r.size_increase() * 100.0);
+            outln!(
+                "  verify     : {} error(s), {} warning(s) over {} trampolines, {} patches, {} clones",
+                ladder.verify.errors().count(),
+                ladder.verify.warnings().count(),
+                ladder.verify.trampolines_checked,
+                ladder.verify.patches_checked,
+                ladder.verify.clones_checked
+            );
+            print_dispositions(&ladder);
+            print_gate(&ladder);
+            if ladder.resumed_rounds > 0 {
+                outln!(
+                    "  resumed    : {} stored round(s) replayed, {} executed",
+                    ladder.resumed_rounds,
+                    ladder.rounds - ladder.resumed_rounds
+                );
+            }
+            if has_flag(args, "--stats") {
+                print_stats(&ladder.round_stats);
+            }
         }
-    }
+        Ok((ladder, code))
+    })?;
     // The process exits right after this. Freeing the ladder outcome,
     // the input and every cached stage record would cost tens of
     // milliseconds on a large binary and do nothing the exit does not.
@@ -670,59 +702,48 @@ fn cmd_fleet(args: &[String]) -> Result<u8, Failure> {
     }
     let (config, points) = parse_rewrite_config(args)?;
     let quiet = is_quiet(args);
-    let cache = open_cache(args)?;
-    let tpath = arm_trace(args, &cache);
-    let spine = cache.trace();
-    let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    const STAGES: [&str; 3] = ["funcs", "frags", "live"];
-    // Per stage: [hits, misses, shared].
-    let mut agg = [[0u64; 3]; 3];
-    let mut code = 0u8;
-    for (fi, path) in files.iter().enumerate() {
-        let binary = load_binary(path)?;
-        let (ladder, c) = run_ladder(&binary, &config, points.clone(), &cache)?;
-        code = code.max(c);
-        let out = format!("{path}.rw");
-        save_binary(&ladder.outcome.binary, &out)?;
-        let mut per = [[0u64; 3]; 3];
-        for s in &ladder.round_stats {
-            let stages = [&s.func_analyses, &s.fragments, &s.liveness];
-            for (k, st) in stages.into_iter().enumerate() {
-                per[k][0] += st.hits;
-                per[k][1] += st.misses;
-                per[k][2] += st.shared;
+    run_command(args, quiet, !quiet, |cache| {
+        const STAGES: [&str; 3] = ["funcs", "frags", "live"];
+        // Per stage: [hits, misses, shared].
+        let mut agg = [[0u64; 3]; 3];
+        let mut code = 0u8;
+        for (fi, path) in files.iter().enumerate() {
+            let binary = load_binary(path)?;
+            let (ladder, c) = run_ladder(&binary, &config, points.clone(), cache)?;
+            code = code.max(c);
+            let out = format!("{path}.rw");
+            save_binary(&ladder.outcome.binary, &out)?;
+            let mut per = [[0u64; 3]; 3];
+            for s in &ladder.round_stats {
+                let stages = [&s.func_analyses, &s.fragments, &s.liveness];
+                for (k, st) in stages.into_iter().enumerate() {
+                    per[k][0] += st.hits;
+                    per[k][1] += st.misses;
+                    per[k][2] += st.shared;
+                }
             }
-        }
-        for (a, p) in agg.iter_mut().zip(per.iter()) {
-            for (av, pv) in a.iter_mut().zip(p.iter()) {
-                *av += pv;
+            for (a, p) in agg.iter_mut().zip(per.iter()) {
+                for (av, pv) in a.iter_mut().zip(p.iter()) {
+                    *av += pv;
+                }
+            }
+            if !quiet {
+                let cells: Vec<String> = STAGES
+                    .iter()
+                    .zip(per.iter())
+                    .map(|(n, v)| fleet_cell(n, v))
+                    .collect();
+                outln!("[{}/{}] {path} -> {out}: {}", fi + 1, files.len(), cells.join(", "));
             }
         }
         if !quiet {
-            let cells: Vec<String> = STAGES
-                .iter()
-                .zip(per.iter())
-                .map(|(n, v)| fleet_cell(n, v))
-                .collect();
-            println!("[{}/{}] {path} -> {out}: {}", fi + 1, files.len(), cells.join(", "));
+            let cells: Vec<String> =
+                STAGES.iter().zip(agg.iter()).map(|(n, v)| fleet_cell(n, v)).collect();
+            outln!("fleet: {} binaries — {}", files.len(), cells.join(", "));
         }
-    }
-    if !quiet {
-        let cells: Vec<String> =
-            STAGES.iter().zip(agg.iter()).map(|(n, v)| fleet_cell(n, v)).collect();
-        println!("fleet: {} binaries — {}", files.len(), cells.join(", "));
-    }
-    finish_cache(&cache, quiet);
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if let Some(p) = &tpath {
-        write_trace(&spine, p)?;
-        if !quiet {
-            println!("  trace      : {}", p.display());
-        }
-    }
-    Ok(code)
+        Ok(code)
+    })
+    .map(|(code, _)| code)
 }
 
 /// One `stage hits/total (rate%, shared: N)` cell of the fleet report.
@@ -736,39 +757,32 @@ fn cmd_verify(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
     let binary = load_binary(path)?;
     let (config, points) = parse_rewrite_config(args)?;
-    let cache = open_cache(args)?;
-    let tpath = arm_trace(args, &cache);
-    let spine = cache.trace();
-    let run_span = tpath.as_ref().map(|_| spine.span(SpanKind::Run));
-    let (ladder, code) = run_ladder(&binary, &config, points, &cache)?;
-    let report = &ladder.verify;
-    if has_flag(args, "--json") {
-        println!("{}", report.to_json().map_err(|e| e.to_string())?);
-    } else {
-        for d in &report.diagnostics {
-            println!("{d}");
+    let json = has_flag(args, "--json");
+    run_command(args, json, false, |cache| {
+        let (ladder, code) = run_ladder(&binary, &config, points, cache)?;
+        let report = &ladder.verify;
+        if json {
+            outln!("{}", report.to_json().map_err(|e| e.to_string())?);
+        } else {
+            for d in &report.diagnostics {
+                outln!("{d}");
+            }
+            outln!(
+                "{path}: {} mode, {} function(s) checked ({} skipped), {} trampoline(s), \
+                 {} patch(es), {} clone(s)",
+                config.mode,
+                report.functions_checked,
+                report.functions_skipped,
+                report.trampolines_checked,
+                report.patches_checked,
+                report.clones_checked
+            );
+            print_dispositions(&ladder);
+            print_gate(&ladder);
         }
-        println!(
-            "{path}: {} mode, {} function(s) checked ({} skipped), {} trampoline(s), \
-             {} patch(es), {} clone(s)",
-            config.mode,
-            report.functions_checked,
-            report.functions_skipped,
-            report.trampolines_checked,
-            report.patches_checked,
-            report.clones_checked
-        );
-        print_dispositions(&ladder);
-        print_gate(&ladder);
-    }
-    finish_cache(&cache, has_flag(args, "--json"));
-    if let Some(s) = run_span {
-        s.close();
-    }
-    if let Some(p) = &tpath {
-        write_trace(&spine, p)?;
-    }
-    Ok(code)
+        Ok(code)
+    })
+    .map(|(code, _)| code)
 }
 
 /// `icfgp chaos` — one campaign runner; `--kill-resume` and `--net`
@@ -823,7 +837,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, Failure> {
     let run_span = spine.as_deref().map(|t| t.span(SpanKind::Run));
     let report = run_campaign(&config, |case| {
         if !json && !quiet {
-            println!("{}", case.line(axis));
+            outln!("{}", case.line(axis));
         }
     })?;
     if let Some(s) = run_span {
@@ -831,10 +845,10 @@ fn cmd_chaos(args: &[String]) -> Result<u8, Failure> {
     }
     if !quiet {
         if json {
-            println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
+            outln!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
         } else {
-            println!();
-            println!("{}", report.render());
+            outln!();
+            outln!("{}", report.render());
         }
     }
     if let (Some(t), Some(p)) = (&spine, &tpath) {
@@ -850,20 +864,20 @@ fn cmd_cache_stats_remote(raw: &str) -> Result<u8, String> {
     let url = parse_store_url(raw)?;
     let store = RemoteStore::connect(&url, RemoteOptions::default());
     let s = store.server_stats()?;
-    println!("{url}:");
-    println!("  segments   : {} on disk, {} record(s)", s.segments, s.records);
-    println!("  quarantine : {} file(s), {} byte(s) on disk", s.quarantined_files, s.quarantined_bytes);
-    println!("  key-epoch  : {:#018x} (server), format v{}", s.key_epoch, s.format_version);
-    println!(
+    outln!("{url}:");
+    outln!("  segments   : {} on disk, {} record(s)", s.segments, s.records);
+    outln!("  quarantine : {} file(s), {} byte(s) on disk", s.quarantined_files, s.quarantined_bytes);
+    outln!("  key-epoch  : {:#018x} (server), format v{}", s.key_epoch, s.format_version);
+    outln!(
         "  server     : {} conn(s), {} request(s), {} hit / {} miss, \
          {} put(s) accepted / {} rejected",
         s.connections, s.requests, s.get_hits, s.get_misses, s.puts_accepted, s.puts_rejected,
     );
     if s.bad_frames > 0 {
-        println!("  bad frames : {}", s.bad_frames);
+        outln!("  bad frames : {}", s.bad_frames);
     }
     let c = store.stats();
-    println!(
+    outln!(
         "  client     : {} retries, {} breaker trip(s), {} io error(s)",
         c.retries, c.breaker_trips, c.io_errors,
     );
@@ -880,8 +894,8 @@ fn cmd_cache_serve(args: &[String], dir: Option<PathBuf>) -> Result<u8, String> 
     let dir = dir.ok_or("missing --cache-dir DIR (or set ICFGP_CACHE_DIR)")?;
     let handle =
         serve(&addr, &dir, ServeOptions::default()).map_err(|e| format!("serve {addr}: {e}"))?;
-    println!("serving {} from {}", handle.url(), dir.display());
-    println!("  connect with --store-url {} (Ctrl-C to stop)", handle.url());
+    outln!("serving {} from {}", handle.url(), dir.display());
+    outln!("  connect with --store-url {} (Ctrl-C to stop)", handle.url());
     handle.wait();
     Ok(0)
 }
@@ -913,23 +927,23 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
                 None => CacheStore::open(&dir),
             };
             let s = store.stats();
-            println!("{}:", dir.display());
-            println!(
+            outln!("{}:", dir.display());
+            outln!(
                 "  segments   : {} loaded, {} quarantined",
                 s.segments_loaded, s.quarantined_segments
             );
-            println!(
+            outln!(
                 "  records    : {} usable, {} quarantined",
                 s.records_loaded, s.quarantined_records
             );
             let (qfiles, qbytes) = store::quarantine_usage(&dir);
-            println!("  quarantine : {qfiles} file(s), {qbytes} byte(s) on disk");
-            println!("  key-epoch  : {:#018x} (this build)", store::KEY_EPOCH);
+            outln!("  quarantine : {qfiles} file(s), {qbytes} byte(s) on disk");
+            outln!("  key-epoch  : {:#018x} (this build)", store::KEY_EPOCH);
             for (stage, n) in store.entry_counts() {
-                println!("    {:<9}: {n}", stage.name());
+                outln!("    {:<9}: {n}", stage.name());
             }
             for e in store.events() {
-                println!("  event      : {e}");
+                outln!("  event      : {e}");
             }
             if let (Some(t), Some(p)) = (&spine, &tpath) {
                 write_trace(t, p)?;
@@ -938,22 +952,22 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
         }
         "verify" => {
             let report = store::verify_dir(&dir);
-            println!("{}:", dir.display());
-            println!(
+            outln!("{}:", dir.display());
+            outln!(
                 "  {} segment(s), {} valid record(s), {} byte(s)",
                 report.segments, report.valid_records, report.total_bytes
             );
             for p in &report.problems {
-                println!("  problem: {p}");
+                outln!("  problem: {p}");
             }
             if report.quarantined_files > 0 {
-                println!("  {} quarantined file(s) present", report.quarantined_files);
+                outln!("  {} quarantined file(s) present", report.quarantined_files);
             }
             if report.is_clean() {
-                println!("  store is clean");
+                outln!("  store is clean");
                 Ok(0)
             } else {
-                println!(
+                outln!(
                     "  store is damaged: {} corrupt record(s), {} bad segment(s), \
                      {} truncated",
                     report.corrupt_records, report.bad_segments, report.truncated_segments
@@ -963,22 +977,22 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
         }
         "clear" => {
             let removed = store::clear_dir(&dir)?;
-            println!("{}: removed {removed} file(s)", dir.display());
+            outln!("{}: removed {removed} file(s)", dir.display());
             Ok(0)
         }
         "compact" => {
             let r = store::compact_dir(&dir)?;
-            println!("{}:", dir.display());
-            println!(
+            outln!("{}:", dir.display());
+            outln!(
                 "  records    : {} kept, {} superseded dropped, {} corrupt dropped",
                 r.records_kept, r.superseded_dropped, r.corrupt_dropped
             );
-            println!(
+            outln!(
                 "  segments   : {} compacted ({} unreadable dropped), \
                  {} quarantined file(s) removed",
                 r.segments_before, r.bad_segments_dropped, r.quarantined_files_removed
             );
-            println!("  bytes      : {} -> {}", r.bytes_before, r.bytes_after);
+            outln!("  bytes      : {} -> {}", r.bytes_before, r.bytes_after);
             Ok(0)
         }
         "corrupt" => {
@@ -991,7 +1005,7 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
                 .transpose()?
                 .unwrap_or(1);
             let what = store::corrupt_dir(&dir, kind, seed)?;
-            println!("{}: {what}", dir.display());
+            outln!("{}: {what}", dir.display());
             Ok(0)
         }
         other => Err(format!("unknown cache subcommand {other}")),
@@ -1014,7 +1028,7 @@ fn cmd_trace(args: &[String]) -> Result<u8, String> {
                 .ok_or("missing FILE (icfgp trace summarize FILE)")?;
             let events = trace::read_jsonl(std::path::Path::new(path))?;
             let summary = trace::summarize_events(&events);
-            print!("{}", summary.render());
+            out!("{}", summary.render());
             Ok(u8::from(!summary.violations().is_empty()))
         }
         "diff" => {
@@ -1028,7 +1042,7 @@ fn cmd_trace(args: &[String]) -> Result<u8, String> {
                 .ok_or("missing B (icfgp trace diff A B)")?;
             let sa = trace::summarize_events(&trace::read_jsonl(std::path::Path::new(a))?);
             let sb = trace::summarize_events(&trace::read_jsonl(std::path::Path::new(b))?);
-            print!("{}", trace::render_diff(&sa, &sb));
+            out!("{}", trace::render_diff(&sa, &sb));
             Ok(0)
         }
         other => Err(format!("unknown trace subcommand {other} (summarize|diff)")),
@@ -1048,13 +1062,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     match run(&binary, &opts) {
         Outcome::Halted(stats) => {
-            println!("halted normally");
-            println!("  output      : {:?}", stats.output);
-            println!("  instructions: {}", stats.instructions);
-            println!("  cycles      : {}", stats.cycles);
-            println!("  icache miss : {}", stats.icache_misses);
-            println!("  traps       : {}", stats.traps);
-            println!("  unwind steps: {} (ra translations {})", stats.unwind_steps, stats.ra_translations);
+            outln!("halted normally");
+            outln!("  output      : {:?}", stats.output);
+            outln!("  instructions: {}", stats.instructions);
+            outln!("  cycles      : {}", stats.cycles);
+            outln!("  icache miss : {}", stats.icache_misses);
+            outln!("  traps       : {}", stats.traps);
+            outln!("  unwind steps: {} (ra translations {})", stats.unwind_steps, stats.ra_translations);
             Ok(())
         }
         Outcome::Crashed { reason, stats } => {
@@ -1107,13 +1121,17 @@ fn main() -> ExitCode {
         "cache" => cmd_cache(rest).map_err(Failure::from),
         "trace" => cmd_trace(rest).map_err(Failure::from),
         "list-workloads" => {
-            println!("small  firefox  docker  driverlib  switch_demo");
+            outln!("small  firefox  docker  driverlib  switch_demo");
             for n in SPEC_NAMES {
-                println!("spec:{n}");
+                outln!("spec:{n}");
             }
             Ok(0)
         }
         _ => return usage(),
+    };
+    let result = match (result, STDOUT_ERROR.get()) {
+        (Ok(_), Some(e)) => Err(Failure::Internal(e.clone())),
+        (result, _) => result,
     };
     match result {
         Ok(code) => ExitCode::from(code),

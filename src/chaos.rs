@@ -11,9 +11,14 @@
 //!
 //! | axis | injects | oracles |
 //! |---|---|---|
-//! | [`FaultAxis::Seed`] | analysis faults (store I/O faults too, over a store directory) | the ladder converges; the rewrite emulates equivalently; the budget verdict; no verify-forced demotion on an audited-proven function |
+//! | [`FaultAxis::Seed`] | analysis faults (store I/O and read-back faults too, over a store directory) | the ladder converges; the rewrite emulates equivalently; the budget verdict; no verify-forced demotion on an audited-proven function |
 //! | [`FaultAxis::KillResume`] | a kill after every round boundary, then a plain rerun over the same store; each kill point twice, with the seed's store I/O faults and without them | the run stops at exactly round *k*; at every kill point the rerun is byte-identical, has identical dispositions and the reference's round count, and misses strictly fewer stages than cold; without store faults it replays exactly *k* rounds |
-//! | [`FaultAxis::Net`] | transport faults against a live store server | store conservation for every client; byte identity with a cold run; the 120 s deadline; the server store is undamaged; lookup conservation against a fault-free client; a second warm client is strictly warmer |
+//! | [`FaultAxis::Net`] | transport and read-back faults against a live store server | store conservation for every client; byte identity with a cold run; the 120 s deadline; the server store is undamaged; lookup conservation against a fault-free client; a second warm client is strictly warmer |
+//!
+//! The seed's plan arms only the rewrite's own faults
+//! ([`FaultPlan::arm`]); the faults around it (store I/O, the wire,
+//! record read-back) are armed here, by the code that opens each store,
+//! builds each transport and builds each cache.
 //!
 //! Every case yields one [`CaseResult`]; the cases roll up into a
 //! [`CampaignReport`] whose worst [`CaseStatus`] is the `icfgp chaos`
@@ -70,8 +75,8 @@ pub struct CampaignConfig {
     /// Degradation policy applied to every case.
     pub policy: DegradationPolicy,
     /// On the seed axis, an optional persistent store shared by every
-    /// case: each case's fault plan also arms the store's I/O fault
-    /// hooks, so store damage is judged by the same oracles. On the
+    /// case: each case arms its plan's store I/O and read-back faults
+    /// on it, so store damage is judged by the same oracles. On the
     /// kill-resume and net axes, the scratch root for each case's
     /// store and server subdirectories (a temporary
     /// directory when unset); each case empties its subdirectories
@@ -522,6 +527,11 @@ struct Case<'a> {
 }
 
 impl Case<'_> {
+    /// The seed's fault plan (every case has one).
+    fn plan(&self) -> &FaultPlan {
+        self.config.fault_plan.as_ref().expect("every case arms a plan")
+    }
+
     /// The case's scratch subdirectory `name`, emptied of anything an
     /// earlier campaign over the same root left there.
     fn fresh_dir(&self, name: &str) -> Result<PathBuf, String> {
@@ -568,6 +578,25 @@ fn open_case_store(dir: &Path, trace: Option<&Arc<Trace>>) -> Arc<CacheStore> {
     }
 }
 
+/// Arm `plan`'s faults on the store side of `cache`: patch-point
+/// corruption of the records it reads back, and with `store_faults`
+/// the I/O faults of its store.
+fn arm_store(cache: &RewriteCache, plan: &FaultPlan, store_faults: bool) {
+    if let (true, Some(store)) = (store_faults, cache.store()) {
+        store.arm_faults(plan.store_faults());
+    }
+    cache.arm_patch_corruption(plan.seed, plan.corrupt_patch_point);
+}
+
+/// A cache over a fresh handle on the case store in `dir`, with the
+/// case's read-back faults armed (and its store I/O faults with
+/// `store_faults`).
+fn case_cache(case: &Case, dir: &Path, store_faults: bool) -> RewriteCache {
+    let cache = RewriteCache::with_store(open_case_store(dir, case.trace));
+    arm_store(&cache, case.plan(), store_faults);
+    cache
+}
+
 /// Seed axis: audit the faulted analysis, ladder to a verified
 /// rewrite, and emulate both binaries.
 fn seed_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
@@ -579,9 +608,9 @@ fn seed_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
     // its key excludes the mode — the three mode sweeps share one
     // audit per (binary, seed).
     let mut audit_cfg = config.clone();
-    if let Some(plan) = audit_cfg.fault_plan.clone() {
-        plan.arm_cached(binary, &mut audit_cfg, cache);
-    }
+    case.plan().arm_cached(binary, &mut audit_cfg, cache);
+    // The audit flushes nothing, so arming here serves the ladder too.
+    arm_store(cache, case.plan(), true);
     let gate = apply_audit_gate(binary, &mut audit_cfg, cache);
     r.audit = CaseAudit {
         proven: gate.counts.proven,
@@ -625,8 +654,8 @@ fn seed_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
 /// First an uninterrupted store-backed run establishes the reference
 /// (output bytes, dispositions, cold stage-miss count, round count).
 /// Then every round boundary `k` in `1..rounds` is killed twice, each
-/// time in a fresh store directory: under the seed's whole plan, store
-/// I/O faults included, and under a copy of the plan without them. A
+/// time in a fresh store directory: with the seed's store I/O faults
+/// armed on its stores, and without them. A
 /// kill is a run aborted after `k` rounds (the deterministic stand-in
 /// for SIGKILL — the abort lands after the round's record and
 /// per-function results were flushed, exactly the state a kill leaves
@@ -634,11 +663,8 @@ fn seed_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
 /// directory finishes it, and [`resume_at`] judges it.
 fn kill_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
     let (binary, config) = (case.binary, &case.config);
-    let mut clean = config.clone();
-    clean.fault_plan = clean.fault_plan.as_ref().map(FaultPlan::without_store_faults);
-    let ref_dir = case.fresh_dir("ref")?;
     let reference = {
-        let cache = RewriteCache::with_store(open_case_store(&ref_dir, case.trace));
+        let cache = case_cache(case, &case.fresh_dir("ref")?, true);
         rewrite_with_ladder_cached(binary, config, &every_block(), &cache)
             .map_err(|e| format!("reference ladder: {e}"))?
     };
@@ -649,10 +675,9 @@ fn kill_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
         .map_err(|why| format!("reference emulation: {why}"))?;
     r.kill_points = reference.rounds.saturating_sub(1);
     for k in 1..reference.rounds {
-        for (config, store_faults) in [(config, true), (&clean, false)] {
-            let misses =
-                resume_at(case, config, k, store_faults, &reference, &ref_bytes, r.cold_misses)
-                    .map_err(|e| format!("kill point {k} (store faults {store_faults}): {e}"))?;
+        for store_faults in [true, false] {
+            let misses = resume_at(case, k, store_faults, &reference, &ref_bytes, r.cold_misses)
+                .map_err(|e| format!("kill point {k} (store faults {store_faults}): {e}"))?;
             r.resumed_misses = r.resumed_misses.max(misses);
         }
     }
@@ -672,19 +697,18 @@ fn kill_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
 /// judge.)
 fn resume_at(
     case: &Case,
-    config: &RewriteConfig,
     k: usize,
     store_faults: bool,
     reference: &icfgp_verify::LadderOutcome,
     ref_bytes: &[u8],
     cold_misses: u64,
 ) -> Result<u64, String> {
-    let binary = case.binary;
+    let (binary, config) = (case.binary, &case.config);
     let case_dir = case.fresh_dir(&format!("k{k}{}", if store_faults { "" } else { "-clean" }))?;
     // The run that dies: abort after k stored-and-flushed rounds, then
     // drop every handle (the kill).
     {
-        let cache = RewriteCache::with_store(open_case_store(&case_dir, case.trace));
+        let cache = case_cache(case, &case_dir, store_faults);
         match rewrite_with_ladder_supervised(binary, config, &every_block(), &cache, Some(k)) {
             Err(LadderError::Interrupted { rounds }) if rounds == k => {}
             Err(e) => return Err(format!("expected interrupt, got: {e}")),
@@ -693,7 +717,7 @@ fn resume_at(
     }
     // The rerun: a fresh process-equivalent opens the warm store and
     // replays the stored rounds before it rewrites anything.
-    let cache = RewriteCache::with_store(open_case_store(&case_dir, case.trace));
+    let cache = case_cache(case, &case_dir, store_faults);
     let resumed = rewrite_with_ladder_cached(binary, config, &every_block(), &cache)
         .map_err(|e| format!("rerun ladder: {e}"))?;
     if output_bytes(&resumed.outcome.binary) != ref_bytes {
@@ -725,14 +749,14 @@ fn resume_at(
 fn client_run(
     case: &Case,
     tag: &str,
-    config: &RewriteConfig,
     store: Arc<RemoteStore>,
 ) -> Result<(Vec<u8>, u64, StoreStats), String> {
     // Campaigns can share one trace across every client, so per-client
     // numbers come from a snapshot delta, not the raw counters.
     let before = store.stats();
     let cache = RewriteCache::with_store(store.clone());
-    let l = rewrite_with_ladder_cached(case.binary, config, &every_block(), &cache)
+    arm_store(&cache, case.plan(), false);
+    let l = rewrite_with_ladder_cached(case.binary, &case.config, &every_block(), &cache)
         .map_err(|e| format!("{tag} ladder: {e}"))?;
     cache.flush_store();
     let s = store.stats().delta_since(&before);
@@ -784,7 +808,7 @@ fn net_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
     let srv_dir = case.fresh_dir("srv")?;
     let server = serve("127.0.0.1:0", &srv_dir, ServeOptions::default())
         .map_err(|e| format!("serve: {e}"))?;
-    let net = config.fault_plan.as_ref().expect("every case arms a plan").net_faults();
+    let net = case.plan().net_faults();
     let transport = TcpTransport::new(server.addr(), timeout);
     let faulty = FaultyTransport::new(Box::new(transport), net, Some(server.stop_flag()));
     let injected = faulty.injected_counter();
@@ -798,7 +822,7 @@ fn net_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
             trace: case.trace.cloned(),
         },
     ));
-    let (faulted_bytes, _, s) = client_run(case, "net-faulted", config, store)?;
+    let (faulted_bytes, _, s) = client_run(case, "net-faulted", store)?;
     r.injected = injected.load(std::sync::atomic::Ordering::Relaxed);
     r.store = Some(s);
     server.kill();
@@ -817,10 +841,8 @@ fn net_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
     }
 
     // Phase 3: fault-free warm pair on a fresh server. Compute faults
-    // stay armed (same plan, net knobs zeroed), so both clients do the
+    // stay armed (same plan, plain transports), so both clients do the
     // same work and only the store changes between them.
-    let mut warm_config = config.clone();
-    warm_config.fault_plan = config.fault_plan.as_ref().map(FaultPlan::without_net_faults);
     let server = serve("127.0.0.1:0", &case.fresh_dir("warm")?, ServeOptions::default())
         .map_err(|e| format!("warm serve: {e}"))?;
     let url = parse_store_url(&server.url()).expect("server url is well-formed");
@@ -833,8 +855,8 @@ fn net_case(case: &Case, r: &mut CaseResult) -> Result<CaseStatus, String> {
         };
         Arc::new(RemoteStore::connect(&url, opts))
     };
-    let (first_bytes, first, first_s) = client_run(case, "warm-first", &warm_config, connect())?;
-    let (second_bytes, second, _) = client_run(case, "warm-second", &warm_config, connect())?;
+    let (first_bytes, first, first_s) = client_run(case, "warm-first", connect())?;
+    let (second_bytes, second, _) = client_run(case, "warm-second", connect())?;
     server.kill();
     r.warm_first_misses = first;
     r.warm_second_misses = second;
@@ -1061,10 +1083,7 @@ mod tests {
             cache.flush_store();
         }
         let cache = RewriteCache::with_store(Arc::new(CacheStore::open(&dir)));
-        let mut plan = FaultPlan::none(9);
-        plan.corrupt_patch_point = 1.0;
-        let mut cfg = rw.config().clone();
-        plan.arm_cached(&b2, &mut cfg, &cache);
+        cache.arm_patch_corruption(9, 1.0);
         let warm = rw.rewrite_cached(&b2, &instr, &cache).expect("warm under corruption");
 
         assert_eq!(

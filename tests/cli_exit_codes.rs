@@ -1038,3 +1038,29 @@ fn cache_verify_contract_clean_then_damaged() {
     let _ = std::fs::remove_file(&rw2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A stdout whose reader is gone ends the command inside the contract:
+/// exit 3 with one `error:` line, never a panic. `gen` has written its
+/// file by the time its summary line fails.
+#[test]
+fn closed_stdout_exits_three() {
+    let store = tmp("closed-stdout-store");
+    let out = tmp("closed-stdout.json");
+    let runs: [Vec<std::ffi::OsString>; 3] = [
+        vec!["list-workloads".into()],
+        vec!["cache".into(), "stats".into(), "--cache-dir".into(), store.clone().into()],
+        vec!["gen".into(), "--workload".into(), "small".into(), "-o".into(), out.clone().into()],
+    ];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let run = icfgp().args(&args).stdout(writer).output().expect("icfgp runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(3), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().filter(|l| l.starts_with("error:")).count(), 1, "{stderr}");
+    }
+    assert!(out.exists(), "gen writes its output before reporting it");
+    let _ = std::fs::remove_file(&out);
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -16,14 +16,15 @@
 //! rounds and has a kill point. Kills are the ladder's deterministic
 //! abort, which lands after a round's record and results were flushed
 //! — exactly the disk state SIGKILL leaves behind. Every kill point
-//! runs twice: under the seed's whole plan, whose store I/O faults may
-//! cost the rerun replayed rounds (never bytes), and under a copy of
-//! the plan without store faults, which must replay exactly the killed
-//! rounds.
+//! runs twice: with the seed's store I/O faults armed on its stores,
+//! which may cost the rerun replayed rounds (never bytes), and without
+//! them, when the rerun must replay exactly the killed rounds. Both
+//! passes arm the seed's patch-point corruption on every cache.
 
 use incremental_cfg_patching::cfg::{analyze, AnalysisConfig, InjectedFault};
 use incremental_cfg_patching::core::{
     CacheStore, FaultPlan, Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode,
+    StoreBackend,
 };
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::verify::{
@@ -48,8 +49,16 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn open(dir: &Path) -> RewriteCache {
-    RewriteCache::with_store(Arc::new(CacheStore::open(dir)))
+/// A cache over the store in `dir` with `plan`'s read-back corruption
+/// armed, and its store I/O faults too when `store_faults`.
+fn open(dir: &Path, plan: &FaultPlan, store_faults: bool) -> RewriteCache {
+    let store = CacheStore::open(dir);
+    if store_faults {
+        store.arm_faults(plan.store_faults());
+    }
+    let cache = RewriteCache::with_store(Arc::new(store));
+    cache.arm_patch_corruption(plan.seed, plan.corrupt_patch_point);
+    cache
 }
 
 proptest! {
@@ -91,25 +100,24 @@ proptest! {
             .find_map(|f| f.jump_tables.first().map(|jt| jt.jump_addr))
             .expect("a jump table the plan leaves analysable");
         config.analysis.inject.push(InjectedFault::UnderApproximateTable { jump_addr, drop: 1 });
-        config.fault_plan = Some(plan);
+        config.fault_plan = Some(plan.clone());
         config.degradation.max_below_floor = 1.0;
-        let mut clean = config.clone();
-        clean.fault_plan = clean.fault_plan.as_ref().map(FaultPlan::without_store_faults);
         let instr = Instrumentation::empty(Points::EveryBlock);
 
         // Uninterrupted reference, store-backed like the runs under
         // test.
         let scratch = tmp_dir(&format!("{mode}-{wl_seed}-{fault_seed}-{threads}"));
-        let reference = rewrite_with_ladder_cached(&w.binary, &config, &instr, &open(&scratch.join("ref")))
+        let reference = rewrite_with_ladder_cached(&w.binary, &config, &instr, &open(&scratch.join("ref"), &plan, true))
             .map_err(|e| TestCaseError::fail(format!("reference ladder: {e}")))?;
         prop_assert_eq!(reference.resumed_rounds, 0, "a fresh store replays nothing");
         prop_assert!(reference.rounds >= 2, "{} round(s): no kill point", reference.rounds);
         let ref_bytes = serde_json::to_vec(&reference.outcome.binary).unwrap();
 
         for k in 1..reference.rounds {
-            for (tag, config, exact) in [("faulted", &config, false), ("clean", &clean, true)] {
+            for (tag, store_faults) in [("faulted", true), ("clean", false)] {
                 let case_dir = scratch.join(format!("k{k}-{tag}"));
-                match rewrite_with_ladder_supervised(&w.binary, config, &instr, &open(&case_dir), Some(k)) {
+                let cache = || open(&case_dir, &plan, store_faults);
+                match rewrite_with_ladder_supervised(&w.binary, &config, &instr, &cache(), Some(k)) {
                     Err(LadderError::Interrupted { rounds }) => prop_assert_eq!(rounds, k),
                     other => {
                         return Err(TestCaseError::fail(format!(
@@ -117,7 +125,7 @@ proptest! {
                         )))
                     }
                 }
-                let resumed = rewrite_with_ladder_cached(&w.binary, config, &instr, &open(&case_dir))
+                let resumed = rewrite_with_ladder_cached(&w.binary, &config, &instr, &cache())
                     .map_err(|e| TestCaseError::fail(format!("kill point {k} ({tag}): rerun: {e}")))?;
                 prop_assert_eq!(
                     serde_json::to_vec(&resumed.outcome.binary).unwrap(),
@@ -135,7 +143,7 @@ proptest! {
                 );
                 prop_assert_eq!(resumed.rounds, reference.rounds);
                 prop_assert!(resumed.resumed_rounds <= k, "kill point {} ({})", k, tag);
-                if exact {
+                if !store_faults {
                     prop_assert_eq!(resumed.resumed_rounds, k);
                 }
             }

@@ -1,6 +1,7 @@
 //! End-to-end integration of the remote store backend through the
 //! public API: a server warmed by one client serves a second client
-//! byte-identically, and a dead server costs misses, never failures.
+//! byte-identically, a dead server costs misses, never failures, and
+//! the CLI's `--fault-seed` never damages the wire to a user's server.
 //! Protocol-level behavior (frames, key epochs, breaker edges)
 //! is covered by unit tests in `icfgp_core::net` — this file pins the
 //! composition a build farm actually runs.
@@ -89,4 +90,50 @@ fn dead_server_degrades_to_local_misses_only() {
     assert_eq!(s.remote_hits, 0);
     assert!(s.breaker_trips > 0, "the breaker must trip on a dead server: {s:?}");
     assert!(s.degraded > 0, "post-trip lookups must count as degraded: {s:?}");
+}
+
+/// `--fault-seed` injects analysis and placement faults only: the
+/// user's server sees a clean wire and clean read-back, so neither the
+/// cold nor the warm run retries or quarantines anything, and both
+/// write the bytes of a storeless run under the same seed.
+#[test]
+fn fault_seed_never_damages_the_users_wire() {
+    let dir = temp_dir("fault-seed");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let icfgp = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_icfgp"))
+            .args(args)
+            .env_remove("ICFGP_CACHE_DIR")
+            .env_remove("ICFGP_STORE_URL")
+            .output()
+            .expect("icfgp runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        // `--budget 1.0` keeps the seed's degradations inside the budget.
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)),
+            "{args:?}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let input = path("in.icfgp");
+    icfgp(&["gen", "--workload", "small", "--seed", "2", "-o", &input]);
+    let rewrite = ["rewrite", &input, "--fault-seed", "1", "--budget", "1.0", "--stats"];
+    let cold = path("cold.rw");
+    icfgp(&[&rewrite[..], &["-o", &cold]].concat());
+
+    let server = serve("127.0.0.1:0", &dir.join("srv"), ServeOptions::default()).expect("serve");
+    let url = server.url();
+    for run in ["first", "rerun"] {
+        let out = path(&format!("{run}.rw"));
+        let stdout = icfgp(&[&rewrite[..], &["--store-url", &url, "-o", &out]].concat());
+        assert!(stdout.contains(", 0 retries,"), "{run}: {stdout}");
+        let quarantines: Vec<&str> = stdout.lines().filter(|l| l.contains("quarantined")).collect();
+        assert!(!quarantines.is_empty(), "{run}: {stdout}");
+        assert!(quarantines.iter().all(|l| l.ends_with(" 0 quarantined")), "{run}: {stdout}");
+        assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(&cold).unwrap(), "{run}");
+    }
+    server.kill();
+    let _ = std::fs::remove_dir_all(&dir);
 }
