@@ -7,7 +7,7 @@
 //! events (cache hit/miss/quarantine, store flush, retry, breaker
 //! trip, ladder demotion) and open
 //! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
-//! store flush); the [`Registry`] folds the stream into counters as it
+//! store flush, verify); the [`Registry`] folds the stream into counters as it
 //! arrives and derives every legacy stats shape on demand, so the
 //! conservation laws between counters are checked in exactly one place
 //! ([`Registry::check`]).
@@ -22,7 +22,11 @@
 //! The *canonical* event stream is byte-stable across
 //! `ICFGP_THREADS` values. Structural span open/close markers are
 //! emitted only from the orchestrating thread, so they are already
-//! deterministic; worker threads emit only *leaf* records (cache
+//! deterministic. (The degradation ladder hands that role to one
+//! worker for its first rewrite, while the calling thread computes
+//! the verifier's strict re-analysis, which emits nothing: markers
+//! still come from one thread at a time.) Other worker threads emit
+//! only *leaf* records (cache
 //! lookups, store operations, per-function and per-RPC timed spans),
 //! whose multiset between two consecutive markers is fixed by the
 //! cache state, not by scheduling. Sealing the stream sorts each
@@ -97,9 +101,11 @@ pub enum SpanKind {
     Placement,
     /// One store flush.
     StoreFlush,
+    /// The static verification of one executed ladder round.
+    Verify,
 }
 
-const SPAN_N: usize = 7;
+const SPAN_N: usize = 8;
 
 impl SpanKind {
     fn idx(self) -> usize {
@@ -111,11 +117,21 @@ impl SpanKind {
             SpanKind::Relocate => 4,
             SpanKind::Placement => 5,
             SpanKind::StoreFlush => 6,
+            SpanKind::Verify => 7,
         }
     }
 
     fn name(idx: usize) -> &'static str {
-        ["run", "rewrite", "round", "analysis", "relocate", "placement", "store-flush"][idx]
+        [
+            "run",
+            "rewrite",
+            "round",
+            "analysis",
+            "relocate",
+            "placement",
+            "store-flush",
+            "verify",
+        ][idx]
     }
 }
 

@@ -18,6 +18,14 @@
 //! bounded below by skip; a round with errors but no attributable
 //! victim is [`LadderError::NoConvergence`].
 //!
+//! The strict re-analysis is computed beside the first executed
+//! round: that round's rewrite runs on a scoped worker
+//! ([`icfgp_core::pool::join`]) while the calling thread analyses, and
+//! the two meet before the round's verification. Later rounds reuse
+//! the analysis. With `ICFGP_THREADS=1` both run in turn on the
+//! calling thread and the ladder starts no thread. Each executed
+//! round's verification sits in a [`SpanKind::Verify`] span.
+//!
 //! Every function's journey is recorded as a [`FuncDisposition`]
 //! (requested mode, achieved mode, the steps taken and why), and the
 //! configured [`DegradationPolicy`](icfgp_core::DegradationPolicy)
@@ -25,11 +33,11 @@
 //! budget verdict.
 
 use crate::{strict_analysis, verify_against, VerifyError, VerifyReport};
-use icfgp_cfg::AnalysisFailure;
+use icfgp_cfg::{AnalysisFailure, BinaryAnalysis};
 use icfgp_core::{
-    apply_audit_gate, binary_fingerprint, config_fingerprint, ladder_key, FuncMode, GateSummary,
-    Instrumentation, LadderRound, LadderStep, RewriteCache, RewriteConfig, RewriteError,
-    RewriteOutcome, RewriteStats, Rewriter, SkipReason, SpanKind, TraceEvent,
+    apply_audit_gate, binary_fingerprint, config_fingerprint, ladder_key, pool, FuncMode,
+    GateSummary, Instrumentation, LadderRound, LadderStep, RewriteCache, RewriteConfig,
+    RewriteError, RewriteOutcome, RewriteStats, Rewriter, SkipReason, SpanKind, TraceEvent,
 };
 use icfgp_obj::Binary;
 use serde::{Deserialize, Serialize};
@@ -280,13 +288,31 @@ pub fn rewrite_with_ladder_supervised(
     }
 
     // Rungs change only `func_modes`, never the analysis config, so
-    // every round verifies against one strict re-analysis.
-    let strict = strict_analysis(binary, &cfg);
+    // every round verifies against one strict re-analysis. The rewrite
+    // never reads it, so this thread computes it while the first
+    // executed round rewrites on a worker. Not the other way round: the
+    // memory a thread frees stays in its own malloc arena, and the
+    // caller's later allocations (the output's serialisation) reuse
+    // what the strict analysis freed here; computed on the worker it
+    // raised peak RSS by about 10% on libxul.
+    let mut strict: Option<BinaryAnalysis> = None;
     for round in replayed + 1..=MAX_ROUNDS {
         let round_span = trace.span(SpanKind::Round { round: round as u32 });
-        let outcome = Rewriter::new(cfg.clone()).rewrite_cached(binary, instr, cache)?;
+        let rewriter = Rewriter::new(cfg.clone());
+        let rewrite = || rewriter.rewrite_cached(binary, instr, cache);
+        let outcome = if strict.is_some() {
+            rewrite()
+        } else {
+            let (outcome, analysis) =
+                pool::join(rewriter.threads(), rewrite, || strict_analysis(binary, &cfg));
+            strict = Some(analysis);
+            outcome
+        }?;
         round_stats.push(outcome.stats);
-        let verify = verify_against(binary, &outcome, &cfg, &strict)?;
+        let verify_span = trace.span(SpanKind::Verify);
+        let strict = strict.as_ref().expect("computed beside the first executed round");
+        let verify = verify_against(binary, &outcome, &cfg, strict)?;
+        verify_span.close();
         if verify.is_clean() {
             // Persist everything this ladder computed (no-op without
             // an attached store) before handing the outcome back, so a
@@ -500,6 +526,63 @@ mod tests {
         assert!(out.verify.is_clean());
     }
 
+    /// Invalid instrumentation fails the first executed round's
+    /// rewrite, which runs beside the strict re-analysis: the error
+    /// still comes back as the ladder's own.
+    #[test]
+    fn bad_payload_fails_the_overlapped_first_round() {
+        use icfgp_core::Payload;
+        use icfgp_isa::Inst;
+        let bin = small(Arch::X64, 7);
+        let instr = Instrumentation {
+            points: Points::EveryBlock,
+            payload: Payload::Insts(vec![Inst::Jump { offset: 4 }]),
+        };
+        let cfg = RewriteConfig::new(RewriteMode::FuncPtr);
+        let err = rewrite_with_ladder(&bin, &cfg, &instr).unwrap_err();
+        assert!(matches!(err, LadderError::Rewrite(RewriteError::BadPayload(_))), "{err}");
+    }
+
+    /// Each executed round verifies under one verify span; rounds
+    /// replayed from the store verify nothing and hold none.
+    #[test]
+    fn one_verify_span_per_executed_round() {
+        use icfgp_core::{CacheStore, Trace};
+        let verify_spans = |events: &[TraceEvent]| {
+            events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::SpanOpen { span: SpanKind::Verify }))
+                .count()
+        };
+        let bin = small(Arch::X64, 7);
+        let instr = Instrumentation::empty(Points::EveryBlock);
+        let cache = RewriteCache::with_trace(Trace::recording());
+        let cfg = RewriteConfig::new(RewriteMode::FuncPtr);
+        let clean = rewrite_with_ladder_cached(&bin, &cfg, &instr, &cache).unwrap();
+        assert_eq!(clean.rounds, 1);
+        assert_eq!(verify_spans(&cache.trace().sealed()), 1);
+
+        let mut faulted = cfg;
+        faulted.fault_plan = Some(FaultPlan::standard(2));
+        faulted.degradation.max_below_floor = 1.0;
+        let dir = std::env::temp_dir()
+            .join(format!("icfgp-ladder-verify-span-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for run in ["cold", "resumed"] {
+            let cache = RewriteCache::with_store(std::sync::Arc::new(CacheStore::open(&dir)));
+            cache.trace().record();
+            let out = rewrite_with_ladder_cached(&bin, &faulted, &instr, &cache).unwrap();
+            assert!(out.rounds > 1, "the faulted ladder must demote");
+            assert_eq!(out.resumed_rounds > 0, run == "resumed");
+            assert_eq!(
+                verify_spans(&cache.trace().sealed()),
+                out.rounds - out.resumed_rounds,
+                "{run}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn faulted_rewrite_degrades_but_verifies() {
         let bin = small(Arch::X64, 7);
@@ -525,7 +608,7 @@ mod tests {
     }
 
     /// Every round verifies against the one strict analysis computed
-    /// before the loop. Replay a multi-round faulted ladder round by
+    /// beside the first executed round. Replay a multi-round faulted ladder round by
     /// round from its stored demotions: each round's report equals a
     /// fresh [`crate::verify_rewrite`] of that round's outcome.
     #[test]

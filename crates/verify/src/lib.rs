@@ -109,7 +109,7 @@ pub fn verify_rewrite(
 /// cleared. Functions only the heuristics can classify become analysis
 /// failures here and are skipped with an info diagnostic — the
 /// verifier never guesses. It reads only `config.analysis`, so every
-/// ladder round shares one.
+/// ladder round shares one, computed beside the first executed round.
 fn strict_analysis(original: &Binary, config: &RewriteConfig) -> BinaryAnalysis {
     analyze(original, &config.analysis.strictened())
 }

@@ -18,11 +18,13 @@ use incremental_cfg_patching::core::trace::{
     canonical_lines, read_jsonl, structural_lines, summarize_events,
 };
 use incremental_cfg_patching::core::{
-    Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter, Stage, Trace,
+    Instrumentation, Points, RewriteCache, RewriteConfig, RewriteMode, Rewriter, SpanKind, Stage,
+    Trace, TraceEvent,
 };
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::workloads::{generate, GenParams};
 use proptest::prelude::*;
+use std::ffi::OsString;
 
 fn arb_arch() -> impl Strategy<Value = Arch> {
     prop_oneof![Just(Arch::X64), Just(Arch::Ppc64le), Just(Arch::Aarch64)]
@@ -145,40 +147,79 @@ fn sealed_stream_replays_to_matching_summary() {
     }
 }
 
+/// Run `icfgp` with `ICFGP_THREADS=threads` and return its stdout,
+/// failing on an exit code above 1 (1 is a degraded rewrite within
+/// budget, still a valid output).
+fn icfgp(threads: &str, args: &[OsString]) -> Vec<u8> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_icfgp"))
+        .env("ICFGP_THREADS", threads)
+        .args(args)
+        .output()
+        .expect("icfgp runs");
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)),
+        "icfgp {args:?} at ICFGP_THREADS={threads}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+fn os_args(args: &[&str]) -> Vec<OsString> {
+    args.iter().map(OsString::from).collect()
+}
+
+fn cli_tmp(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("icfgp-trace-{}-{name}", std::process::id()))
+}
+
+/// `gen --workload small --seed 5` into a temporary file.
+fn cli_input(name: &str) -> std::path::PathBuf {
+    let raw = cli_tmp(name);
+    let mut args = os_args(&["gen", "--workload", "small", "--seed", "5", "-o"]);
+    args.push(raw.clone().into());
+    icfgp("1", &args);
+    raw
+}
+
+/// How many spans of `kind` the stream opens.
+fn span_opens(events: &[TraceEvent], kind: SpanKind) -> usize {
+    events.iter().filter(|e| matches!(e, TraceEvent::SpanOpen { span } if *span == kind)).count()
+}
+
+/// One `icfgp rewrite --trace` at `ICFGP_THREADS=threads` over `raw`
+/// with the extra `flags`: the output bytes and the sealed stream.
+fn traced_rewrite(
+    raw: &std::path::Path,
+    threads: &str,
+    flags: &[&str],
+) -> (Vec<u8>, Vec<TraceEvent>) {
+    let rw = cli_tmp(&format!("out-{threads}.json"));
+    let trace = cli_tmp(&format!("stream-{threads}.jsonl"));
+    let mut args = vec!["rewrite".into(), raw.into()];
+    args.extend(os_args(flags));
+    args.extend(["--quiet".into(), "--trace".into(), trace.clone().into()]);
+    args.extend(["-o".into(), rw.clone().into()]);
+    assert!(icfgp(threads, &args).is_empty(), "--quiet must silence stdout");
+    let events = read_jsonl(&trace).expect("trace parses");
+    let bytes = std::fs::read(&rw).expect("output written");
+    let _ = std::fs::remove_file(&rw);
+    let _ = std::fs::remove_file(&trace);
+    (bytes, events)
+}
+
 /// Property 1 (end-to-end): `icfgp rewrite --trace` writes streams
 /// whose canonical form is byte-identical for `ICFGP_THREADS` 1, 2
-/// and 8 — and so are the rewritten binaries.
+/// and 8 — and so are the rewritten binaries. The clean run is one
+/// ladder round, so it holds exactly one verify span.
 #[test]
 fn cli_trace_is_stable_across_icfgp_threads() {
-    let tmp = |name: &str| {
-        std::env::temp_dir().join(format!("icfgp-trace-{}-{name}", std::process::id()))
-    };
-    let raw = tmp("in.json");
-    let gen = std::process::Command::new(env!("CARGO_BIN_EXE_icfgp"))
-        .args(["gen", "--workload", "small", "--seed", "5", "-o"])
-        .arg(&raw)
-        .output()
-        .expect("gen runs");
-    assert_eq!(gen.status.code(), Some(0), "{}", String::from_utf8_lossy(&gen.stderr));
-
+    let raw = cli_input("in.json");
     let mut reference: Option<(Vec<String>, Vec<u8>)> = None;
     for threads in ["1", "2", "8"] {
-        let rw = tmp(&format!("out-{threads}.json"));
-        let trace = tmp(&format!("stream-{threads}.jsonl"));
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_icfgp"))
-            .env("ICFGP_THREADS", threads)
-            .args(["rewrite"])
-            .arg(&raw)
-            .args(["--mode", "jt", "--quiet", "--trace"])
-            .arg(&trace)
-            .arg("-o")
-            .arg(&rw)
-            .output()
-            .expect("rewrite runs");
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        assert!(out.stdout.is_empty(), "--quiet must silence stdout");
-        let lines = canonical_lines(&read_jsonl(&trace).expect("trace parses"));
-        let bytes = std::fs::read(&rw).expect("output written");
+        let (bytes, events) = traced_rewrite(&raw, threads, &["--mode", "jt"]);
+        assert_eq!(span_opens(&events, SpanKind::Round { round: 1 }), 1);
+        assert_eq!(span_opens(&events, SpanKind::Verify), 1, "ICFGP_THREADS={threads}");
+        let lines = canonical_lines(&events);
         match &reference {
             None => reference = Some((lines, bytes)),
             Some((ref_lines, ref_bytes)) => {
@@ -186,8 +227,38 @@ fn cli_trace_is_stable_across_icfgp_threads() {
                 assert_eq!(&bytes, ref_bytes, "output diverged at ICFGP_THREADS={threads}");
             }
         }
-        let _ = std::fs::remove_file(&rw);
-        let _ = std::fs::remove_file(&trace);
+    }
+    let _ = std::fs::remove_file(&raw);
+}
+
+/// Property 1 over a faulted multi-round ladder: the rounds after the
+/// first executed one verify against the strict analysis computed
+/// beside it, and the output bytes, the canonical stream and the
+/// `verify --json` report are identical for `ICFGP_THREADS` 1, 2 and 8.
+#[test]
+fn cli_faulted_ladder_is_stable_across_icfgp_threads() {
+    let raw = cli_input("faulted-in.json");
+    let faults = ["--mode", "func-ptr", "--fault-seed", "2", "--budget", "1.0"];
+    let mut reference: Option<(Vec<String>, Vec<u8>, Vec<u8>)> = None;
+    for threads in ["1", "2", "8"] {
+        let (bytes, events) = traced_rewrite(&raw, threads, &faults);
+        let rounds = span_opens(&events, SpanKind::Round { round: 2 });
+        assert_eq!(rounds, 1, "the faulted ladder must run at least 2 rounds");
+        let verifies = span_opens(&events, SpanKind::Verify);
+        assert!(verifies >= 2, "one verify span per executed round, got {verifies}");
+        let mut args = vec!["verify".into(), raw.clone().into()];
+        args.extend(os_args(&faults));
+        args.push("--json".into());
+        let report = icfgp(threads, &args);
+        let lines = canonical_lines(&events);
+        match &reference {
+            None => reference = Some((lines, bytes, report)),
+            Some((ref_lines, ref_bytes, ref_report)) => {
+                assert_eq!(&lines, ref_lines, "trace diverged at ICFGP_THREADS={threads}");
+                assert_eq!(&bytes, ref_bytes, "output diverged at ICFGP_THREADS={threads}");
+                assert_eq!(&report, ref_report, "report diverged at ICFGP_THREADS={threads}");
+            }
+        }
     }
     let _ = std::fs::remove_file(&raw);
 }
