@@ -5,8 +5,8 @@
 //! building, emission) and the benchmark harness (`icfgp-bench`
 //! Table 3). [`join`] is the one fork/join of two unlike tasks: the
 //! degradation ladder runs its first rewrite beside the verifier's
-//! strict re-analysis. Work is distributed by an atomic cursor — idle workers
-//! steal the next unclaimed item — so load balances dynamically, while
+//! strict re-analysis. Work is distributed by an atomic cursor — idle
+//! workers steal the next unclaimed item — so load balances dynamically, while
 //! results are returned **in item order**, which keeps every consumer
 //! deterministic regardless of scheduling or thread count.
 //!

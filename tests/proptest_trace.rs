@@ -187,14 +187,17 @@ fn span_opens(events: &[TraceEvent], kind: SpanKind) -> usize {
 }
 
 /// One `icfgp rewrite --trace` at `ICFGP_THREADS=threads` over `raw`
-/// with the extra `flags`: the output bytes and the sealed stream.
+/// with the extra `flags`: the output bytes and the sealed stream. The
+/// temporary files are named after `raw`, so tests running at the same
+/// time never share one.
 fn traced_rewrite(
     raw: &std::path::Path,
     threads: &str,
     flags: &[&str],
 ) -> (Vec<u8>, Vec<TraceEvent>) {
-    let rw = cli_tmp(&format!("out-{threads}.json"));
-    let trace = cli_tmp(&format!("stream-{threads}.jsonl"));
+    let tag = raw.file_name().expect("a file").to_string_lossy();
+    let rw = cli_tmp(&format!("{tag}-out-{threads}.json"));
+    let trace = cli_tmp(&format!("{tag}-stream-{threads}.jsonl"));
     let mut args = vec!["rewrite".into(), raw.into()];
     args.extend(os_args(flags));
     args.extend(["--quiet".into(), "--trace".into(), trace.clone().into()]);
