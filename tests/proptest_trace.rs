@@ -22,6 +22,7 @@ use incremental_cfg_patching::core::{
     Trace, TraceEvent,
 };
 use incremental_cfg_patching::isa::Arch;
+use incremental_cfg_patching::verify::MAX_ROUNDS;
 use incremental_cfg_patching::workloads::{generate, GenParams};
 use proptest::prelude::*;
 use std::ffi::OsString;
@@ -148,17 +149,18 @@ fn sealed_stream_replays_to_matching_summary() {
 }
 
 /// Run `icfgp` with `ICFGP_THREADS=threads` and return its stdout,
-/// failing on an exit code above 1 (1 is a degraded rewrite within
-/// budget, still a valid output).
-fn icfgp(threads: &str, args: &[OsString]) -> Vec<u8> {
+/// failing unless it exits with one of `exits` (1 is a degraded
+/// rewrite within budget, still a valid output).
+fn icfgp(threads: &str, args: &[OsString], exits: &[i32]) -> Vec<u8> {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_icfgp"))
         .env("ICFGP_THREADS", threads)
         .args(args)
         .output()
         .expect("icfgp runs");
     assert!(
-        matches!(out.status.code(), Some(0 | 1)),
-        "icfgp {args:?} at ICFGP_THREADS={threads}: {}",
+        out.status.code().is_some_and(|code| exits.contains(&code)),
+        "icfgp {args:?} at ICFGP_THREADS={threads} exited {:?}, expected one of {exits:?}: {}",
+        out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
     out.stdout
@@ -172,37 +174,27 @@ fn cli_tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("icfgp-trace-{}-{name}", std::process::id()))
 }
 
-/// `gen --workload small --seed 5` into a temporary file.
-fn cli_input(name: &str) -> std::path::PathBuf {
-    let raw = cli_tmp(name);
-    let mut args = os_args(&["gen", "--workload", "small", "--seed", "5", "-o"]);
-    args.push(raw.clone().into());
-    icfgp("1", &args);
-    raw
-}
-
-/// How many spans of `kind` the stream opens.
-fn span_opens(events: &[TraceEvent], kind: SpanKind) -> usize {
-    events.iter().filter(|e| matches!(e, TraceEvent::SpanOpen { span } if *span == kind)).count()
+/// How many spans the stream opens that `kind` accepts.
+fn span_opens(events: &[TraceEvent], kind: impl Fn(&SpanKind) -> bool) -> usize {
+    events.iter().filter(|e| matches!(e, TraceEvent::SpanOpen { span } if kind(span))).count()
 }
 
 /// One `icfgp rewrite --trace` at `ICFGP_THREADS=threads` over `raw`
-/// with the extra `flags`: the output bytes and the sealed stream. The
-/// temporary files are named after `raw`, so tests running at the same
-/// time never share one.
+/// with the extra `flags`, exiting with one of `exits`: the output
+/// bytes and the sealed stream.
 fn traced_rewrite(
     raw: &std::path::Path,
     threads: &str,
     flags: &[&str],
+    exits: &[i32],
 ) -> (Vec<u8>, Vec<TraceEvent>) {
-    let tag = raw.file_name().expect("a file").to_string_lossy();
-    let rw = cli_tmp(&format!("{tag}-out-{threads}.json"));
-    let trace = cli_tmp(&format!("{tag}-stream-{threads}.jsonl"));
+    let rw = cli_tmp(&format!("out-{threads}.json"));
+    let trace = cli_tmp(&format!("stream-{threads}.jsonl"));
     let mut args = vec!["rewrite".into(), raw.into()];
     args.extend(os_args(flags));
     args.extend(["--quiet".into(), "--trace".into(), trace.clone().into()]);
     args.extend(["-o".into(), rw.clone().into()]);
-    assert!(icfgp(threads, &args).is_empty(), "--quiet must silence stdout");
+    assert!(icfgp(threads, &args, exits).is_empty(), "--quiet must silence stdout");
     let events = read_jsonl(&trace).expect("trace parses");
     let bytes = std::fs::read(&rw).expect("output written");
     let _ = std::fs::remove_file(&rw);
@@ -212,54 +204,42 @@ fn traced_rewrite(
 
 /// Property 1 (end-to-end): `icfgp rewrite --trace` writes streams
 /// whose canonical form is byte-identical for `ICFGP_THREADS` 1, 2
-/// and 8 — and so are the rewritten binaries. The clean run is one
-/// ladder round, so it holds exactly one verify span.
+/// and 8 — and so are the rewritten binaries and the `verify --json`
+/// reports. Each case names its flags, the ladder rounds it must run
+/// and the exit codes it may give: a clean run is one round and exits
+/// 0; a faulted one runs further rounds, which verify against the
+/// strict analysis computed beside the first, and may degrade within
+/// budget. Every executed round holds one verify span.
 #[test]
 fn cli_trace_is_stable_across_icfgp_threads() {
-    let raw = cli_input("in.json");
-    let mut reference: Option<(Vec<String>, Vec<u8>)> = None;
-    for threads in ["1", "2", "8"] {
-        let (bytes, events) = traced_rewrite(&raw, threads, &["--mode", "jt"]);
-        assert_eq!(span_opens(&events, SpanKind::Round { round: 1 }), 1);
-        assert_eq!(span_opens(&events, SpanKind::Verify), 1, "ICFGP_THREADS={threads}");
-        let lines = canonical_lines(&events);
-        match &reference {
-            None => reference = Some((lines, bytes)),
-            Some((ref_lines, ref_bytes)) => {
-                assert_eq!(&lines, ref_lines, "trace diverged at ICFGP_THREADS={threads}");
-                assert_eq!(&bytes, ref_bytes, "output diverged at ICFGP_THREADS={threads}");
-            }
-        }
-    }
-    let _ = std::fs::remove_file(&raw);
-}
-
-/// Property 1 over a faulted multi-round ladder: the rounds after the
-/// first executed one verify against the strict analysis computed
-/// beside it, and the output bytes, the canonical stream and the
-/// `verify --json` report are identical for `ICFGP_THREADS` 1, 2 and 8.
-#[test]
-fn cli_faulted_ladder_is_stable_across_icfgp_threads() {
-    let raw = cli_input("faulted-in.json");
-    let faults = ["--mode", "func-ptr", "--fault-seed", "2", "--budget", "1.0"];
-    let mut reference: Option<(Vec<String>, Vec<u8>, Vec<u8>)> = None;
-    for threads in ["1", "2", "8"] {
-        let (bytes, events) = traced_rewrite(&raw, threads, &faults);
-        let rounds = span_opens(&events, SpanKind::Round { round: 2 });
-        assert_eq!(rounds, 1, "the faulted ladder must run at least 2 rounds");
-        let verifies = span_opens(&events, SpanKind::Verify);
-        assert!(verifies >= 2, "one verify span per executed round, got {verifies}");
-        let mut args = vec!["verify".into(), raw.clone().into()];
-        args.extend(os_args(&faults));
-        args.push("--json".into());
-        let report = icfgp(threads, &args);
-        let lines = canonical_lines(&events);
-        match &reference {
-            None => reference = Some((lines, bytes, report)),
-            Some((ref_lines, ref_bytes, ref_report)) => {
-                assert_eq!(&lines, ref_lines, "trace diverged at ICFGP_THREADS={threads}");
-                assert_eq!(&bytes, ref_bytes, "output diverged at ICFGP_THREADS={threads}");
-                assert_eq!(&report, ref_report, "report diverged at ICFGP_THREADS={threads}");
+    let raw = cli_tmp("in.json");
+    let mut gen = os_args(&["gen", "--workload", "small", "--seed", "5", "-o"]);
+    gen.push(raw.clone().into());
+    icfgp("1", &gen, &[0]);
+    let faulted = ["--mode", "func-ptr", "--fault-seed", "2", "--budget", "1.0"];
+    let cases: [(&[&str], std::ops::RangeInclusive<usize>, &[i32]); 2] =
+        [(&["--mode", "jt"], 1..=1, &[0]), (&faulted, 2..=MAX_ROUNDS, &[0, 1])];
+    for (flags, round_range, exits) in cases {
+        let mut reference: Option<(Vec<String>, Vec<u8>, Vec<u8>)> = None;
+        for threads in ["1", "2", "8"] {
+            let (bytes, events) = traced_rewrite(&raw, threads, flags, exits);
+            let rounds = span_opens(&events, |s| matches!(s, SpanKind::Round { .. }));
+            assert!(round_range.contains(&rounds), "{flags:?} ran {rounds} round(s)");
+            let verifies = span_opens(&events, |s| *s == SpanKind::Verify);
+            assert_eq!(verifies, rounds, "{flags:?}: one verify span per executed round");
+            let mut args = vec!["verify".into(), raw.clone().into()];
+            args.extend(os_args(flags));
+            args.push("--json".into());
+            let report = icfgp(threads, &args, exits);
+            let lines = canonical_lines(&events);
+            match &reference {
+                None => reference = Some((lines, bytes, report)),
+                Some((ref_lines, ref_bytes, ref_report)) => {
+                    let at = format!("{flags:?} at ICFGP_THREADS={threads}");
+                    assert_eq!(&lines, ref_lines, "trace diverged: {at}");
+                    assert_eq!(&bytes, ref_bytes, "output diverged: {at}");
+                    assert_eq!(&report, ref_report, "report diverged: {at}");
+                }
             }
         }
     }
