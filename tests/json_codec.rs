@@ -3,6 +3,10 @@
 //! - golden length + FNV-1a/64 digests pin the serialised benchmark
 //!   inputs and outputs byte for byte (the benchmark compares CLI output
 //!   with its own serialisation, and stored binaries must stay readable);
+//! - the same digests pin ppc64le and aarch64 ladder outputs placed
+//!   beyond the short branch's reach, so the RISC long forms (far
+//!   branches and calls, far emulated calls, counter payloads, table
+//!   bases and function-pointer immediates) are checked byte for byte;
 //! - over every `icfgp gen` workload and arch, a binary reads back equal
 //!   from its compact and pretty text, and printing the same text as a
 //!   free-form `Value` gives the same bytes;
@@ -10,7 +14,9 @@
 //!   panics the reader, reordered and duplicated keys decode to the
 //!   original, and whatever is accepted re-serialises to a fixpoint.
 
-use incremental_cfg_patching::core::{Instrumentation, Points, RewriteConfig, RewriteMode};
+use incremental_cfg_patching::core::{
+    Instrumentation, Points, RewriteConfig, RewriteMode, UnwindStrategy,
+};
 use incremental_cfg_patching::isa::Arch;
 use incremental_cfg_patching::obj::Binary;
 use incremental_cfg_patching::verify::{rewrite_with_ladder, LadderOutcome};
@@ -104,6 +110,55 @@ fn golden_driverlib_rewritten_output() {
 fn golden_verify_report_pretty() {
     let text = serde_json::to_string_pretty(&libxul_ladder().verify).unwrap();
     assert_golden("libxul VerifyReport, pretty", text.as_bytes(), 7_731, 0x77c2_0617_4065_56ed);
+}
+
+/// A RISC ladder output with `.instr` placed `short_branch_reach() +
+/// 32 MiB` past the image, so every branch back into original code
+/// needs the long form: func-ptr mode, a counter in every block.
+fn far_risc_output(bin: &Binary, unwind: UnwindStrategy) -> Vec<u8> {
+    let mut config = RewriteConfig::new(RewriteMode::FuncPtr);
+    config.unwind = unwind;
+    config.instr_gap = (bin.arch.short_branch_reach() + (32 << 20)) as u64;
+    let ladder =
+        rewrite_with_ladder(bin, &config, &Instrumentation::counters(Points::EveryBlock))
+            .expect("far RISC rewrite");
+    serde_json::to_vec(&ladder.outcome.binary).unwrap()
+}
+
+/// Call emulation emits far emulated calls, counter payloads, table
+/// bases and fp immediates; RA translation keeps calls as calls, so a
+/// call into an unrelocated function takes the far branch-and-link.
+#[test]
+fn golden_risc_far_outputs() {
+    use UnwindStrategy::{CallEmulation, RaTranslation};
+    let cases: [(Arch, UnwindStrategy, usize, u64); 4] = [
+        (Arch::Ppc64le, CallEmulation, 636_670, 0xe652_31ef_1a17_d7f8),
+        (Arch::Ppc64le, RaTranslation, 637_691, 0x9c36_a613_45e5_f066),
+        (Arch::Aarch64, CallEmulation, 619_825, 0x2aa3_ccc3_ee89_52c6),
+        (Arch::Aarch64, RaTranslation, 620_507, 0x00c4_2492_18eb_b3de),
+    ];
+    for (arch, unwind, len, digest) in cases {
+        let bytes = far_risc_output(&firefox_like(arch, 1).binary, unwind);
+        assert_golden(&format!("firefox_like({arch}, 1), {unwind:?}"), &bytes, len, digest);
+    }
+}
+
+/// A small PIE and non-PIE input per RISC arch through the same far
+/// request.
+#[test]
+fn golden_risc_far_small_outputs() {
+    let cases: [(Arch, bool, usize, u64); 4] = [
+        (Arch::Ppc64le, true, 20_151, 0xb6ba_0337_6e7c_1167),
+        (Arch::Ppc64le, false, 17_172, 0x79f3_5e2c_0ad4_a48d),
+        (Arch::Aarch64, true, 17_550, 0x98a7_78cd_9a70_afcc),
+        (Arch::Aarch64, false, 16_875, 0x5289_2e1a_3709_e440),
+    ];
+    for (arch, pie, len, digest) in cases {
+        let mut p = GenParams::small("far", arch, 7);
+        p.pie = pie;
+        let bytes = far_risc_output(&generate(&p).binary, UnwindStrategy::CallEmulation);
+        assert_golden(&format!("small({arch}, 7), pie {pie}"), &bytes, len, digest);
+    }
 }
 
 // ------------------------------------------------------------ round trips
