@@ -18,7 +18,7 @@
 
 use icfgp_cfg::{analyze, AnalysisConfig};
 use icfgp_core::RewriteError;
-use icfgp_isa::{encode, Arch, Inst};
+use icfgp_isa::{encode, encode_into, Arch, Inst};
 use icfgp_obj::{names, Binary, Section, SectionFlags, SectionKind, TrapMap};
 
 /// Result of instruction patching.
@@ -56,7 +56,7 @@ pub fn instruction_patching(binary: &Binary) -> Result<E9Outcome, RewriteError> 
     let mut trap_map = TrapMap::new();
     let mut patched_blocks = 0usize;
     let mut traps = 0usize;
-    let nop = encode(&Inst::Nop, arch).map_err(|e| RewriteError::Encode(e.to_string()))?;
+    let nop = encode(&Inst::Nop, arch)?;
 
     for func in analysis.funcs.values() {
         for (bstart, block) in &func.blocks {
@@ -86,7 +86,7 @@ pub fn instruction_patching(binary: &Binary) -> Result<E9Outcome, RewriteError> 
 
             if use_trap {
                 traps += 1;
-                let trap = encode(&Inst::Trap, arch).map_err(|e| RewriteError::Encode(e.to_string()))?;
+                let trap = encode(&Inst::Trap, arch)?;
                 out.write(*bstart, &trap)
                     .map_err(|e| RewriteError::Unsupported(e.to_string()))?;
                 trap_map.insert(*bstart, stub_addr);
@@ -106,9 +106,7 @@ pub fn instruction_patching(binary: &Binary) -> Result<E9Outcome, RewriteError> 
             for (orig_addr, inst, _len) in &span {
                 let at = stub_base + stubs.len() as u64;
                 let fixed = fixup(inst, *orig_addr, at);
-                let bytes =
-                    encode(&fixed, arch).map_err(|e| RewriteError::Encode(e.to_string()))?;
-                stubs.extend_from_slice(&bytes);
+                encode_into(&fixed, arch, &mut stubs)?;
             }
             let last_falls = span.last().is_some_and(|(_, inst, _)| inst.falls_through());
             if last_falls {

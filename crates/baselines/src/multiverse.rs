@@ -21,7 +21,7 @@
 use icfgp_core::{
     Instrumentation, RewriteConfig, RewriteError, RewriteMode, Rewriter, UnwindStrategy,
 };
-use icfgp_isa::{encode, Addr, AluOp, Arch, Cond, Inst, Reg, Width};
+use icfgp_isa::{encode, encode_into, Addr, AluOp, Arch, Cond, Inst, Reg, Width};
 use icfgp_obj::{Binary, Section, SectionFlags, SectionKind};
 
 /// Outcome of Multiverse-style rewriting.
@@ -158,9 +158,7 @@ pub fn multiverse(
                 let mut stub = Vec::new();
                 let enc = |i: &Inst, out: &mut Vec<u8>, at: u64| -> Result<(), RewriteError> {
                     let _ = at;
-                    out.extend_from_slice(
-                        &encode(i, arch).map_err(|e| RewriteError::Encode(e.to_string()))?,
-                    );
+                    encode_into(i, arch, out)?;
                     Ok(())
                 };
                 if reg == Reg(255) {

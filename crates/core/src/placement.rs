@@ -272,26 +272,13 @@ pub(crate) fn place_function(ctx: &PlaceCtx<'_>, pool: &mut ScratchPool) -> Plac
     for (start, budget_end, target) in deferred {
         let reason = ctx.cfl[&start];
         let scratch = ctx.liveness.scratch_reg_at(start);
-        // Island holds the long form (for the context of this block).
-        let (island_bytes_len, use_save) = match arch {
-            Arch::X64 => (5u64, false),
-            Arch::Aarch64 => {
-                if scratch.is_some() {
-                    (tramp::long_branch_len(arch, false) as u64, false)
-                } else {
-                    // aarch64 with no dead register: trap (§7).
-                    trap(&mut plan, arch, start, budget_end, reason, target);
-                    continue;
-                }
-            }
-            Arch::Ppc64le => {
-                if scratch.is_some() {
-                    (tramp::long_branch_len(arch, false) as u64, false)
-                } else {
-                    (tramp::long_branch_len(arch, true) as u64, true)
-                }
-            }
-        };
+        // Island holds the long form (for the context of this block);
+        // aarch64 with no dead register traps instead (§7).
+        if arch == Arch::Aarch64 && scratch.is_none() {
+            trap(&mut plan, arch, start, budget_end, reason, target);
+            continue;
+        }
+        let island_bytes_len = tramp::long_branch_len(arch, scratch.is_none()) as u64;
         // The short hop must reach the island.
         let reach = arch.short_branch_reach() as u64;
         let slack = island_bytes_len + 16;
@@ -299,14 +286,7 @@ pub(crate) fn place_function(ctx: &PlaceCtx<'_>, pool: &mut ScratchPool) -> Plac
             Some(island) => {
                 let hop =
                     tramp::short_branch(arch, start, island).expect("allocated within reach");
-                let long = if use_save {
-                    tramp::long_branch(arch, island, target, ctx.toc, None)
-                } else if arch == Arch::X64 {
-                    Some(tramp::near_branch_x64(island, target).expect("within 2GB"))
-                } else {
-                    tramp::long_branch(arch, island, target, ctx.toc, scratch)
-                };
-                let Some(long) = long else {
+                let Some(long) = tramp::long_branch(arch, island, target, ctx.toc, scratch) else {
                     trap(&mut plan, arch, start, budget_end, reason, target);
                     continue;
                 };

@@ -57,7 +57,8 @@ use crate::instrument::{Instrumentation, Payload};
 use crate::pool;
 use crate::rewriter::RewriteError;
 use icfgp_cfg::{BinaryAnalysis, FpDefSite, FuncCfg, FuncStatus, JumpTableDesc};
-use icfgp_isa::{encode, Addr, AluOp, Arch, Cond, Inst, Reg, SysOp, Width};
+use crate::tramp;
+use icfgp_isa::{encode, encode_into, Addr, AluOp, Arch, Cond, Inst, Reg, SysOp, Width};
 use icfgp_obj::{Binary, RaMap};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -393,7 +394,7 @@ pub(crate) fn relocate(
             *key,
             binary_fp,
             |p: &FragPayload| p.cfg_fp == *cfg_fp && p.emit.validates(&p.frag),
-            || {
+            || -> Result<_, RewriteError> {
                 let frag = build_fragment(input, func, far_to_orig, &relocated_ranges)?;
                 let emit = canonical_emit(&frag, arch)?;
                 Ok(FragPayload { frag, emit, cfg_fp: *cfg_fp, origin_fp: binary_fp })
@@ -1010,25 +1011,40 @@ fn build_fragment(
 
     // ----- sizing (fragment-relative) ----------------------------------
     let mut cursor = 0u64;
+    let mut scratch = Vec::with_capacity(arch.max_inst_len());
     for e in &mut entries {
         // Keep RISC alignment (the fragment base is aligned by layout).
         cursor = align_up(cursor, arch.inst_align());
         e.new_addr = cursor;
-        e.size = entry_size(&e.kind, arch, pie)?;
+        e.size = entry_size(&e.kind, arch, pie, &mut scratch)?;
         cursor += e.size;
     }
 
     Ok(FuncFragment { entries, block_starts, counter_slots, size: cursor })
 }
 
-/// Pad `out` with whole nops up to `size` bytes and truncate to
-/// exactly `size` (a trailing partial nop is acceptable slack — it is
-/// never reached).
-fn pad_to(out: &mut Vec<u8>, size: u64, nop: &[u8]) {
-    while (out.len() as u64) < size {
+/// Pad `out` with whole nops up to `end` bytes and truncate to exactly
+/// `end` (a trailing partial nop is acceptable slack — it is never
+/// reached).
+fn pad_to(out: &mut Vec<u8>, end: u64, nop: &[u8]) {
+    while (out.len() as u64) < end {
         out.extend_from_slice(nop);
     }
-    out.truncate(size as usize);
+    out.truncate(end as usize);
+}
+
+/// Nop-fill the rest of `e`'s sized slot; `out` holds the fragment from
+/// offset 0 and the entry's emission ends it.
+fn fill_slot(out: &mut Vec<u8>, e: &REntry, nop: &[u8]) {
+    let end = e.new_addr + e.size;
+    debug_assert!(
+        out.len() as u64 <= end,
+        "entry emitted {} > sized {} for {:?}",
+        out.len() as u64 - e.new_addr,
+        e.size,
+        e.kind
+    );
+    pad_to(out, end, nop);
 }
 
 /// Emit one fragment's canonical (base-0, position-independent) form:
@@ -1037,54 +1053,33 @@ fn pad_to(out: &mut Vec<u8>, size: u64, nop: &[u8]) {
 /// the fragment and the architecture — the fragment record stores it
 /// and shares it across binaries.
 fn canonical_emit(frag: &FuncFragment, arch: Arch) -> Result<RelocEmit, RewriteError> {
-    let nop = encode(&Inst::Nop, arch).expect("nop");
+    let nop = encode(&Inst::Nop, arch)?;
     let mut bytes: Vec<u8> = Vec::with_capacity(frag.size as usize);
     let mut patches: Vec<PatchPoint> = Vec::new();
     for (i, e) in frag.entries.iter().enumerate() {
         // Alignment padding between entries.
-        while (bytes.len() as u64) != e.new_addr {
-            bytes.extend_from_slice(&nop);
-        }
+        pad_to(&mut bytes, e.new_addr, &nop);
         if let Some(kind) = patch_kind_of(&e.kind) {
             patches.push(PatchPoint { entry_idx: i, off: e.new_addr, width: e.size, kind });
-            let mut span = Vec::with_capacity(e.size as usize);
-            pad_to(&mut span, e.size, &nop);
-            bytes.extend_from_slice(&span);
-            continue;
+        } else {
+            // Position-independent entries never read the layout
+            // inputs; encode them at their canonical offset with inert
+            // stand-ins.
+            let at = e.new_addr;
+            emit_entry(&mut bytes, e, at, arch, false, None, &|orig| orig, &[], 0, 0, false)?;
         }
-        // Position-independent entries never read the layout inputs;
-        // encode them at their canonical offset with inert stand-ins.
-        let mut out = emit_entry(
-            e,
-            e.new_addr,
-            arch,
-            false,
-            None,
-            &|orig| orig,
-            &[],
-            0,
-            0,
-            false,
-        )?;
-        debug_assert!(
-            out.len() as u64 <= e.size,
-            "entry emitted {} > sized {} for {:?}",
-            out.len(),
-            e.size,
-            e.kind
-        );
-        pad_to(&mut out, e.size, &nop);
-        bytes.extend_from_slice(&out);
+        fill_slot(&mut bytes, e, &nop);
     }
     let self_fp = RelocEmit::fingerprint(&bytes, &patches);
     Ok(RelocEmit { bytes, patches, self_fp })
 }
 
-/// Fix up a canonical emission against the real layout: re-encode
-/// exactly the patch spans at `base` with the assigned clone/counter
-/// addresses and the resolve map, and collect the RA-map pairs. Runs
-/// the same per-entry encoder a cold emission runs, so the result is
-/// byte-identical to emitting the whole fragment at `base` directly.
+/// Fix up a canonical emission against the real layout: copy the
+/// canonical bytes between patch spans and re-encode each span at
+/// `base` with the assigned clone/counter addresses and the resolve
+/// map, and collect the RA-map pairs. Runs the same per-entry encoder a
+/// cold emission runs, so the result is byte-identical to emitting the
+/// whole fragment at `base` directly.
 #[allow(clippy::too_many_arguments)]
 fn fixup(
     canonical: &RelocEmit,
@@ -1099,14 +1094,16 @@ fn fixup(
     icounters_base: u64,
     emulation_stack_bug: bool,
 ) -> Result<EmittedFunc, RewriteError> {
-    let nop = encode(&Inst::Nop, arch).expect("nop");
-    let mut bytes = canonical.bytes.clone();
+    let nop = encode(&Inst::Nop, arch)?;
+    let canon = &canonical.bytes;
+    let mut bytes = Vec::with_capacity(canon.len());
     for p in &canonical.patches {
         let e = &frag.entries[p.entry_idx];
-        let at = base + e.new_addr;
-        let mut out = emit_entry(
+        bytes.extend_from_slice(&canon[bytes.len()..e.new_addr as usize]);
+        emit_entry(
+            &mut bytes,
             e,
-            at,
+            base + e.new_addr,
             arch,
             pie,
             toc,
@@ -1116,16 +1113,9 @@ fn fixup(
             icounters_base,
             emulation_stack_bug,
         )?;
-        debug_assert!(
-            out.len() as u64 <= e.size,
-            "entry emitted {} > sized {} for {:?}",
-            out.len(),
-            e.size,
-            e.kind
-        );
-        pad_to(&mut out, e.size, &nop);
-        bytes[e.new_addr as usize..(e.new_addr + e.size) as usize].copy_from_slice(&out);
+        fill_slot(&mut bytes, e, &nop);
     }
+    bytes.extend_from_slice(&canon[bytes.len()..]);
     // RA map entries: real calls and throw sites.
     let mut ra_pairs: Vec<(u64, u64)> = Vec::new();
     for e in &frag.entries {
@@ -1175,21 +1165,32 @@ fn align_up(v: u64, a: u64) -> u64 {
     }
 }
 
+/// Encoded length of `inst`, measured in `scratch` (reused across a
+/// fragment's entries).
+fn inst_len(inst: &Inst, arch: Arch, scratch: &mut Vec<u8>) -> Result<u64, RewriteError> {
+    scratch.clear();
+    Ok(encode_into(inst, arch, scratch)? as u64)
+}
+
 /// Deterministic entry sizes (stable across sizing and emission).
-fn entry_size(kind: &RKind, arch: Arch, pie: bool) -> Result<u64, RewriteError> {
+fn entry_size(
+    kind: &RKind,
+    arch: Arch,
+    pie: bool,
+    scratch: &mut Vec<u8>,
+) -> Result<u64, RewriteError> {
     let x64 = arch == Arch::X64;
-    let ilen = |inst: &Inst| -> Result<u64, RewriteError> {
-        encode(inst, arch)
-            .map(|b| b.len() as u64)
-            .map_err(|e| RewriteError::Encode(e.to_string()))
-    };
+    let long = arch.long_branch_len() as u64;
+    let short = arch.short_branch_len() as u64;
     Ok(match kind {
-        RKind::Copy(inst) | RKind::Payload(inst) => ilen(inst)?,
+        RKind::Copy(inst) | RKind::Payload(inst) => inst_len(inst, arch, scratch)?,
         RKind::CounterPayload { .. } => {
             if x64 {
                 17 // load(7) + add(3) + store(7), pc-relative
             } else {
-                24 // addr pair(8) + load(4) + add(4) + store(4) + spare? no: 20
+                // addr pair(8) + load(4) + add(4) + store(4) emit 20
+                // bytes; the slot keeps 4 spare.
+                24
             }
         }
         RKind::GoRaPayload => {
@@ -1199,27 +1200,22 @@ fn entry_size(kind: &RKind, arch: Arch, pie: bool) -> Result<u64, RewriteError> 
                 8
             }
         }
-        RKind::BranchOrig { bkind, far, .. } => {
-            if x64 {
-                match bkind {
-                    BKind::Cond(_) => 6,
-                    _ => 5,
-                }
-            } else if *far {
-                match arch {
-                    Arch::Ppc64le => 16,
-                    _ => 12,
-                }
+        RKind::BranchOrig { bkind: BKind::Cond(_), .. } if x64 => 6, // jcc rel32
+        // x64 jumps and calls take the 5-byte near form; RISC ones the
+        // one-word branch, or the long form back into original code.
+        RKind::BranchOrig { far, .. } => {
+            if x64 || *far {
+                long
             } else {
-                4
+                short
             }
         }
         RKind::PcRelData { inst, .. } => {
             // PC-relative forms always carry disp32: fixed size.
-            ilen(inst)?
+            inst_len(inst, arch, scratch)?
         }
         RKind::PcRelPage { .. } => 4,
-        RKind::JtBase { pair, .. } => {
+        RKind::JtBase { pair, .. } | RKind::FpImm { pair, .. } => {
             if x64 {
                 if pie {
                     7 // lea
@@ -1234,7 +1230,7 @@ fn entry_size(kind: &RKind, arch: Arch, pie: bool) -> Result<u64, RewriteError> 
         }
         RKind::JtLoadWiden { inst } => {
             // Same structural encoding, different width/scale bits.
-            ilen(inst)?
+            inst_len(inst, arch, scratch)?
         }
         RKind::JtMemJump { inst, .. } => {
             // Worst case: the displacement widens to i32.
@@ -1246,95 +1242,31 @@ fn entry_size(kind: &RKind, arch: Arch, pie: bool) -> Result<u64, RewriteError> 
                 }
                 other => other.clone(),
             };
-            ilen(&widened)?
-        }
-        RKind::FpImm { pair, .. } => {
-            if x64 {
-                if pie {
-                    7
-                } else {
-                    6
-                }
-            } else if *pair {
-                8
-            } else {
-                4
-            }
+            inst_len(&widened, arch, scratch)?
         }
         RKind::Pad(n) => *n,
         RKind::EmulatedCall { call, far, .. } => {
             if x64 {
                 // mov r15, imm32 (6) + push (1) + jump form
                 let jump_len = match call {
-                    Inst::Call { .. } => 5,
+                    Inst::Call { .. } => long,
                     Inst::CallReg { .. } => 2,
-                    Inst::CallMem { .. } => ilen(call)?, // same operand bytes
+                    Inst::CallMem { .. } => inst_len(call, arch, scratch)?, // same operand bytes
                     _ => return Err(RewriteError::Unsupported("emulated call form".into())),
                 };
                 6 + 1 + jump_len
             } else {
                 // addr pair (8) + mtlr (4) + jump form
-                let jump_len: u64 = if *far {
-                    match arch {
-                        Arch::Ppc64le => 16,
-                        _ => 12,
-                    }
-                } else {
-                    4
-                };
-                8 + 4 + jump_len
+                8 + 4 + if *far { long } else { short }
             }
         }
     })
 }
 
-/// Materialise `value` into `reg` at `new_addr` (2 instructions on
-/// RISC, 1 on x64).
-fn materialize(
-    out: &mut Vec<u8>,
-    arch: Arch,
-    pie: bool,
-    toc: Option<u64>,
-    reg: Reg,
-    value: u64,
-    new_addr: u64,
-) -> Result<(), RewriteError> {
-    let enc = |inst: &Inst, out: &mut Vec<u8>| -> Result<(), RewriteError> {
-        out.extend_from_slice(
-            &encode(inst, arch).map_err(|e| RewriteError::Encode(e.to_string()))?,
-        );
-        Ok(())
-    };
-    match arch {
-        Arch::X64 => {
-            if pie {
-                enc(
-                    &Inst::Lea { dst: reg, addr: Addr::pc_rel(value as i64 - new_addr as i64) },
-                    out,
-                )
-            } else {
-                enc(&Inst::MovImm { dst: reg, imm: value as i64 }, out)
-            }
-        }
-        Arch::Ppc64le => {
-            let toc = toc.ok_or_else(|| RewriteError::Unsupported("ppc64le without TOC".into()))?;
-            let delta = value as i64 - toc as i64;
-            let hi = ((delta + 0x8000) >> 16) as i16;
-            let lo = (delta - (i64::from(hi) << 16)) as i16;
-            enc(&Inst::AddShl16 { dst: reg, src: Reg(2), imm: hi }, out)?;
-            enc(&Inst::AddImm16 { dst: reg, src: reg, imm: lo }, out)
-        }
-        Arch::Aarch64 => {
-            let page_delta = ((value as i64 + 0x800) >> 12) - (new_addr as i64 >> 12);
-            let low = value as i64 - (((new_addr as i64 >> 12) + page_delta) << 12);
-            enc(&Inst::AdrPage { dst: reg, page_delta }, out)?;
-            enc(&Inst::AluImm { op: AluOp::Add, dst: reg, src: reg, imm: low as i32 }, out)
-        }
-    }
-}
-
+/// Append `e`'s encoding, placed at `at`, to `out`.
 #[allow(clippy::too_many_arguments)]
 fn emit_entry(
+    out: &mut Vec<u8>,
     e: &REntry,
     at: u64,
     arch: Arch,
@@ -1345,96 +1277,61 @@ fn emit_entry(
     slot_base: usize,
     icounters_base: u64,
     emulation_stack_bug: bool,
-) -> Result<Vec<u8>, RewriteError> {
-    let mut out = Vec::new();
-    let enc = |inst: &Inst, out: &mut Vec<u8>| -> Result<(), RewriteError> {
-        out.extend_from_slice(
-            &encode(inst, arch).map_err(|err| RewriteError::Encode(err.to_string()))?,
-        );
-        Ok(())
-    };
+) -> Result<(), RewriteError> {
+    let start = out.len();
+    // Address of the next byte appended.
+    let here = |out: &Vec<u8>| at + (out.len() - start) as u64;
     let x64 = arch == Arch::X64;
     match &e.kind {
         RKind::Pad(_) => {}
-        RKind::Copy(inst) | RKind::Payload(inst) => enc(inst, &mut out)?,
+        RKind::Copy(inst) | RKind::Payload(inst) => {
+            encode_into(inst, arch, out)?;
+        }
         RKind::CounterPayload { slot } => {
             let slot_addr = icounters_base + 8 * (slot_base + *slot) as u64;
             let (r1, r2) = (Reg(14), RESERVED);
+            let add = Inst::AluImm { op: AluOp::Add, dst: r1, src: r1, imm: 1 };
             if x64 {
                 // Two pc-relative accesses around an add.
-                let load_at = at;
-                enc(
-                    &Inst::Load {
-                        dst: r1,
-                        addr: Addr::pc_rel(slot_addr as i64 - load_at as i64),
-                        width: Width::W8,
-                        sign: false,
-                    },
-                    &mut out,
-                )?;
-                enc(&Inst::AluImm { op: AluOp::Add, dst: r1, src: r1, imm: 1 }, &mut out)?;
-                let store_at = at + out.len() as u64;
-                enc(
-                    &Inst::Store {
-                        src: r1,
-                        addr: Addr::pc_rel(slot_addr as i64 - store_at as i64),
-                        width: Width::W8,
-                    },
-                    &mut out,
-                )?;
+                let slot_at = |from: u64| Addr::pc_rel(slot_addr as i64 - from as i64);
+                let load = Inst::Load { dst: r1, addr: slot_at(at), width: Width::W8, sign: false };
+                encode_into(&load, arch, out)?;
+                encode_into(&add, arch, out)?;
+                let store = Inst::Store { src: r1, addr: slot_at(here(out)), width: Width::W8 };
+                encode_into(&store, arch, out)?;
             } else {
-                materialize(&mut out, arch, pie, toc, r2, slot_addr, at)?;
-                enc(
-                    &Inst::Load { dst: r1, addr: Addr::base_only(r2), width: Width::W8, sign: false },
-                    &mut out,
-                )?;
-                enc(&Inst::AluImm { op: AluOp::Add, dst: r1, src: r1, imm: 1 }, &mut out)?;
-                enc(
-                    &Inst::Store { src: r1, addr: Addr::base_only(r2), width: Width::W8 },
-                    &mut out,
-                )?;
+                tramp::materialize(out, arch, at, slot_addr, r2, pie, toc)?;
+                let slot = Addr::base_only(r2);
+                let load = Inst::Load { dst: r1, addr: slot, width: Width::W8, sign: false };
+                encode_into(&load, arch, out)?;
+                encode_into(&add, arch, out)?;
+                encode_into(&Inst::Store { src: r1, addr: slot, width: Width::W8 }, arch, out)?;
             }
         }
         RKind::GoRaPayload => {
             // The Go argument (the unwinding PC) lives on the stack:
             // translate it in place before findfunc/pcvalue consume it.
             let off = if x64 { 8 } else { 0 };
-            enc(
-                &Inst::AluImm { op: AluOp::Add, dst: RESERVED, src: arch.sp(), imm: off },
-                &mut out,
-            )?;
-            enc(&Inst::Sys { op: SysOp::RaTranslate, arg: RESERVED }, &mut out)?;
+            let arg = Inst::AluImm { op: AluOp::Add, dst: RESERVED, src: arch.sp(), imm: off };
+            encode_into(&arg, arch, out)?;
+            encode_into(&Inst::Sys { op: SysOp::RaTranslate, arg: RESERVED }, arch, out)?;
         }
         RKind::BranchOrig { bkind, orig_target, far } => {
             let target = resolve(*orig_target);
             let offset = target as i64 - at as i64;
+            let inst = match bkind {
+                BKind::Jump => Inst::Jump { offset },
+                BKind::Cond(c) => Inst::JumpCond { cond: *c, offset },
+                BKind::Call => Inst::Call { offset },
+            };
             if !*far {
-                let inst = match bkind {
-                    BKind::Jump => Inst::Jump { offset },
-                    BKind::Cond(c) => Inst::JumpCond { cond: *c, offset },
-                    BKind::Call => Inst::Call { offset },
-                };
-                enc(&inst, &mut out)?;
+                encode_into(&inst, arch, out)?;
+            } else if matches!(bkind, BKind::Cond(_)) {
+                return Err(RewriteError::Unsupported("far branch form".into()));
             } else {
                 // Far form back into original code (RISC only).
-                materialize(&mut out, arch, pie, toc, RESERVED, target, at)?;
-                match (arch, bkind) {
-                    (Arch::Ppc64le, BKind::Jump) => {
-                        enc(&Inst::MoveToTar { src: RESERVED }, &mut out)?;
-                        enc(&Inst::JumpTar, &mut out)?;
-                    }
-                    (Arch::Ppc64le, BKind::Call) => {
-                        enc(&Inst::MoveToTar { src: RESERVED }, &mut out)?;
-                        enc(&Inst::CallTar, &mut out)?;
-                    }
-                    (Arch::Aarch64, BKind::Jump) => {
-                        enc(&Inst::JumpReg { src: RESERVED }, &mut out)?;
-                    }
-                    (Arch::Aarch64, BKind::Call) => {
-                        enc(&Inst::CallReg { src: RESERVED }, &mut out)?;
-                    }
-                    _ => return Err(RewriteError::Unsupported("far branch form".into())),
-                }
+                let call = *bkind == BKind::Call;
+                tramp::far_branch(out, arch, at, target, toc, Some(RESERVED), call)?;
             }
         }
         RKind::PcRelData { inst, orig_addr } => {
@@ -1454,18 +1351,16 @@ fn emit_entry(
                 Inst::CallMem { addr } => Inst::CallMem { addr: retarget(addr) },
                 _ => return Err(RewriteError::Unsupported("pc-rel form".into())),
             };
-            enc(&new_inst, &mut out)?;
+            encode_into(&new_inst, arch, out)?;
         }
         RKind::PcRelPage { page_value, dst } => {
-            let page_delta = (*page_value as i64 >> 12) - (at as i64 >> 12);
-            enc(&Inst::AdrPage { dst: *dst, page_delta }, &mut out)?;
+            encode_into(&tramp::adrp(*dst, at, *page_value), arch, out)?;
         }
         RKind::JtBase { inst, clone_idx, .. } => {
-            let clone_addr = clone_addrs[*clone_idx];
             let dst = inst.def_reg().ok_or_else(|| {
                 RewriteError::Unsupported("jump-table base without destination".into())
             })?;
-            materialize(&mut out, arch, pie, toc, dst, clone_addr, at)?;
+            tramp::materialize(out, arch, at, clone_addrs[*clone_idx], dst, pie, toc)?;
         }
         RKind::JtLoadWiden { inst } => {
             let Inst::Load { dst, addr, .. } = inst else {
@@ -1473,7 +1368,8 @@ fn emit_entry(
             };
             let mut a = *addr;
             a.scale = 4;
-            enc(&Inst::Load { dst: *dst, addr: a, width: Width::W4, sign: true }, &mut out)?;
+            let widened = Inst::Load { dst: *dst, addr: a, width: Width::W4, sign: true };
+            encode_into(&widened, arch, out)?;
         }
         RKind::JtMemJump { inst, clone_idx } => {
             let Inst::JumpMem { addr } = inst else {
@@ -1481,7 +1377,7 @@ fn emit_entry(
             };
             let mut a = *addr;
             a.disp = clone_addrs[*clone_idx] as i64;
-            enc(&Inst::JumpMem { addr: a }, &mut out)?;
+            encode_into(&Inst::JumpMem { addr: a }, arch, out)?;
         }
         RKind::FpImm { inst, target_fn, delta, .. } => {
             let dst = inst.def_reg().ok_or_else(|| {
@@ -1489,66 +1385,49 @@ fn emit_entry(
             })?;
             let relocated = resolve(target_fn.wrapping_add_signed(*delta));
             let value = relocated.wrapping_add_signed(-*delta);
-            materialize(&mut out, arch, pie, toc, dst, value, at)?;
+            tramp::materialize(out, arch, at, value, dst, pie, toc)?;
         }
         RKind::EmulatedCall { call, orig_ret, direct_target, far } => {
             if x64 {
-                enc(&Inst::MovImm { dst: RESERVED, imm: *orig_ret as i64 }, &mut out)?;
-                enc(&Inst::Push { src: RESERVED }, &mut out)?;
-                match call {
-                    Inst::Call { .. } => {
-                        let target = resolve(direct_target.expect("direct call"));
-                        let jump_at = at + out.len() as u64;
-                        let bytes = crate::tramp::near_branch_x64(jump_at, target)
-                            .map_err(|err| RewriteError::Encode(err.to_string()))?;
-                        out.extend_from_slice(&bytes);
-                    }
-                    Inst::CallReg { src } => enc(&Inst::JumpReg { src: *src }, &mut out)?,
-                    Inst::CallMem { addr } => {
-                        let mut a = *addr;
-                        // The push above moved the stack pointer: a
-                        // correct emulation adjusts sp-relative
-                        // operands; the historical SRBI bug does not.
-                        if !emulation_stack_bug && a.base == Some(arch.sp()) {
-                            a.disp += 8;
-                        }
-                        if a.pc_rel {
-                            let (oa, _) = e.orig.expect("mem call has original");
-                            let target = oa.wrapping_add_signed(a.disp);
-                            let jump_at = at + out.len() as u64;
-                            a = Addr::pc_rel(target as i64 - jump_at as i64);
-                        }
-                        enc(&Inst::JumpMem { addr: a }, &mut out)?;
-                    }
-                    _ => return Err(RewriteError::Unsupported("emulated call form".into())),
-                }
+                encode_into(&Inst::MovImm { dst: RESERVED, imm: *orig_ret as i64 }, arch, out)?;
+                encode_into(&Inst::Push { src: RESERVED }, arch, out)?;
             } else {
-                materialize(&mut out, arch, pie, toc, RESERVED, *orig_ret, at)?;
-                enc(&Inst::MoveToLr { src: RESERVED }, &mut out)?;
-                match call {
-                    Inst::Call { .. } => {
-                        let target = resolve(direct_target.expect("direct call"));
-                        if *far {
-                            // Far jump through tar / register.
-                            let jump_at = at + out.len() as u64;
-                            materialize(&mut out, arch, pie, toc, Reg(12), target, jump_at)?;
-                            if arch == Arch::Ppc64le {
-                                enc(&Inst::MoveToTar { src: Reg(12) }, &mut out)?;
-                                enc(&Inst::JumpTar, &mut out)?;
-                            } else {
-                                enc(&Inst::JumpReg { src: Reg(12) }, &mut out)?;
-                            }
-                        } else {
-                            let jump_at = at + out.len() as u64;
-                            enc(&Inst::Jump { offset: target as i64 - jump_at as i64 }, &mut out)?;
-                        }
-                    }
-                    Inst::CallTar => enc(&Inst::JumpTar, &mut out)?,
-                    Inst::CallReg { src } => enc(&Inst::JumpReg { src: *src }, &mut out)?,
-                    _ => return Err(RewriteError::Unsupported("emulated call form".into())),
-                }
+                tramp::materialize(out, arch, at, *orig_ret, RESERVED, pie, toc)?;
+                encode_into(&Inst::MoveToLr { src: RESERVED }, arch, out)?;
             }
+            let jump = match call {
+                Inst::Call { .. } => {
+                    let target = resolve(direct_target.expect("direct call"));
+                    let jump_at = here(out);
+                    if x64 || *far {
+                        // The near form on x64; through tar / a register
+                        // on RISC.
+                        tramp::far_branch(out, arch, jump_at, target, toc, Some(Reg(12)), false)?;
+                        return Ok(());
+                    }
+                    Inst::Jump { offset: target as i64 - jump_at as i64 }
+                }
+                Inst::CallTar if !x64 => Inst::JumpTar,
+                Inst::CallReg { src } => Inst::JumpReg { src: *src },
+                Inst::CallMem { addr } if x64 => {
+                    let mut a = *addr;
+                    // The push above moved the stack pointer: a correct
+                    // emulation adjusts sp-relative operands; the
+                    // historical SRBI bug does not.
+                    if !emulation_stack_bug && a.base == Some(arch.sp()) {
+                        a.disp += 8;
+                    }
+                    if a.pc_rel {
+                        let (oa, _) = e.orig.expect("mem call has original");
+                        let target = oa.wrapping_add_signed(a.disp);
+                        a = Addr::pc_rel(target as i64 - here(out) as i64);
+                    }
+                    Inst::JumpMem { addr: a }
+                }
+                _ => return Err(RewriteError::Unsupported("emulated call form".into())),
+            };
+            encode_into(&jump, arch, out)?;
         }
     }
-    Ok(out)
+    Ok(())
 }

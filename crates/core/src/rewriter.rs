@@ -10,6 +10,7 @@ use crate::placement::{place_function, PlaceCtx, PlacementPlan, ScratchPool, Tra
 use crate::pool;
 use crate::relocate::{relocate, table_cloneable, CloneSlot, RelocateInput};
 use crate::report::{RewriteReport, SkipReason};
+use icfgp_isa::EncodeError;
 use icfgp_cfg::{live_in_at_blocks, BinaryAnalysis, FuncStatus, LivenessResult, TableKind};
 use icfgp_obj::{names, Binary, RaMap, RelocKind, Section, SectionFlags, SectionKind, TrapMap};
 use std::collections::BTreeMap;
@@ -49,6 +50,12 @@ impl fmt::Display for RewriteError {
 }
 
 impl std::error::Error for RewriteError {}
+
+impl From<EncodeError> for RewriteError {
+    fn from(e: EncodeError) -> Self {
+        RewriteError::Encode(e.to_string())
+    }
+}
 
 /// Result of rewriting.
 #[derive(Debug, Clone)]

@@ -144,7 +144,9 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Encode a semantic instruction into the byte encoding of `arch`.
+/// Encode a semantic instruction into the byte encoding of `arch`,
+/// appending to `out`; returns the encoded length. On error `out` is
+/// left as it was.
 ///
 /// # Errors
 ///
@@ -155,34 +157,44 @@ impl std::error::Error for DecodeError {}
 /// # Example
 ///
 /// ```
-/// use icfgp_isa::{Arch, Inst, encode, EncodeError};
+/// use icfgp_isa::{Arch, Inst, encode_into, EncodeError};
 ///
 /// // ppc64le's direct branch reaches only ±32 MB (Table 2): a longer
 /// // jump must go through the 4-instruction `tar` sequence instead.
+/// let mut out = Vec::new();
 /// let too_far = Inst::Jump { offset: 1 << 26 };
 /// assert!(matches!(
-///     encode(&too_far, Arch::Ppc64le),
+///     encode_into(&too_far, Arch::Ppc64le, &mut out),
 ///     Err(EncodeError::BranchOutOfRange { .. })
 /// ));
-/// assert!(encode(&too_far, Arch::Aarch64).is_ok()); // ±128 MB reach
+/// assert!(out.is_empty());
+/// assert_eq!(encode_into(&too_far, Arch::Aarch64, &mut out), Ok(4)); // ±128 MB reach
 /// ```
-pub fn encode(inst: &Inst, arch: Arch) -> Result<Vec<u8>, EncodeError> {
-    match arch {
-        Arch::X64 => x64::encode(inst),
-        Arch::Ppc64le | Arch::Aarch64 => risc::encode(inst, arch),
+pub fn encode_into(inst: &Inst, arch: Arch, out: &mut Vec<u8>) -> Result<usize, EncodeError> {
+    let start = out.len();
+    let done = match arch {
+        Arch::X64 => x64::encode(inst, out),
+        Arch::Ppc64le | Arch::Aarch64 => risc::encode(inst, arch, out),
+    };
+    match done {
+        Ok(()) => Ok(out.len() - start),
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
     }
 }
 
-/// Encode an instruction, appending to `out`; returns the encoded length.
+/// Encode a semantic instruction into a fresh buffer: [`encode_into`]
+/// for callers that keep the bytes on their own.
 ///
 /// # Errors
 ///
-/// Same as [`encode`].
-pub fn encode_into(inst: &Inst, arch: Arch, out: &mut Vec<u8>) -> Result<usize, EncodeError> {
-    let bytes = encode(inst, arch)?;
-    let n = bytes.len();
-    out.extend_from_slice(&bytes);
-    Ok(n)
+/// Same as [`encode_into`].
+pub fn encode(inst: &Inst, arch: Arch) -> Result<Vec<u8>, EncodeError> {
+    let mut out = Vec::with_capacity(arch.max_inst_len());
+    encode_into(inst, arch, &mut out)?;
+    Ok(out)
 }
 
 /// Decode one instruction from the front of `bytes`.
@@ -199,15 +211,6 @@ pub fn decode(bytes: &[u8], arch: Arch) -> Result<(Inst, usize), DecodeError> {
         Arch::X64 => x64::decode(bytes),
         Arch::Ppc64le | Arch::Aarch64 => risc::decode(bytes, arch),
     }
-}
-
-/// Length in bytes that `inst` occupies on `arch`.
-///
-/// # Errors
-///
-/// Same as [`encode`]; the instruction must be encodable.
-pub fn encoded_len(inst: &Inst, arch: Arch) -> Result<usize, EncodeError> {
-    encode(inst, arch).map(|b| b.len())
 }
 
 #[cfg(test)]

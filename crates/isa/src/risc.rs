@@ -123,11 +123,12 @@ fn mem_disp_fields(
     Ok((base, ws, disp))
 }
 
-/// Encode one instruction for a RISC model.
-pub(crate) fn encode(inst: &Inst, arch: Arch) -> Result<Vec<u8>, EncodeError> {
+/// Encode one instruction for a RISC model, appending its word to
+/// `out`.
+pub(crate) fn encode(inst: &Inst, arch: Arch, out: &mut Vec<u8>) -> Result<(), EncodeError> {
     debug_assert!(arch.is_fixed_width());
-    let word = encode_word(inst, arch)?;
-    Ok(word.to_le_bytes().to_vec())
+    out.extend_from_slice(&encode_word(inst, arch)?.to_le_bytes());
+    Ok(())
 }
 
 fn encode_word(inst: &Inst, arch: Arch) -> Result<u32, EncodeError> {
@@ -452,6 +453,10 @@ fn decode_word(word: u32, arch: Arch) -> Result<Inst, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(inst: &Inst, arch: Arch) -> Result<Vec<u8>, EncodeError> {
+        crate::encode(inst, arch)
+    }
 
     fn roundtrip(inst: Inst, arch: Arch) {
         let bytes = encode(&inst, arch).expect("encode");

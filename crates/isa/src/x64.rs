@@ -184,9 +184,10 @@ fn decode_mem(bytes: &[u8], needs_reg: bool)
     Ok((reg, addr, width, sign, pos))
 }
 
-/// Encode one instruction for the x64 model.
-pub(crate) fn encode(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
-    let mut out = Vec::with_capacity(10);
+/// Encode one instruction for the x64 model, appending to `out`. May
+/// leave a partial encoding behind on error ([`crate::encode_into`]
+/// truncates it).
+pub(crate) fn encode(inst: &Inst, out: &mut Vec<u8>) -> Result<(), EncodeError> {
     match inst {
         Inst::Halt => out.push(OP_HALT),
         Inst::Nop => out.push(OP_NOP),
@@ -255,23 +256,23 @@ pub(crate) fn encode(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
         }
         Inst::Load { dst, addr, width, sign } => {
             out.push(OP_LOAD);
-            encode_mem(&mut out, *dst, addr, *width, *sign)?;
+            encode_mem(out, *dst, addr, *width, *sign)?;
         }
         Inst::Store { src, addr, width } => {
             out.push(OP_STORE);
-            encode_mem(&mut out, *src, addr, *width, false)?;
+            encode_mem(out, *src, addr, *width, false)?;
         }
         Inst::Lea { dst, addr } => {
             out.push(OP_LEA);
-            encode_mem(&mut out, *dst, addr, Width::W8, false)?;
+            encode_mem(out, *dst, addr, Width::W8, false)?;
         }
         Inst::JumpMem { addr } => {
             out.push(OP_JMPMEM);
-            encode_mem(&mut out, Reg(0), addr, Width::W8, false)?;
+            encode_mem(out, Reg(0), addr, Width::W8, false)?;
         }
         Inst::CallMem { addr } => {
             out.push(OP_CALLMEM);
-            encode_mem(&mut out, Reg(0), addr, Width::W8, false)?;
+            encode_mem(out, Reg(0), addr, Width::W8, false)?;
         }
         Inst::Push { src } => {
             check_reg(*src)?;
@@ -344,7 +345,7 @@ pub(crate) fn encode(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
             out.push(arg.0);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decode one instruction from the front of `bytes` on the x64 model.
@@ -494,6 +495,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Inst, usize), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
+        crate::encode(inst, A)
+    }
 
     fn roundtrip(inst: Inst) {
         let bytes = encode(&inst).expect("encode");

@@ -179,42 +179,87 @@ mod tests {
         }
     }
 
+    /// splitmix64 step: the sweep's seeded stream.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Deltas from the long form's anchor (the TOC on ppc64le, the
+    /// branch elsewhere) on both sides of its reach, each marked in or
+    /// out of reach. The ppc64le and aarch64 limits are where the
+    /// encodings run out, just inside `Arch::long_branch_reach`:
+    /// `addis` rounds up at `addi`'s sign bit, and `adrp` counts pages
+    /// from the branch's own page (`page_off` bytes into it).
+    fn reach_edges(arch: Arch, page_off: i64) -> [(i64, bool); 8] {
+        let reach = arch.long_branch_reach();
+        let (lo, hi) = match arch {
+            Arch::X64 => (-reach, reach - 1),
+            Arch::Ppc64le => (-reach, reach - 0x8001),
+            Arch::Aarch64 => (-reach - 0x800 - page_off, reach - 0x801 - page_off),
+        };
+        // Four-byte steps keep RISC targets word aligned.
+        let (lo, hi) = if arch == Arch::X64 { (lo, hi) } else { ((lo + 3) & !3, hi & !3) };
+        [
+            (lo, true),
+            (lo - 4, false),
+            (hi, true),
+            (hi + 4, false),
+            (-reach / 2, true),
+            (reach / 2, true),
+            (-2 * reach, false),
+            (2 * reach, false),
+        ]
+    }
+
+    /// The shared long form over a seeded sweep of `(from, to, toc)`
+    /// per arch: in reach it transfers to `to`, clobbers only its
+    /// scratch register (none on x64 and in the ppc64le save/restore
+    /// variant) and is `Arch::long_branch_len()` bytes (+8 for the
+    /// spill and reload); out of reach it is `None`, never wrapped
+    /// bytes.
     #[test]
-    fn x64_near_branch_evaluates_to_target() {
-        let bytes = tramp::near_branch_x64(0x1000, 0x4000_0000).unwrap();
-        let e = eval_sequence(Arch::X64, 0x1000, &bytes, None).unwrap();
-        assert_eq!(e.transfer, Transfer::Jump(0x4000_0000));
-        assert!(e.clobbered.is_empty());
+    fn long_form_sweep() {
+        let mut rng = 0x1cf9_2026u64;
+        for arch in Arch::ALL {
+            for _ in 0..64 {
+                let from = ((1 << 36) + next(&mut rng) % (1 << 36)) & !3;
+                let toc = ((1 << 36) + next(&mut rng) % (1 << 36)) & !3;
+                let scratch = match (arch, next(&mut rng) % 3) {
+                    (Arch::X64, _) => None,
+                    (Arch::Ppc64le, 0) => None,
+                    _ => Some(Reg(3 + (next(&mut rng) % 15) as u8)),
+                };
+                let anchor = if arch == Arch::Ppc64le { toc } else { from };
+                let reach = arch.long_branch_reach() - 0x1_0000;
+                let inside = ((next(&mut rng) % (2 * reach as u64)) as i64 - reach) & !3;
+                let mut deltas = reach_edges(arch, (from & 0xfff) as i64).to_vec();
+                deltas.push((inside, true));
+                for (delta, in_reach) in deltas {
+                    let to = anchor.wrapping_add_signed(delta);
+                    let what = format!("{arch} from {from:#x} to {to:#x} toc {toc:#x}");
+                    let bytes = tramp::long_branch(arch, from, to, Some(toc), scratch);
+                    if !in_reach {
+                        assert_eq!(bytes, None, "{what}: out of reach must not encode");
+                        continue;
+                    }
+                    let bytes = bytes.expect(&what);
+                    let e = eval_sequence(arch, from, &bytes, Some(toc)).expect(&what);
+                    assert_eq!(e.transfer, Transfer::Jump(to), "{what}");
+                    let spill = if arch == Arch::Ppc64le && scratch.is_none() { 8 } else { 0 };
+                    assert_eq!(bytes.len(), arch.long_branch_len() + spill, "{what}");
+                    assert_eq!(e.clobbered, scratch.into_iter().collect(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn ppc_long_form_with_scratch_clobbers_it() {
-        let toc = 0x40_8000u64;
-        let bytes =
-            tramp::long_branch(Arch::Ppc64le, 0x1000, 0x4000_0000, Some(toc), Some(Reg(9)))
-                .unwrap();
-        let e = eval_sequence(Arch::Ppc64le, 0x1000, &bytes, Some(toc)).unwrap();
-        assert_eq!(e.transfer, Transfer::Jump(0x4000_0000));
-        assert_eq!(e.clobbered.into_iter().collect::<Vec<_>>(), vec![Reg(9)]);
-    }
-
-    #[test]
-    fn ppc_save_restore_form_clobbers_nothing() {
-        let toc = 0x40_8000u64;
-        let bytes =
-            tramp::long_branch(Arch::Ppc64le, 0x1000, 0x4000_0000, Some(toc), None).unwrap();
-        let e = eval_sequence(Arch::Ppc64le, 0x1000, &bytes, Some(toc)).unwrap();
-        assert_eq!(e.transfer, Transfer::Jump(0x4000_0000));
-        assert!(e.clobbered.is_empty(), "r12 is spilled and reloaded");
-    }
-
-    #[test]
-    fn aarch_long_form_evaluates_page_arithmetic() {
-        let bytes =
-            tramp::long_branch(Arch::Aarch64, 0x1000, 0x123_4560, None, Some(Reg(17))).unwrap();
-        let e = eval_sequence(Arch::Aarch64, 0x1000, &bytes, None).unwrap();
-        assert_eq!(e.transfer, Transfer::Jump(0x123_4560));
-        assert_eq!(e.clobbered.into_iter().collect::<Vec<_>>(), vec![Reg(17)]);
+    fn aarch_long_form_needs_scratch() {
+        assert_eq!(tramp::long_branch(Arch::Aarch64, 0x1000, 0x2000_0000, None, None), None);
     }
 
     #[test]

@@ -184,8 +184,9 @@ with `--cache-dir`/`ICFGP_CACHE_DIR` for rewrite, verify, fleet or
 audit. `icfgp cache stats --store-url U` queries a live server.
 
 EXIT CODES: 0 clean, 1 degraded within budget, 2 budget exceeded
-(chaos: any case failed), 3 internal error, 64 usage (an unknown
-`--mode`, `--unwind`, `--points` or `--arch` value included).
+(chaos: any case failed), 3 internal error, 64 usage (a flag the
+command does not accept, a value outside a flag's accepted set and a
+number that does not parse included).
 
 Architectures: x86-64 (default), ppc64le, aarch64."
     );
@@ -198,6 +199,65 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The number `flag` carries, `None` when the flag is absent. A value
+/// that does not parse is a usage error naming the flag.
+fn number<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, Failure> {
+    arg_value(args, flag)
+        .map(|v| {
+            v.parse().map_err(|_| Failure::Usage(format!("bad {flag} {v} (expected a number)")))
+        })
+        .transpose()
+}
+
+/// The options the ladder commands (`rewrite`, `verify`, `fleet`,
+/// `audit`) share through [`parse_rewrite_config`] and [`run_command`].
+/// A trailing `=` marks a flag that takes a value.
+const LADDER_FLAGS: [&str; 13] = [
+    "--mode=", "--unwind=", "--points=", "--fault-seed=", "--intensity=", "--floor=", "--budget=",
+    "--func-timeout-ms=", "--cache-dir=", "--store-url=", "--trace=", "--no-poison", "--audit-gate",
+];
+
+/// Every flag `cmd` accepts (a trailing `=` marks one that takes a
+/// value); `None` for an unknown command.
+fn accepted_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match cmd {
+        "gen" => &["--workload=", "--arch=", "--pie", "--seed=", "--perturb=", "-o="],
+        "rewrite" => &["-o=", "--stats", "--quiet", "-q"],
+        "verify" => &["--json"],
+        "fleet" => &["--quiet", "-q"],
+        "audit" => &["--format="],
+        "run" => &["--preload-runtime", "--bias=", "--fuel="],
+        "chaos" => &[
+            "--seeds=", "--workloads=", "--arch=", "--mode=", "--intensity=", "--floor=",
+            "--budget=", "--cache-dir=", "--trace=", "--kill-resume", "--net", "--quiet", "-q",
+            "--json",
+        ],
+        "cache" => &["--cache-dir=", "--store-url=", "--trace=", "--kind=", "--seed="],
+        "analyze" | "trace" | "list-workloads" => &[],
+        _ => return None,
+    };
+    let ladder = matches!(cmd, "rewrite" | "verify" | "fleet" | "audit");
+    Some(if ladder { [&LADDER_FLAGS[..], own].concat() } else { own.to_vec() })
+}
+
+/// Refuse, before the command loads or writes anything, any flag that
+/// `cmd` does not accept: a misspelt flag is a usage error, not an
+/// option silently left at its default.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), Failure> {
+    let Some(accepted) = accepted_flags(cmd) else { return Ok(()) };
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with('-') || accepted.contains(&a.as_str()) {
+            continue;
+        }
+        if !accepted.iter().any(|f| f.strip_suffix('=') == Some(a.as_str())) {
+            return Err(Failure::Usage(format!("unknown flag {a} for `icfgp {cmd}`")));
+        }
+        args.next(); // the flag's value
+    }
+    Ok(())
 }
 
 /// The persistent-store directory: `--cache-dir DIR` wins, then the
@@ -403,11 +463,8 @@ fn save_binary(binary: &Binary, path: &str) -> Result<(), String> {
 fn cmd_gen(args: &[String]) -> Result<u8, Failure> {
     let arch = choice(args, "--arch", &ARCHES)?.unwrap_or(Arch::X64);
     let pie = has_flag(args, "--pie");
-    let seed = arg_value(args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let perturb: u64 = match arg_value(args, "--perturb") {
-        Some(p) => p.parse().map_err(|_| format!("bad --perturb {p}"))?,
-        None => 0,
-    };
+    let seed = number(args, "--seed")?.unwrap_or(1);
+    let perturb: u64 = number(args, "--perturb")?.unwrap_or(0);
     let out = arg_value(args, "-o").ok_or("missing -o FILE")?;
     let spec = arg_value(args, "--workload").unwrap_or_else(|| "small".to_string());
     let workload = if let Some(name) = spec.strip_prefix("spec:") {
@@ -481,31 +538,27 @@ fn parse_rewrite_config(args: &[String]) -> Result<(RewriteConfig, Points), Fail
     if has_flag(args, "--no-poison") {
         config.poison_text = false;
     }
-    if let Some(seed) = arg_value(args, "--fault-seed") {
-        let seed: u64 = seed.parse().map_err(|_| format!("bad --fault-seed {seed}"))?;
+    if let Some(seed) = number(args, "--fault-seed")? {
         let intensity =
             arg_value(args, "--intensity").unwrap_or_else(|| "standard".to_string());
         config.fault_plan = Some(
             FaultPlan::named(&intensity, seed)
-                .ok_or_else(|| format!("unknown --intensity {intensity}"))?,
+                .ok_or_else(|| Failure::Usage(format!("unknown --intensity {intensity}")))?,
         );
     }
     if let Some(floor) = arg_value(args, "--floor") {
-        config.degradation.floor = parse_floor(&floor)?;
+        config.degradation.floor = parse_floor(&floor).map_err(Failure::Usage)?;
     }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.degradation.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
+    if let Some(budget) = number(args, "--budget")? {
+        config.degradation.max_below_floor = budget;
     }
     if has_flag(args, "--audit-gate") {
         config.audit_gate = true;
     }
     // Watchdog: the flag wins, then ICFGP_FUNC_TIMEOUT_MS (validated
     // at startup), else the work-unit ledger alone bounds analysis.
-    config.analysis.func_timeout_ms = match arg_value(args, "--func-timeout-ms") {
-        Some(ms) => {
-            Some(ms.parse().map_err(|_| format!("bad --func-timeout-ms {ms}"))?)
-        }
+    config.analysis.func_timeout_ms = match number(args, "--func-timeout-ms")? {
+        Some(ms) => Some(ms),
         None => store::env_millis(
             "ICFGP_FUNC_TIMEOUT_MS",
             std::env::var("ICFGP_FUNC_TIMEOUT_MS").ok().as_deref(),
@@ -798,8 +851,7 @@ fn cmd_chaos(args: &[String]) -> Result<u8, Failure> {
         (false, false) => FaultAxis::Seed,
     };
     let mut config = CampaignConfig::new(axis);
-    if let Some(n) = arg_value(args, "--seeds") {
-        let n: u64 = n.parse().map_err(|_| format!("bad --seeds {n}"))?;
+    if let Some(n) = number::<u64>(args, "--seeds")? {
         if n == 0 {
             eprintln!("error: chaos --seeds 0 sweeps no cases; pass at least 1");
             return Ok(64);
@@ -817,16 +869,15 @@ fn cmd_chaos(args: &[String]) -> Result<u8, Failure> {
     }
     if let Some(i) = arg_value(args, "--intensity") {
         if FaultPlan::named(&i, 0).is_none() {
-            return Err(format!("unknown --intensity {i}").into());
+            return Err(Failure::Usage(format!("unknown --intensity {i}")));
         }
         config.intensity = i;
     }
     if let Some(floor) = arg_value(args, "--floor") {
-        config.policy.floor = parse_floor(&floor)?;
+        config.policy.floor = parse_floor(&floor).map_err(Failure::Usage)?;
     }
-    if let Some(budget) = arg_value(args, "--budget") {
-        config.policy.max_below_floor =
-            budget.parse().map_err(|_| format!("bad --budget {budget}"))?;
+    if let Some(budget) = number(args, "--budget")? {
+        config.policy.max_below_floor = budget;
     }
     config.dir = cache_dir(args);
     let quiet = is_quiet(args);
@@ -902,17 +953,17 @@ fn cmd_cache_serve(args: &[String], dir: Option<PathBuf>) -> Result<u8, String> 
 
 /// `icfgp cache <stats|verify|clear|corrupt>` — offline maintenance of
 /// a persistent store directory.
-fn cmd_cache(args: &[String]) -> Result<u8, String> {
+fn cmd_cache(args: &[String]) -> Result<u8, Failure> {
     let sub = args
         .first()
         .ok_or("missing cache subcommand (stats|verify|clear|compact|corrupt|serve)")?;
     let rest = &args[1..];
     if sub == "serve" {
-        return cmd_cache_serve(rest, cache_dir(rest));
+        return Ok(cmd_cache_serve(rest, cache_dir(rest))?);
     }
     if sub == "stats" {
         if let Some(raw) = store_url(rest) {
-            return cmd_cache_stats_remote(&raw);
+            return Ok(cmd_cache_stats_remote(&raw)?);
         }
     }
     let dir = cache_dir(rest)
@@ -1000,15 +1051,12 @@ fn cmd_cache(args: &[String]) -> Result<u8, String> {
                 .ok_or("missing --kind <bit-flip|truncate|stale-version>")?;
             let kind = CorruptKind::parse(&kind)
                 .ok_or_else(|| format!("unknown --kind {kind}"))?;
-            let seed = arg_value(args, "--seed")
-                .map(|s| s.parse::<u64>().map_err(|_| format!("bad --seed {s}")))
-                .transpose()?
-                .unwrap_or(1);
+            let seed = number(args, "--seed")?.unwrap_or(1);
             let what = store::corrupt_dir(&dir, kind, seed)?;
             outln!("{}: {what}", dir.display());
             Ok(0)
         }
-        other => Err(format!("unknown cache subcommand {other}")),
+        other => Err(format!("unknown cache subcommand {other}").into()),
     }
 }
 
@@ -1049,15 +1097,21 @@ fn cmd_trace(args: &[String]) -> Result<u8, String> {
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<u8, Failure> {
     let path = args.first().ok_or("missing FILE")?;
+    let bias = arg_value(args, "--bias")
+        .map(|s| {
+            u64::from_str_radix(s.trim_start_matches("0x"), 16)
+                .map_err(|_| Failure::Usage(format!("bad --bias {s} (expected a hex number)")))
+        })
+        .transpose()?
+        .unwrap_or(0);
+    let fuel = number(args, "--fuel")?.unwrap_or(500_000_000);
     let binary = load_binary(path)?;
     let opts = LoadOptions {
         preload_runtime: has_flag(args, "--preload-runtime"),
-        bias: arg_value(args, "--bias")
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-            .unwrap_or(0),
-        fuel: arg_value(args, "--fuel").and_then(|s| s.parse().ok()).unwrap_or(500_000_000),
+        bias,
+        fuel,
         ..LoadOptions::default()
     };
     match run(&binary, &opts) {
@@ -1069,13 +1123,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             outln!("  icache miss : {}", stats.icache_misses);
             outln!("  traps       : {}", stats.traps);
             outln!("  unwind steps: {} (ra translations {})", stats.unwind_steps, stats.ra_translations);
-            Ok(())
+            Ok(0)
         }
         Outcome::Crashed { reason, stats } => {
-            Err(format!("crashed after {} instructions: {reason}", stats.instructions))
+            Err(format!("crashed after {} instructions: {reason}", stats.instructions).into())
         }
         Outcome::OutOfFuel(stats) => {
-            Err(format!("out of fuel after {} instructions", stats.instructions))
+            Err(format!("out of fuel after {} instructions", stats.instructions).into())
         }
     }
 }
@@ -1109,25 +1163,28 @@ fn main() -> ExitCode {
     }
     let Some(cmd) = args.first() else { return usage() };
     let rest = &args[1..];
-    let result = match cmd.as_str() {
-        "gen" => cmd_gen(rest),
-        "analyze" => cmd_analyze(rest).map(|()| 0).map_err(Failure::from),
-        "audit" => cmd_audit(rest),
-        "rewrite" => cmd_rewrite(rest),
-        "fleet" => cmd_fleet(rest),
-        "verify" => cmd_verify(rest),
-        "run" => cmd_run(rest).map(|()| 0).map_err(Failure::from),
-        "chaos" => cmd_chaos(rest),
-        "cache" => cmd_cache(rest).map_err(Failure::from),
-        "trace" => cmd_trace(rest).map_err(Failure::from),
-        "list-workloads" => {
-            outln!("small  firefox  docker  driverlib  switch_demo");
-            for n in SPEC_NAMES {
-                outln!("spec:{n}");
+    let result = match check_flags(cmd, rest) {
+        Err(e) => Err(e),
+        Ok(()) => match cmd.as_str() {
+            "gen" => cmd_gen(rest),
+            "analyze" => cmd_analyze(rest).map(|()| 0).map_err(Failure::from),
+            "audit" => cmd_audit(rest),
+            "rewrite" => cmd_rewrite(rest),
+            "fleet" => cmd_fleet(rest),
+            "verify" => cmd_verify(rest),
+            "run" => cmd_run(rest),
+            "chaos" => cmd_chaos(rest),
+            "cache" => cmd_cache(rest),
+            "trace" => cmd_trace(rest).map_err(Failure::from),
+            "list-workloads" => {
+                outln!("small  firefox  docker  driverlib  switch_demo");
+                for n in SPEC_NAMES {
+                    outln!("spec:{n}");
+                }
+                Ok(0)
             }
-            Ok(0)
-        }
-        _ => return usage(),
+            _ => return usage(),
+        },
     };
     let result = match (result, STDOUT_ERROR.get()) {
         (Ok(_), Some(e)) => Err(Failure::Internal(e.clone())),

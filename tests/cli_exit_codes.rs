@@ -628,6 +628,52 @@ fn unknown_option_values_are_usage_errors() {
     let _ = std::fs::remove_file(&raw);
 }
 
+/// Each command accepts one list of flags: a flag not on it, or a
+/// number that does not parse, is a usage error naming the flag,
+/// caught before anything is loaded or written. The benchmark's own
+/// request keeps exiting 0.
+#[test]
+fn unknown_flags_and_bad_numbers_are_usage_errors() {
+    let raw = gen_switch_demo();
+    let rw = tmp("badflag.json");
+    let dir = tmp("badflag-store");
+    let (file, out, store) = (raw.to_str().unwrap(), rw.to_str().unwrap(), dir.to_str().unwrap());
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["rewrite", file, "--mode", "jt", "--cache-dri", store, "-o", out], "--cache-dri"),
+        (vec!["verify", file, "--stats"], "--stats"),
+        (vec!["audit", file, "--quiet"], "--quiet"),
+        (vec!["fleet", file, "--json"], "--json"),
+        (vec!["chaos", "--seeds", "1", "--store-url", "icfgp://127.0.0.1:9"], "--store-url"),
+        (vec!["analyze", file, "-v"], "-v"),
+        (vec!["run", file, "--fuel-limit", "5"], "--fuel-limit"),
+        (vec!["gen", "--workload", "small", "--seed", "banana", "-o", out], "--seed"),
+        (vec!["gen", "--workload", "small", "--perturb", "x", "-o", out], "--perturb"),
+        (vec!["run", file, "--fuel", "lots"], "--fuel"),
+        (vec!["run", file, "--bias", "zz"], "--bias"),
+        (vec!["rewrite", file, "--fault-seed", "q", "-o", out], "--fault-seed"),
+        (vec!["rewrite", file, "--budget", "most", "-o", out], "--budget"),
+        (vec!["rewrite", file, "--func-timeout-ms", "soon", "-o", out], "--func-timeout-ms"),
+        (vec!["chaos", "--seeds", "many"], "--seeds"),
+        (vec!["cache", "corrupt", "--cache-dir", store, "--kind", "truncate", "--seed", "x"], "--seed"),
+    ];
+    for (args, flag) in cases {
+        let run = icfgp().args(&args).output().expect("icfgp runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(64), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
+    assert!(!rw.exists(), "a usage error writes no output");
+    assert!(!dir.exists(), "a misspelt store flag opens no store");
+    let bench = icfgp()
+        .args(["rewrite", file, "--mode", "func-ptr", "-o", out, "--quiet", "--cache-dir", store])
+        .output()
+        .expect("rewrite runs");
+    assert_eq!(bench.status.code(), Some(0), "{}", String::from_utf8_lossy(&bench.stderr));
+    let _ = std::fs::remove_file(&raw);
+    let _ = std::fs::remove_file(&rw);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn func_timeout_budget_degrades_not_hangs() {
     // A watchdog budget small enough to trip on injected stalls still
