@@ -239,6 +239,16 @@ mod tests {
     }
 
     #[test]
+    fn failed_encode_leaves_the_buffer_as_it_was() {
+        // x64 writes the opcode before it checks the operand register.
+        let addr = Addr::base_only(Reg(1));
+        let bad = Inst::Load { dst: Reg(16), addr, width: Width::W8, sign: false };
+        let mut out = vec![0xAA];
+        assert!(encode_into(&bad, Arch::X64, &mut out).is_err());
+        assert_eq!(out, [0xAA]);
+    }
+
+    #[test]
     fn push_is_x64_only() {
         let p = Inst::Push { src: Reg(3) };
         assert!(encode(&p, Arch::X64).is_ok());
