@@ -317,6 +317,14 @@ impl FuncMap {
         self.0.iter().map(|(e, f)| (e, &**f))
     }
 
+    /// Every (entry, shared CFG) pair, in entry order: for building a
+    /// map that shares this one's CFGs instead of copying them.
+    pub fn shared(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (u64, &Arc<FuncCfg>)> + ExactSizeIterator {
+        self.0.iter().map(|(e, f)| (*e, f))
+    }
+
     /// Number of functions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -481,24 +489,35 @@ pub fn assemble_analysis(
     boundaries: BTreeSet<u64>,
 ) -> BinaryAnalysis {
     let fp_defs = funcptr::analyze_function_pointers(binary, &funcs, config);
+    split_fp_landings(&mut funcs, &fp_defs);
+    BinaryAnalysis { funcs, fp_defs, boundaries }
+}
 
-    // Function-pointer arithmetic (`&f + delta`) makes mid-function
-    // addresses indirect-control-flow targets: split blocks there and
-    // record them, so modes that keep pointers unrewritten can install
-    // trampolines (§5.2 Listing 1).
-    for def in &fp_defs {
+/// The block splits [`assemble_analysis`] derives from `fp_defs`.
+/// Function-pointer arithmetic (`&f + delta`) makes mid-function
+/// addresses indirect-control-flow targets: split blocks there and
+/// record them, so modes that keep pointers unrewritten can install
+/// trampolines (§5.2 Listing 1). A CFG the split would leave as it is
+/// (the target is already recorded, or is no instruction) stays shared,
+/// so applying the same definitions twice changes nothing.
+pub fn split_fp_landings(funcs: &mut FuncMap, fp_defs: &[FpDef]) {
+    for def in fp_defs {
         if def.delta == 0 {
             continue;
         }
         let target = def.target_fn.wrapping_add_signed(def.delta);
-        let hit = funcs.iter().find(|(_, f)| target >= f.start && target < f.end).map(|(&e, _)| e);
-        if let Some(func) = hit.and_then(|entry| funcs.get_mut(&entry)) {
-            if func.split_block_at(target) && !func.fp_landing_targets.contains(&target) {
-                func.fp_landing_targets.push(target);
-            }
+        let Some((&entry, func)) = funcs.iter().find(|(_, f)| target >= f.start && target < f.end)
+        else {
+            continue;
+        };
+        if func.fp_landing_targets.contains(&target) || !func.insts.contains_key(&target) {
+            continue;
+        }
+        let func = funcs.get_mut(&entry).expect("found above");
+        if func.split_block_at(target) {
+            func.fp_landing_targets.push(target);
         }
     }
-    BinaryAnalysis { funcs, fp_defs, boundaries }
 }
 
 thread_local! {

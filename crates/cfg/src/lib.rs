@@ -44,6 +44,7 @@ mod liveness;
 
 pub use analysis::{
     analyze, analyze_function, analyze_function_isolated, assemble_analysis, prepass_boundaries,
+    split_fp_landings,
     AddrConstEvent, AnalysisConfig, AnalysisFailure, BinaryAnalysis, FuncMap, FuncStatus,
     InjectedFault,
 };

@@ -88,10 +88,11 @@ use crate::store::{Stage, StoreBackend, StoreStats};
 use crate::trace::{StoreSrc, Trace, TraceEvent};
 use icfgp_audit::AuditReport;
 use icfgp_cfg::{
-    analyze_function_isolated, assemble_analysis, prepass_boundaries, AnalysisConfig,
-    BinaryAnalysis, FuncCfg, FuncMap, FuncStatus, LivenessResult,
+    analyze, analyze_function_isolated, assemble_analysis, prepass_boundaries,
+    split_fp_landings, AnalysisConfig, BinaryAnalysis, FuncCfg, FuncMap, FuncStatus,
+    LivenessResult,
 };
-use icfgp_obj::Binary;
+use icfgp_obj::{Binary, Symbol};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -570,6 +571,9 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub struct RewriteCache {
     prepass: Mutex<HashMap<u64, Arc<Prepass>>>,
     analyses: Mutex<HashMap<(u64, u64), AnalysisMemo>>,
+    /// Strict analyses by (binary, strict config) fingerprint
+    /// ([`derive_strict_analysis`]).
+    stricts: Mutex<HashMap<(u64, u64), Arc<BinaryAnalysis>>>,
     funcs: StageMap<FuncPayload>,
     liveness: StageMap<LivenessResult>,
     fragments: StageMap<FragPayload>,
@@ -588,6 +592,7 @@ impl std::fmt::Debug for RewriteCache {
         }
         f.debug_struct("RewriteCache")
             .field("analyses", &len(&self.analyses))
+            .field("stricts", &len(&self.stricts))
             .field("funcs", &len(&self.funcs))
             .field("fragments", &len(&self.fragments))
             .field("liveness", &len(&self.liveness))
@@ -1040,10 +1045,138 @@ pub fn analyze_incremental(
     }
 }
 
+/// The verifier's strict analysis of `binary`: what
+/// [`icfgp_cfg::analyze`] returns under `config.strictened()`, derived
+/// from the rewrite's own analysis under `config` instead of computed
+/// from scratch.
+///
+/// Strictening turns the two tail-call heuristics off and drops the
+/// injected faults. The heuristics run after jump-table resolution and
+/// write only [`FuncCfg::indirect_tailcalls`], so a function's strict
+/// CFG is the rewrite's own when its status is `Ok`, no heuristic
+/// fired in it, no injected fault is anchored in it, and its boundary
+/// prefix (the pre-pass plus the tables of every earlier function) is
+/// the same on both sides. Those CFGs are shared, not copied. Every
+/// other function is re-analysed under the strict config against its
+/// own strict prefix, in symbol order on the calling thread: a
+/// soundness check reuses nothing a heuristic or a fault touched.
+///
+/// The function-pointer definitions read only the CFGs' instructions
+/// and jump tables. When every re-analysed function's match the
+/// rewrite's, its definitions are reused and only the re-analysed CFGs
+/// get their landing splits; otherwise the functions the rewrite's
+/// definitions split are re-analysed too and the assembly runs again
+/// under the strict config. Binaries with two function symbols at one
+/// address, which the per-entry analysis cannot tell apart, get the
+/// sequential strict analysis.
+///
+/// The rewrite's analysis comes from the memo [`analyze_incremental`]
+/// fills (computed through it, on `threads`, if absent), and the result
+/// is memoised per (binary, strict config), so later ladder rounds,
+/// fault seeds and in-process reruns share it. Emits no trace events.
+#[must_use]
+pub fn derive_strict_analysis(
+    binary: &Binary,
+    config: &AnalysisConfig,
+    cache: &RewriteCache,
+    threads: usize,
+) -> Arc<BinaryAnalysis> {
+    let binary_fp = binary_fingerprint(binary);
+    let strict = config.strictened();
+    let key = (binary_fp, strict.fingerprint());
+    if let Some(memo) = locked(&cache.stricts).get(&key) {
+        return Arc::clone(memo);
+    }
+    let syms: Vec<&Symbol> = binary.functions().collect();
+    let analysis = if syms.windows(2).any(|w| w[0].addr == w[1].addr) {
+        Arc::new(analyze(binary, &strict))
+    } else {
+        let base = match cache.analysis_memo(binary_fp, config.fingerprint()) {
+            Some(memo) => memo.analysis,
+            None => analyze_incremental(binary, config, cache, threads).analysis,
+        };
+        let pre = cache.prepass(binary_fp, binary);
+        let touched = |sym: &Symbol, f: &FuncCfg| {
+            f.status != FuncStatus::Ok
+                || !f.indirect_tailcalls.is_empty()
+                || config.inject.iter().any(|i| (sym.addr..sym.end()).contains(&i.anchor()))
+        };
+        let mut fresh: BTreeMap<u64, Arc<FuncCfg>> = BTreeMap::new();
+        let boundaries = strict_pass(binary, &strict, &pre, &syms, &base, touched, &mut fresh);
+        let merged = |fresh: &BTreeMap<u64, Arc<FuncCfg>>| -> FuncMap {
+            base.funcs.shared().map(|(e, f)| (e, Arc::clone(fresh.get(&e).unwrap_or(f)))).collect()
+        };
+        let same_fp_inputs = fresh.iter().all(|(e, f)| {
+            let b = &base.funcs[e];
+            b.insts == f.insts && b.jump_tables == f.jump_tables
+        });
+        if fresh.is_empty() {
+            base
+        } else if same_fp_inputs {
+            let mut funcs = merged(&fresh);
+            split_fp_landings(&mut funcs, &base.fp_defs);
+            Arc::new(BinaryAnalysis { funcs, fp_defs: base.fp_defs.clone(), boundaries })
+        } else {
+            let split = |sym: &Symbol, f: &FuncCfg| {
+                touched(sym, f) || !f.fp_landing_targets.is_empty()
+            };
+            let boundaries = strict_pass(binary, &strict, &pre, &syms, &base, split, &mut fresh);
+            Arc::new(assemble_analysis(binary, &strict, merged(&fresh), boundaries))
+        }
+    };
+    Arc::clone(locked(&cache.stricts).entry(key).or_insert(analysis))
+}
+
+/// One in-order pass of [`derive_strict_analysis`] over `syms`:
+/// re-analyse under `strict` every function that `redo` selects or
+/// whose strict boundary prefix differs from the rewrite's, unless
+/// `fresh` already holds it, and record the new CFGs in `fresh`.
+/// Returns the final strict boundary set.
+///
+/// A CFG already in `fresh` is kept: every function before it has the
+/// same jump tables as in the pass that computed it, so its prefix is
+/// unchanged.
+fn strict_pass(
+    binary: &Binary,
+    strict: &AnalysisConfig,
+    pre: &Prepass,
+    syms: &[&Symbol],
+    base: &BinaryAnalysis,
+    redo: impl Fn(&Symbol, &FuncCfg) -> bool,
+    fresh: &mut BTreeMap<u64, Arc<FuncCfg>>,
+) -> BTreeSet<u64> {
+    // The strict prefix, and the table addresses only one side's
+    // prefix holds: the two prefixes agree iff both are empty.
+    let mut set = pre.set.clone();
+    let mut only_strict: BTreeSet<u64> = BTreeSet::new();
+    let mut only_base: BTreeSet<u64> = BTreeSet::new();
+    for sym in syms {
+        let b = &base.funcs[&sym.addr];
+        let same_prefix = only_strict.is_empty() && only_base.is_empty();
+        if !fresh.contains_key(&sym.addr) && (!same_prefix || redo(sym, b)) {
+            let cfg = analyze_function_isolated(binary, sym, strict, &set);
+            fresh.insert(sym.addr, Arc::new(cfg));
+        }
+        for jt in &b.jump_tables {
+            let a = jt.table_addr;
+            let in_base = (set.contains(&a) && !only_strict.contains(&a)) || only_base.contains(&a);
+            if !in_base && !only_strict.remove(&a) {
+                only_base.insert(a);
+            }
+        }
+        let s = fresh.get(&sym.addr).map_or(b, |f| &**f);
+        for jt in &s.jump_tables {
+            if set.insert(jt.table_addr) && !only_base.remove(&jt.table_addr) {
+                only_strict.insert(jt.table_addr);
+            }
+        }
+    }
+    set
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icfgp_cfg::analyze;
     use icfgp_isa::Arch;
 
     fn workload(name: &str, arch: Arch) -> Binary {
@@ -1114,6 +1247,36 @@ mod tests {
         let after = cache.trace().registry().stage_stats(Stage::Func);
         assert!(after.misses - before.misses <= u64::from(run.rounds));
         assert!(after.hits > before.hits);
+    }
+
+    /// A function where a tail-call heuristic fired is re-analysed and
+    /// fails strictly; every function strictening cannot change is the
+    /// rewrite's own CFG, shared.
+    #[test]
+    fn strict_derivation_reanalyses_only_where_a_heuristic_fired() {
+        let bin = icfgp_workloads::firefox_like(Arch::X64, 1).binary;
+        let config = AnalysisConfig::default();
+        let cache = RewriteCache::new();
+        let base = analyze_incremental(&bin, &config, &cache, 2).analysis;
+        let strict = derive_strict_analysis(&bin, &config, &cache, 2);
+        assert_eq!(*strict, analyze(&bin, &config.strictened()));
+        let mut fired = 0;
+        for ((entry, b), (_, s)) in base.funcs.shared().zip(strict.funcs.shared()) {
+            if b.indirect_tailcalls.is_empty() && b.status == FuncStatus::Ok {
+                assert!(Arc::ptr_eq(b, s), "{entry:#x} must be shared");
+            } else if let Some(&jump_addr) = b.indirect_tailcalls.first() {
+                fired += 1;
+                assert!(!Arc::ptr_eq(b, s), "{entry:#x} must be re-analysed");
+                assert!(s.indirect_tailcalls.is_empty());
+                assert!(matches!(
+                    s.status,
+                    FuncStatus::Failed(icfgp_cfg::AnalysisFailure::JumpTableUnresolved { .. })
+                ));
+                assert!(s.insts.contains_key(&jump_addr));
+            }
+        }
+        assert!(fired > 0, "the workload has functions where a heuristic fires");
+        assert!(Arc::ptr_eq(&strict, &derive_strict_analysis(&bin, &config, &cache, 2)));
     }
 
     #[test]

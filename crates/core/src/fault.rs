@@ -283,13 +283,17 @@ impl FaultPlan {
     /// [`FaultPlan::arm`] through a [`crate::cache::RewriteCache`]: the
     /// victim-picking clean analysis is served from the cache when a
     /// previous seed (or rewrite) already analysed this binary. The
-    /// injections chosen are identical to [`FaultPlan::arm`].
+    /// injections chosen are identical to [`FaultPlan::arm`]. The work
+    /// sits in one [`SpanKind::FaultArm`](crate::trace::SpanKind::FaultArm)
+    /// span on the cache's trace.
     pub fn arm_cached(
         &self,
         binary: &Binary,
         config: &mut RewriteConfig,
         cache: &crate::cache::RewriteCache,
     ) {
+        let trace = cache.trace();
+        let span = trace.span(crate::trace::SpanKind::FaultArm);
         let mut rng = SmallRng::seed_from_u64(self.seed);
         fn chance(rng: &mut SmallRng, p: f64) -> bool {
             p > 0.0 && rng.gen_range(0u64..10_000) < (p * 10_000.0) as u64
@@ -350,6 +354,7 @@ impl FaultPlan {
             let gap = binary.arch.short_branch_reach() as u64 + (32 << 20);
             config.instr_gap = config.instr_gap.max(gap);
         }
+        span.close();
     }
 }
 

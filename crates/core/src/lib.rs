@@ -79,7 +79,7 @@ pub mod trace;
 pub mod tramp;
 
 pub use cache::{
-    analyze_incremental, binary_fingerprint, ladder_key, AnalysisRun, LadderRound, LadderStep,
+    analyze_incremental, binary_fingerprint, derive_strict_analysis, ladder_key, AnalysisRun, LadderRound, LadderStep,
     RewriteCache, RewriteStats, StageStats, StageTimings,
 };
 pub use cfl::{cfl_blocks, effective_cfl_blocks, CflReason};

@@ -3,12 +3,14 @@
 //! One pool implementation serves every fan-out site in the workspace:
 //! the incremental rewrite engine (per-function analysis, fragment
 //! building, emission) and the benchmark harness (`icfgp-bench`
-//! Table 3). [`join`] is the one fork/join of two unlike tasks: the
-//! degradation ladder runs its first rewrite beside the verifier's
-//! strict re-analysis. Work is distributed by an atomic cursor — idle
-//! workers steal the next unclaimed item — so load balances dynamically, while
-//! results are returned **in item order**, which keeps every consumer
-//! deterministic regardless of scheduling or thread count.
+//! Table 3). The degradation ladder forks nothing of its own: the
+//! verifier's strict analysis is derived from the rewrite's after it
+//! ([`crate::cache::derive_strict_analysis`]) and re-analyses only a
+//! handful of functions, on the calling thread. Work is distributed
+//! by an atomic cursor — idle workers steal the next unclaimed item —
+//! so load balances dynamically, while results are returned **in item
+//! order**, which keeps every consumer deterministic regardless of
+//! scheduling or thread count.
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`]
 //! capped at 16 and can be overridden with the `ICFGP_THREADS`
@@ -119,31 +121,6 @@ where
         .collect()
 }
 
-/// Run `a` and `b` and return both results: `a` on one scoped worker
-/// thread and `b` on the calling thread at the same time. With
-/// `threads <= 1` both run on the caller, `a` first, and no thread
-/// starts. A panic on either side propagates to the caller once both
-/// sides have stopped.
-pub fn join<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB,
-    RA: Send,
-{
-    if threads <= 1 {
-        let ra = a();
-        return (ra, b());
-    }
-    std::thread::scope(|scope| {
-        let worker = scope.spawn(a);
-        let rb = b();
-        match worker.join() {
-            Ok(ra) => (ra, rb),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
-}
-
 /// A raw pointer wrapper that is `Sync` so workers can write disjoint
 /// result slots without locking.
 struct SendPtr<R>(*mut Option<R>);
@@ -168,37 +145,6 @@ mod tests {
         let none: Vec<u32> = Vec::new();
         assert!(map(8, &none, |_, v| *v).is_empty());
         assert_eq!(map(8, &[7u32], |_, v| v + 1), vec![8]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        for threads in [1, 2, 8] {
-            assert_eq!(join(threads, || 6 * 7, || "caller"), (42, "caller"), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn join_forks_only_above_one_thread() {
-        let caller = std::thread::current().id();
-        let on = || std::thread::current().id();
-        assert_eq!(join(1, on, on), (caller, caller));
-        let (a, b) = join(2, on, on);
-        assert_ne!(a, caller, "`a` runs on the worker");
-        assert_eq!(b, caller, "`b` runs on the caller");
-    }
-
-    #[test]
-    fn join_reraises_a_panic_from_either_side() {
-        let message = |r: std::thread::Result<(u8, u8)>| {
-            let panic = r.expect_err("the panic must reach the caller");
-            panic.downcast_ref::<&str>().map(|s| s.to_string())
-        };
-        for threads in [1, 2] {
-            let worker = std::panic::catch_unwind(|| join(threads, || panic!("worker side"), || 1));
-            assert_eq!(message(worker).as_deref(), Some("worker side"), "threads = {threads}");
-            let caller = std::panic::catch_unwind(|| join(threads, || 1, || panic!("caller side")));
-            assert_eq!(message(caller).as_deref(), Some("caller side"), "threads = {threads}");
-        }
     }
 
     #[test]

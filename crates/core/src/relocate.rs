@@ -1247,14 +1247,15 @@ fn entry_size(
         RKind::Pad(n) => *n,
         RKind::EmulatedCall { call, far, .. } => {
             if x64 {
-                // mov r15, imm32 (6) + push (1) + jump form
+                // lea r15, [rip + d] (7) in a PIE, else mov r15, imm32
+                // (6); push (1); jump form
                 let jump_len = match call {
                     Inst::Call { .. } => long,
                     Inst::CallReg { .. } => 2,
                     Inst::CallMem { .. } => inst_len(call, arch, scratch)?, // same operand bytes
                     _ => return Err(RewriteError::Unsupported("emulated call form".into())),
                 };
-                6 + 1 + jump_len
+                (if pie { 7 } else { 6 }) + 1 + jump_len
             } else {
                 // addr pair (8) + mtlr (4) + jump form
                 8 + 4 + if *far { long } else { short }
@@ -1388,13 +1389,12 @@ fn emit_entry(
             tramp::materialize(out, arch, at, value, dst, pie, toc)?;
         }
         RKind::EmulatedCall { call, orig_ret, direct_target, far } => {
-            if x64 {
-                encode_into(&Inst::MovImm { dst: RESERVED, imm: *orig_ret as i64 }, arch, out)?;
-                encode_into(&Inst::Push { src: RESERVED }, arch, out)?;
-            } else {
-                tramp::materialize(out, arch, at, *orig_ret, RESERVED, pie, toc)?;
-                encode_into(&Inst::MoveToLr { src: RESERVED }, arch, out)?;
-            }
+            // The original return address, position-independent in a
+            // PIE: pushed on x64, moved into the link register on RISC.
+            tramp::materialize(out, arch, at, *orig_ret, RESERVED, pie, toc)?;
+            let save =
+                if x64 { Inst::Push { src: RESERVED } } else { Inst::MoveToLr { src: RESERVED } };
+            encode_into(&save, arch, out)?;
             let jump = match call {
                 Inst::Call { .. } => {
                     let target = resolve(direct_target.expect("direct call"));

@@ -7,7 +7,7 @@
 //! events (cache hit/miss/quarantine, store flush, retry, breaker
 //! trip, ladder demotion) and open
 //! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
-//! store flush, verify); the [`Registry`] folds the stream into
+//! store flush, strict analysis, verify, fault arming); the [`Registry`] folds the stream into
 //! counters as it arrives and derives every legacy stats shape on demand, so the
 //! conservation laws between counters are checked in exactly one place
 //! ([`Registry::check`]).
@@ -22,11 +22,7 @@
 //! The *canonical* event stream is byte-stable across
 //! `ICFGP_THREADS` values. Structural span open/close markers are
 //! emitted only from the orchestrating thread, so they are already
-//! deterministic. (The degradation ladder hands that role to one
-//! worker for its first rewrite, while the calling thread computes
-//! the verifier's strict re-analysis, which emits nothing: markers
-//! still come from one thread at a time.) Other worker threads emit
-//! only *leaf* records (cache
+//! deterministic. Worker threads emit only *leaf* records (cache
 //! lookups, store operations, per-function and per-RPC timed spans),
 //! whose multiset between two consecutive markers is fixed by the
 //! cache state, not by scheduling. Sealing the stream sorts each
@@ -103,9 +99,15 @@ pub enum SpanKind {
     StoreFlush,
     /// The static verification of one executed ladder round.
     Verify,
+    /// The verifier's strict analysis in one executed ladder round
+    /// ([`crate::cache::derive_strict_analysis`]).
+    Strict,
+    /// Arming a fault plan: its victim-picking clean analysis
+    /// ([`crate::FaultPlan::arm_cached`]).
+    FaultArm,
 }
 
-const SPAN_N: usize = 8;
+const SPAN_N: usize = 10;
 
 impl SpanKind {
     fn idx(self) -> usize {
@@ -118,6 +120,8 @@ impl SpanKind {
             SpanKind::Placement => 5,
             SpanKind::StoreFlush => 6,
             SpanKind::Verify => 7,
+            SpanKind::Strict => 8,
+            SpanKind::FaultArm => 9,
         }
     }
 
@@ -131,6 +135,8 @@ impl SpanKind {
             "placement",
             "store-flush",
             "verify",
+            "strict",
+            "fault-arm",
         ][idx]
     }
 }

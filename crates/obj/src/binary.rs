@@ -73,6 +73,11 @@ pub enum ObjError {
     /// Function symbol `name`'s `[addr, addr + size)` does not lie
     /// inside one allocated executable section.
     SymbolOutsideCode { name: String, addr: u64, size: u64 },
+    /// The entry point lies inside no allocated executable section.
+    EntryOutsideCode { entry: u64 },
+    /// A TOC anchor on an architecture without one (`present`), or
+    /// none on ppc64le, whose code addresses everything off it.
+    TocMismatch { arch: Arch, present: bool },
 }
 
 impl fmt::Display for ObjError {
@@ -98,6 +103,15 @@ impl fmt::Display for ObjError {
                 "function symbol {name} at {addr:#x} (size {size:#x}) is not inside one \
                  executable section"
             ),
+            ObjError::EntryOutsideCode { entry } => {
+                write!(f, "entry point {entry:#x} is not inside an executable section")
+            }
+            ObjError::TocMismatch { arch, present: true } => {
+                write!(f, "toc_base is set on {arch}, which has no TOC")
+            }
+            ObjError::TocMismatch { arch, present: false } => {
+                write!(f, "toc_base is missing on {arch}, whose code addresses data off the TOC")
+            }
         }
     }
 }
@@ -319,6 +333,26 @@ impl Binary {
             }),
             None => Ok(()),
         }
+    }
+
+    /// Verify that the entry point lies inside an allocated executable
+    /// section and that a TOC anchor is present exactly on ppc64le.
+    /// Neither is read before the rewritten binary runs, so a container
+    /// that breaks them would rewrite into one that cannot.
+    ///
+    /// # Errors
+    ///
+    /// [`ObjError::TocMismatch`] or [`ObjError::EntryOutsideCode`].
+    pub fn validate_entry_and_toc(&self) -> Result<(), ObjError> {
+        let ppc = self.arch == Arch::Ppc64le;
+        if self.toc_base.is_some() != ppc {
+            return Err(ObjError::TocMismatch { arch: self.arch, present: !ppc });
+        }
+        let in_code = |s: &Section| s.flags().alloc && s.flags().exec && s.contains(self.entry);
+        if !self.sections.iter().any(in_code) {
+            return Err(ObjError::EntryOutsideCode { entry: self.entry });
+        }
+        Ok(())
     }
 
     /// Verify that the symbols are sorted by address, the invariant

@@ -11,20 +11,22 @@
 //! ```
 //!
 //! Each round rewrites, verifies like [`verify_rewrite`](crate::verify_rewrite)
-//! (one strict re-analysis per run is the oracle), attributes every
+//! (one strict analysis per run is the oracle), attributes every
 //! error diagnostic to the function it occurred in, and lowers each
 //! offending function one
 //! rung. The loop converges because ranks strictly decrease and are
 //! bounded below by skip; a round with errors but no attributable
 //! victim is [`LadderError::NoConvergence`].
 //!
-//! The strict re-analysis is computed beside the first executed
-//! round: that round's rewrite runs on a scoped worker
-//! ([`icfgp_core::pool::join`]) while the calling thread analyses, and
-//! the two meet before the round's verification. Later rounds reuse
-//! the analysis. With `ICFGP_THREADS=1` both run in turn on the
-//! calling thread and the ladder starts no thread. Each executed
-//! round's verification sits in a [`SpanKind::Verify`] span.
+//! The strict analysis is derived after the first executed round's
+//! rewrite ([`derive_strict_analysis`]): it shares every CFG of the
+//! rewrite's own analysis that strictening cannot change and
+//! re-analyses only the functions where a tail-call heuristic fired,
+//! an injected fault is anchored or the analysis failed, so it equals
+//! [`icfgp_cfg::analyze`] under the strictened config without running
+//! it. Later rounds reuse it. Each executed round derives (or reuses)
+//! it in a [`SpanKind::Strict`] span and verifies in a
+//! [`SpanKind::Verify`] span.
 //!
 //! Every function's journey is recorded as a [`FuncDisposition`]
 //! (requested mode, achieved mode, the steps taken and why), and the
@@ -32,17 +34,18 @@
 //! turns the count of functions below the floor into a pass/fail
 //! budget verdict.
 
-use crate::{strict_analysis, verify_against, VerifyError, VerifyReport};
+use crate::{verify_against, VerifyError, VerifyReport};
 use icfgp_cfg::{AnalysisFailure, BinaryAnalysis};
 use icfgp_core::{
-    apply_audit_gate, binary_fingerprint, config_fingerprint, ladder_key, pool, FuncMode,
-    GateSummary, Instrumentation, LadderRound, LadderStep, RewriteCache, RewriteConfig,
+    apply_audit_gate, binary_fingerprint, config_fingerprint, derive_strict_analysis, ladder_key,
+    FuncMode, GateSummary, Instrumentation, LadderRound, LadderStep, RewriteCache, RewriteConfig,
     RewriteError, RewriteOutcome, RewriteStats, Rewriter, SkipReason, SpanKind, TraceEvent,
 };
 use icfgp_obj::Binary;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Upper bound on verify→lower→rewrite rounds. Each round lowers every
 /// offending function at least one rung and there are five rungs, so
@@ -288,29 +291,20 @@ pub fn rewrite_with_ladder_supervised(
     }
 
     // Rungs change only `func_modes`, never the analysis config, so
-    // every round verifies against one strict re-analysis. The rewrite
-    // never reads it, so this thread computes it while the first
-    // executed round rewrites on a worker. Not the other way round: the
-    // memory a thread frees stays in its own malloc arena, and the
-    // caller's later allocations (the output's serialisation) reuse
-    // what the strict analysis freed here; computed on the worker it
-    // raised peak RSS by about 10% on libxul.
-    let mut strict: Option<BinaryAnalysis> = None;
+    // every round verifies against the one strict analysis derived
+    // after the first executed round's rewrite.
+    let mut strict: Option<Arc<BinaryAnalysis>> = None;
     for round in replayed + 1..=MAX_ROUNDS {
         let round_span = trace.span(SpanKind::Round { round: round as u32 });
         let rewriter = Rewriter::new(cfg.clone());
-        let rewrite = || rewriter.rewrite_cached(binary, instr, cache);
-        let outcome = if strict.is_some() {
-            rewrite()
-        } else {
-            let (outcome, analysis) =
-                pool::join(rewriter.threads(), rewrite, || strict_analysis(binary, &cfg));
-            strict = Some(analysis);
-            outcome
-        }?;
+        let outcome = rewriter.rewrite_cached(binary, instr, cache)?;
         round_stats.push(outcome.stats);
+        let strict_span = trace.span(SpanKind::Strict);
+        let strict = strict.get_or_insert_with(|| {
+            derive_strict_analysis(binary, &cfg.analysis, cache, rewriter.threads())
+        });
+        strict_span.close();
         let verify_span = trace.span(SpanKind::Verify);
-        let strict = strict.as_ref().expect("computed beside the first executed round");
         let verify = verify_against(binary, &outcome, &cfg, strict)?;
         verify_span.close();
         if verify.is_clean() {
@@ -527,10 +521,10 @@ mod tests {
     }
 
     /// Invalid instrumentation fails the first executed round's
-    /// rewrite, which runs beside the strict re-analysis: the error
-    /// still comes back as the ladder's own.
+    /// rewrite before any strict analysis is derived: the error comes
+    /// back as the ladder's own.
     #[test]
-    fn bad_payload_fails_the_overlapped_first_round() {
+    fn bad_payload_fails_the_first_round() {
         use icfgp_core::Payload;
         use icfgp_isa::Inst;
         let bin = small(Arch::X64, 7);
@@ -607,10 +601,11 @@ mod tests {
         }
     }
 
-    /// Every round verifies against the one strict analysis computed
-    /// beside the first executed round. Replay a multi-round faulted ladder round by
-    /// round from its stored demotions: each round's report equals a
-    /// fresh [`crate::verify_rewrite`] of that round's outcome.
+    /// Every round verifies against the one strict analysis derived
+    /// after the first executed round, which equals the sequential
+    /// reference. Replay a multi-round faulted ladder round by round
+    /// from its stored demotions: each round's report equals a fresh
+    /// [`crate::verify_rewrite`] of that round's outcome.
     #[test]
     fn shared_strict_analysis_matches_per_round_verify() {
         use icfgp_core::{binary_fingerprint, config_fingerprint, CacheStore};
@@ -630,7 +625,8 @@ mod tests {
         let mut cfg = config.clone();
         cfg.collect_artifacts = true;
         plan.arm_cached(&bin, &mut cfg, &cache);
-        let strict = strict_analysis(&bin, &cfg);
+        let strict = derive_strict_analysis(&bin, &cfg.analysis, &cache, 1);
+        assert_eq!(*strict, crate::strict_analysis(&bin, &cfg));
         let (bfp, cfp) = (binary_fingerprint(&bin), config_fingerprint(&config));
         for round in 1..=out.rounds {
             let outcome = Rewriter::new(cfg.clone()).rewrite_cached(&bin, &instr, &cache).unwrap();

@@ -108,14 +108,15 @@ pub fn verify_rewrite(
 /// re-analyse identically), but heuristics off and injected faults
 /// cleared. Functions only the heuristics can classify become analysis
 /// failures here and are skipped with an info diagnostic — the
-/// verifier never guesses. It reads only `config.analysis`, so every
-/// ladder round shares one, computed beside the first executed round.
+/// verifier never guesses. This is the sequential reference; the
+/// ladder derives the same analysis from its rewrite's
+/// ([`icfgp_core::derive_strict_analysis`]).
 fn strict_analysis(original: &Binary, config: &RewriteConfig) -> BinaryAnalysis {
     analyze(original, &config.analysis.strictened())
 }
 
-/// [`verify_rewrite`] against an already computed
-/// [`strict_analysis`] of `original` under `config.analysis`.
+/// [`verify_rewrite`] against an already computed strict analysis of
+/// `original` under `config.analysis`.
 fn verify_against(
     original: &Binary,
     outcome: &RewriteOutcome,

@@ -452,6 +452,7 @@ fn load_binary(path: &str) -> Result<Binary, String> {
     binary.validate_symbol_order().map_err(|e| format!("{path}: {e}"))?;
     binary.validate_layout().map_err(|e| format!("{path}: {e}"))?;
     binary.validate_symbols().map_err(|e| format!("{path}: {e}"))?;
+    binary.validate_entry_and_toc().map_err(|e| format!("{path}: {e}"))?;
     Ok(binary)
 }
 

@@ -139,13 +139,30 @@ fn internal_error_exits_three() {
 /// and so is one whose sections overlap or whose relocation slot no
 /// section maps: no loader could place it, and `run` must not panic.
 /// So is one whose function symbol runs past its code, or past the end
-/// of the address space.
+/// of the address space, one whose entry point lies outside every
+/// executable section, and one whose TOC anchor does not match its
+/// architecture (missing on ppc64le, present on x86-64).
 #[test]
 fn malformed_containers_exit_three() {
     let deep = "[".repeat(200_000) + &"]".repeat(200_000);
     let raw = gen_switch_demo();
     let mut swapped: Binary = serde_json::from_slice(&std::fs::read(&raw).unwrap()).unwrap();
     let _ = std::fs::remove_file(&raw);
+    let ppc_raw = tmp("sd-ppc.json");
+    let out = icfgp()
+        .args(["gen", "--workload", "switch_demo", "--arch", "ppc64le", "-o"])
+        .arg(&ppc_raw)
+        .output()
+        .expect("gen runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut ppc_no_toc: Binary =
+        serde_json::from_slice(&std::fs::read(&ppc_raw).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&ppc_raw);
+    ppc_no_toc.toc_base = None;
+    let mut x64_toc = swapped.clone();
+    x64_toc.toc_base = Some(0x8000);
+    let mut stray_entry = swapped.clone();
+    stray_entry.entry = 1;
     let mut stray_reloc = swapped.clone();
     let mut overlapping = swapped.clone();
     let main_sized = |size: u64| {
@@ -187,6 +204,13 @@ fn malformed_containers_exit_three() {
         // `main` sized past the address space, and past `.text`.
         ("huge-main.json", huge_main, Some("function symbol main")),
         ("long-main.json", long_main, Some("function symbol main")),
+        ("ppc-no-toc.json", serde_json::to_string(&ppc_no_toc).unwrap(), Some("toc_base")),
+        ("x64-toc.json", serde_json::to_string(&x64_toc).unwrap(), Some("toc_base")),
+        (
+            "stray-entry.json",
+            serde_json::to_string(&stray_entry).unwrap(),
+            Some("entry point 0x1"),
+        ),
     ];
     for (name, text, needle) in cases {
         let path = tmp(name);

@@ -140,3 +140,42 @@ fn unknown_command_fails_with_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
+
+/// An x64 PIE rewritten under call emulation pushes each emulated
+/// return address position-independently: loaded at a non-zero bias,
+/// it still runs to the original's output.
+#[test]
+fn emulated_calls_run_in_a_biased_pie() {
+    let raw = tmp("pie.icfgp");
+    let rewritten = tmp("pie.rw.icfgp");
+    let out = icfgp()
+        .args(["gen", "--workload", "small", "--seed", "7", "--pie", "-o"])
+        .arg(&raw)
+        .output()
+        .expect("gen runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = icfgp()
+        .arg("rewrite")
+        .arg(&raw)
+        .args(["--unwind", "emulate", "-o"])
+        .arg(&rewritten)
+        .output()
+        .expect("rewrite runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let run = |path: &PathBuf, extra: &[&str]| {
+        let out = icfgp()
+            .arg("run")
+            .arg(path)
+            .args(["--bias", "100000"])
+            .args(extra)
+            .output()
+            .expect("run runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(text.contains("halted normally"), "{text}");
+        text.lines().find(|l| l.contains("output")).map(str::to_owned)
+    };
+    assert_eq!(run(&rewritten, &["--preload-runtime"]), run(&raw, &[]));
+    let _ = std::fs::remove_file(raw);
+    let _ = std::fs::remove_file(rewritten);
+}
