@@ -1106,13 +1106,13 @@ pub fn derive_strict_analysis(
         let merged = |fresh: &BTreeMap<u64, Arc<FuncCfg>>| -> FuncMap {
             base.funcs.shared().map(|(e, f)| (e, Arc::clone(fresh.get(&e).unwrap_or(f)))).collect()
         };
-        let same_fp_inputs = fresh.iter().all(|(e, f)| {
+        let same_fp_inputs = |(e, f): (&u64, &Arc<FuncCfg>)| {
             let b = &base.funcs[e];
             b.insts == f.insts && b.jump_tables == f.jump_tables
-        });
+        };
         if fresh.is_empty() {
             base
-        } else if same_fp_inputs {
+        } else if fresh.iter().all(same_fp_inputs) {
             let mut funcs = merged(&fresh);
             split_fp_landings(&mut funcs, &base.fp_defs);
             Arc::new(BinaryAnalysis { funcs, fp_defs: base.fp_defs.clone(), boundaries })

@@ -7,8 +7,8 @@
 //! events (cache hit/miss/quarantine, store flush, retry, breaker
 //! trip, ladder demotion) and open
 //! structural [`SpanKind`] spans (run, round, rewrite, pipeline stage,
-//! store flush, strict analysis, verify, fault arming); the [`Registry`] folds the stream into
-//! counters as it arrives and derives every legacy stats shape on demand, so the
+//! store flush, strict analysis, verify, fault arming); the
+//! [`Registry`] folds the stream into counters as it arrives and derives every legacy stats shape on demand, so the
 //! conservation laws between counters are checked in exactly one place
 //! ([`Registry::check`]).
 //!

@@ -24,9 +24,9 @@
 //! re-analyses only the functions where a tail-call heuristic fired,
 //! an injected fault is anchored or the analysis failed, so it equals
 //! [`icfgp_cfg::analyze`] under the strictened config without running
-//! it. Later rounds reuse it. Each executed round derives (or reuses)
-//! it in a [`SpanKind::Strict`] span and verifies in a
-//! [`SpanKind::Verify`] span.
+//! it. Later rounds get it from the cache's memo. Each executed round
+//! derives (or looks up) it in a [`SpanKind::Strict`] span and
+//! verifies in a [`SpanKind::Verify`] span.
 //!
 //! Every function's journey is recorded as a [`FuncDisposition`]
 //! (requested mode, achieved mode, the steps taken and why), and the
@@ -35,7 +35,7 @@
 //! budget verdict.
 
 use crate::{verify_against, VerifyError, VerifyReport};
-use icfgp_cfg::{AnalysisFailure, BinaryAnalysis};
+use icfgp_cfg::AnalysisFailure;
 use icfgp_core::{
     apply_audit_gate, binary_fingerprint, config_fingerprint, derive_strict_analysis, ladder_key,
     FuncMode, GateSummary, Instrumentation, LadderRound, LadderStep, RewriteCache, RewriteConfig,
@@ -45,7 +45,6 @@ use icfgp_obj::Binary;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// Upper bound on verify→lower→rewrite rounds. Each round lowers every
 /// offending function at least one rung and there are five rungs, so
@@ -291,21 +290,18 @@ pub fn rewrite_with_ladder_supervised(
     }
 
     // Rungs change only `func_modes`, never the analysis config, so
-    // every round verifies against the one strict analysis derived
-    // after the first executed round's rewrite.
-    let mut strict: Option<Arc<BinaryAnalysis>> = None;
+    // every round verifies against one strict analysis: derived after
+    // the first executed round's rewrite, then served by the cache.
     for round in replayed + 1..=MAX_ROUNDS {
         let round_span = trace.span(SpanKind::Round { round: round as u32 });
         let rewriter = Rewriter::new(cfg.clone());
         let outcome = rewriter.rewrite_cached(binary, instr, cache)?;
         round_stats.push(outcome.stats);
         let strict_span = trace.span(SpanKind::Strict);
-        let strict = strict.get_or_insert_with(|| {
-            derive_strict_analysis(binary, &cfg.analysis, cache, rewriter.threads())
-        });
+        let strict = derive_strict_analysis(binary, &cfg.analysis, cache, rewriter.threads());
         strict_span.close();
         let verify_span = trace.span(SpanKind::Verify);
-        let verify = verify_against(binary, &outcome, &cfg, strict)?;
+        let verify = verify_against(binary, &outcome, &cfg, &strict)?;
         verify_span.close();
         if verify.is_clean() {
             // Persist everything this ladder computed (no-op without
@@ -537,16 +533,23 @@ mod tests {
         assert!(matches!(err, LadderError::Rewrite(RewriteError::BadPayload(_))), "{err}");
     }
 
-    /// Each executed round verifies under one verify span; rounds
-    /// replayed from the store verify nothing and hold none.
+    /// Each executed round derives the strict analysis under one
+    /// strict span and verifies under one verify span; rounds replayed
+    /// from the store hold neither. Arming the fault plan is one
+    /// fault-arm span.
     #[test]
     fn one_verify_span_per_executed_round() {
         use icfgp_core::{CacheStore, Trace};
-        let verify_spans = |events: &[TraceEvent]| {
+        let opens = |events: &[TraceEvent], kind: SpanKind| {
             events
                 .iter()
-                .filter(|e| matches!(e, TraceEvent::SpanOpen { span: SpanKind::Verify }))
+                .filter(|e| matches!(e, TraceEvent::SpanOpen { span } if *span == kind))
                 .count()
+        };
+        let verify_spans = |events: &[TraceEvent]| {
+            let n = opens(events, SpanKind::Verify);
+            assert_eq!(opens(events, SpanKind::Strict), n, "one strict span per verify span");
+            n
         };
         let bin = small(Arch::X64, 7);
         let instr = Instrumentation::empty(Points::EveryBlock);
@@ -568,11 +571,9 @@ mod tests {
             let out = rewrite_with_ladder_cached(&bin, &faulted, &instr, &cache).unwrap();
             assert!(out.rounds > 1, "the faulted ladder must demote");
             assert_eq!(out.resumed_rounds > 0, run == "resumed");
-            assert_eq!(
-                verify_spans(&cache.trace().sealed()),
-                out.rounds - out.resumed_rounds,
-                "{run}"
-            );
+            let events = cache.trace().sealed();
+            assert_eq!(verify_spans(&events), out.rounds - out.resumed_rounds, "{run}");
+            assert_eq!(opens(&events, SpanKind::FaultArm), 1, "{run}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
