@@ -1071,9 +1071,11 @@ pub fn analyze_incremental(
 /// sequential strict analysis.
 ///
 /// The rewrite's analysis comes from the memo [`analyze_incremental`]
-/// fills (computed through it, on `threads`, if absent), and the result
-/// is memoised per (binary, strict config), so later ladder rounds,
-/// fault seeds and in-process reruns share it. Emits no trace events.
+/// fills, and the result is memoised per (binary, strict config), so
+/// later ladder rounds, fault seeds and in-process reruns share it.
+/// After a rewrite of `binary` under `config` this emits no trace
+/// events; without one, the rewrite's analysis is first computed
+/// through [`analyze_incremental`] on `threads`, which emits its own.
 #[must_use]
 pub fn derive_strict_analysis(
     binary: &Binary,

@@ -20,7 +20,14 @@ use incremental_cfg_patching::workloads::{
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const WORKLOADS: [&str; 6] = ["small", "small-pie", "switch_demo", "firefox", "docker", "driverlib"];
+const WORKLOADS: [&str; 6] = [
+    "small",
+    "small-pie",
+    "switch_demo",
+    "firefox",
+    "docker",
+    "driverlib",
+];
 
 fn workload(name: &str, arch: Arch, seed: u64) -> Binary {
     match name {
@@ -48,12 +55,19 @@ fn arb_plan() -> impl Strategy<Value = Option<&'static str>> {
 
 /// Field-by-field equality, naming the first function that differs.
 fn assert_same(derived: &BinaryAnalysis, reference: &BinaryAnalysis, what: &str) {
-    assert_eq!(derived.funcs.len(), reference.funcs.len(), "{what}: function count");
+    assert_eq!(
+        derived.funcs.len(),
+        reference.funcs.len(),
+        "{what}: function count"
+    );
     for ((e, d), (_, r)) in derived.funcs.iter().zip(reference.funcs.iter()) {
         assert_eq!(d, r, "{what}: function {e:#x}");
     }
     assert_eq!(derived.fp_defs, reference.fp_defs, "{what}: fp_defs");
-    assert_eq!(derived.boundaries, reference.boundaries, "{what}: boundaries");
+    assert_eq!(
+        derived.boundaries, reference.boundaries,
+        "{what}: boundaries"
+    );
     assert_eq!(derived, reference, "{what}");
 }
 
@@ -120,7 +134,11 @@ fn duplicate_function_entries_match_the_reference() {
         .find(|f| !f.jump_tables.is_empty())
         .expect("a function with a jump table")
         .entry;
-    let i = binary.symbols().iter().position(|s| s.addr == with_table).expect("its symbol");
+    let i = binary
+        .symbols()
+        .iter()
+        .position(|s| s.addr == with_table)
+        .expect("its symbol");
     let mut alias = binary.symbols()[i].clone();
     alias.name.push_str(".alias");
     alias.size = 1;
@@ -128,5 +146,9 @@ fn duplicate_function_entries_match_the_reference() {
     let cache = RewriteCache::new();
     let _ = analyze_incremental(&binary, &config, &cache, 2);
     let derived = derive_strict_analysis(&binary, &config, &cache, 2);
-    assert_same(&derived, &analyze(&binary, &config.strictened()), "duplicate entry");
+    assert_same(
+        &derived,
+        &analyze(&binary, &config.strictened()),
+        "duplicate entry",
+    );
 }
