@@ -302,6 +302,12 @@ impl FuncMap {
         self.0.get(entry).map(|f| &**f)
     }
 
+    /// The shared CFG of the function at `entry`.
+    #[must_use]
+    pub fn get_shared(&self, entry: &u64) -> Option<&Arc<FuncCfg>> {
+        self.0.get(entry)
+    }
+
     /// The CFG of the function at `entry`, unshared first if needed.
     pub fn get_mut(&mut self, entry: &u64) -> Option<&mut FuncCfg> {
         self.0.get_mut(entry).map(Arc::make_mut)

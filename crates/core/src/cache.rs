@@ -374,8 +374,10 @@ pub(crate) trait Record: Stored {
     }
 }
 
-/// One stage's in-memory map: key → the shared stored record.
-pub(crate) type StageMap<R> = Mutex<HashMap<u64, Arc<R>>>;
+/// One stage's in-memory map: key → the shared stored record, and
+/// whether it was decoded from the store rather than computed by this
+/// process.
+pub(crate) type StageMap<R> = Mutex<HashMap<u64, (Arc<R>, bool)>>;
 
 /// The persisted form of one function-analysis entry: the CFG plus
 /// its [`FuncDep`] read-set. The CFG is shared with every
@@ -550,6 +552,9 @@ struct AnalysisMemo {
     analysis: Arc<BinaryAnalysis>,
     func_keys: Arc<BTreeMap<u64, u64>>,
     weak_keys: Arc<BTreeMap<u64, u64>>,
+    /// Entries whose CFG was decoded from a store record, which only a
+    /// checksum and a read-set vouch for.
+    loaded: Arc<BTreeSet<u64>>,
     rounds: u32,
 }
 
@@ -735,34 +740,47 @@ impl RewriteCache {
         valid: impl Fn(&R) -> bool,
         compute: impl FnOnce() -> Result<R, E>,
     ) -> Result<Arc<R>, E> {
+        self.lookup_sourced(key, binary_fp, valid, compute).map(|(r, _)| r)
+    }
+
+    /// [`RewriteCache::lookup`], also telling whether the record was
+    /// decoded from the store (now or by an earlier lookup) rather than
+    /// computed by this process.
+    fn lookup_sourced<R: Record, E>(
+        &self,
+        key: u64,
+        binary_fp: u64,
+        valid: impl Fn(&R) -> bool,
+        compute: impl FnOnce() -> Result<R, E>,
+    ) -> Result<(Arc<R>, bool), E> {
         let map = R::map(self);
         let mut found = locked(map).get(&key).cloned();
-        if let Some(stale) = found.take_if(|r| !valid(r)) {
+        if let Some((stale, _)) = found.take_if(|(r, _)| !valid(r)) {
             let mut m = locked(map);
-            if m.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, &stale)) {
+            if m.get(&key).is_some_and(|(cur, _)| Arc::ptr_eq(cur, &stale)) {
                 m.remove(&key);
             }
         }
         if found.is_none() {
             found = self
                 .store_get(key, &valid)
-                .map(|r| locked(map).entry(key).or_insert_with(|| Arc::new(r)).clone());
+                .map(|r| locked(map).entry(key).or_insert_with(|| (Arc::new(r), true)).clone());
         }
         let hit = found.is_some();
-        let got = match found {
-            Some(r) => r,
+        let (got, loaded) = match found {
+            Some(entry) => entry,
             None => {
                 let r = Arc::new(compute()?);
                 debug_assert!(valid(&r), "a freshly computed record must validate");
                 if let Some(store) = &self.store {
                     store.put(R::STAGE, key, serde::to_bin(&*r));
                 }
-                locked(map).entry(key).or_insert(r).clone()
+                locked(map).entry(key).or_insert((r, false)).clone()
             }
         };
         let shared = hit && got.origin_fp().is_some_and(|fp| fp != binary_fp);
         self.trace.emit(TraceEvent::CacheLookup { stage: R::STAGE, key, hit, shared });
-        Ok(got)
+        Ok((got, loaded))
     }
 
     /// The demotion round stored under `key` ([`ladder_key`]) if it
@@ -916,7 +934,7 @@ pub fn analyze_incremental(
         })
         .collect();
 
-    let mut results: Vec<Option<Arc<FuncPayload>>> = vec![None; n];
+    let mut results: Vec<Option<(Arc<FuncPayload>, bool)>> = vec![None; n];
     let mut analyzed: Vec<Option<u64>> = vec![None; n];
     let mut rounds = 0u32;
     let final_set: BTreeSet<u64>;
@@ -941,7 +959,7 @@ pub fn analyze_incremental(
                 snaps[i] = Some((arc, h));
                 work.push(i);
             }
-            if let Some(p) = &results[i] {
+            if let Some((p, _)) = &results[i] {
                 for jt in &p.cfg.jump_tables {
                     if set.insert(jt.table_addr) {
                         h ^= mix(jt.table_addr);
@@ -961,7 +979,7 @@ pub fn analyze_incremental(
             statics[i].hash(&mut k);
             input_hash.hash(&mut k);
             let started = std::time::Instant::now();
-            let Ok(out) = cache.lookup(
+            let Ok(out) = cache.lookup_sourced(
                 k.finish(),
                 binary_fp,
                 |p: &FuncPayload| deps_hold(&p.deps, binary, binary_fp),
@@ -989,7 +1007,13 @@ pub fn analyze_incremental(
     let funcs: FuncMap = syms
         .iter()
         .zip(&results)
-        .map(|(s, r)| (s.addr, Arc::clone(&r.as_ref().expect("analysed").cfg)))
+        .map(|(s, r)| (s.addr, Arc::clone(&r.as_ref().expect("analysed").0.cfg)))
+        .collect();
+    let loaded: BTreeSet<u64> = syms
+        .iter()
+        .zip(&results)
+        .filter(|(_, r)| r.as_ref().is_some_and(|(_, loaded)| *loaded))
+        .map(|(s, _)| s.addr)
         .collect();
     // The liveness identity folds the whole-binary fingerprint back
     // in (strictly per-binary); the weak identity leaves it out so
@@ -1030,6 +1054,7 @@ pub fn analyze_incremental(
             analysis: analysis.clone(),
             func_keys: func_keys.clone(),
             weak_keys: weak_keys.clone(),
+            loaded: Arc::new(loaded),
             rounds,
         },
     );
@@ -1056,10 +1081,11 @@ pub fn analyze_incremental(
 /// CFG is the rewrite's own when its status is `Ok`, no heuristic
 /// fired in it, no injected fault is anchored in it, and its boundary
 /// prefix (the pre-pass plus the tables of every earlier function) is
-/// the same on both sides. Those CFGs are shared, not copied. Every
-/// other function is re-analysed under the strict config against its
-/// own strict prefix, in symbol order on the calling thread: a
-/// soundness check reuses nothing a heuristic or a fault touched.
+/// the same on both sides. The rewrite's CFG must also have been
+/// computed by this process: one decoded from a store record is vouched
+/// for only by a checksum and a read-set, so it is re-analysed like the
+/// rest. A soundness check reuses nothing a heuristic, a fault or the
+/// store could have touched.
 ///
 /// The function-pointer definitions read only the CFGs' instructions
 /// and jump tables. When every re-analysed function's match the
@@ -1093,37 +1119,53 @@ pub fn derive_strict_analysis(
     let analysis = if syms.windows(2).any(|w| w[0].addr == w[1].addr) {
         Arc::new(analyze(binary, &strict))
     } else {
-        let base = match cache.analysis_memo(binary_fp, config.fingerprint()) {
-            Some(memo) => memo.analysis,
-            None => analyze_incremental(binary, config, cache, threads).analysis,
-        };
-        let pre = cache.prepass(binary_fp, binary);
+        let config_fp = config.fingerprint();
+        let base = cache.analysis_memo(binary_fp, config_fp).unwrap_or_else(|| {
+            let _ = analyze_incremental(binary, config, cache, threads);
+            cache
+                .analysis_memo(binary_fp, config_fp)
+                .expect("analyze_incremental memoises its analysis")
+        });
         let touched = |sym: &Symbol, f: &FuncCfg| {
-            f.status != FuncStatus::Ok
+            base.loaded.contains(&sym.addr)
+                || f.status != FuncStatus::Ok
                 || !f.indirect_tailcalls.is_empty()
                 || config.inject.iter().any(|i| (sym.addr..sym.end()).contains(&i.anchor()))
         };
+        let base_funcs = &base.analysis.funcs;
+        let pre = cache.prepass(binary_fp, binary);
         let mut fresh: BTreeMap<u64, Arc<FuncCfg>> = BTreeMap::new();
-        let boundaries = strict_pass(binary, &strict, &pre, &syms, &base, touched, &mut fresh);
-        let merged = |fresh: &BTreeMap<u64, Arc<FuncCfg>>| -> FuncMap {
-            base.funcs.shared().map(|(e, f)| (e, Arc::clone(fresh.get(&e).unwrap_or(f)))).collect()
+        let boundaries =
+            strict_pass(binary, &strict, &pre, &syms, base_funcs, touched, &mut fresh, threads);
+        // The re-analysed CFGs replace the rewrite's; the landing
+        // splits below then never copy a CFG the map shares.
+        let merged = |mut fresh: BTreeMap<u64, Arc<FuncCfg>>| -> FuncMap {
+            base_funcs
+                .shared()
+                .map(|(e, f)| (e, fresh.remove(&e).unwrap_or_else(|| Arc::clone(f))))
+                .collect()
+        };
+        let is_base = |(e, f): (&u64, &Arc<FuncCfg>)| {
+            base_funcs.get_shared(e).is_some_and(|b| Arc::ptr_eq(b, f))
         };
         let same_fp_inputs = |(e, f): (&u64, &Arc<FuncCfg>)| {
-            let b = &base.funcs[e];
+            let b = &base_funcs[e];
             b.insts == f.insts && b.jump_tables == f.jump_tables
         };
-        if fresh.is_empty() {
-            base
+        if fresh.iter().all(is_base) {
+            base.analysis
         } else if fresh.iter().all(same_fp_inputs) {
-            let mut funcs = merged(&fresh);
-            split_fp_landings(&mut funcs, &base.fp_defs);
-            Arc::new(BinaryAnalysis { funcs, fp_defs: base.fp_defs.clone(), boundaries })
+            let fp_defs = &base.analysis.fp_defs;
+            let mut funcs = merged(fresh);
+            split_fp_landings(&mut funcs, fp_defs);
+            Arc::new(BinaryAnalysis { funcs, fp_defs: fp_defs.clone(), boundaries })
         } else {
             let split = |sym: &Symbol, f: &FuncCfg| {
                 touched(sym, f) || !f.fp_landing_targets.is_empty()
             };
-            let boundaries = strict_pass(binary, &strict, &pre, &syms, &base, split, &mut fresh);
-            Arc::new(assemble_analysis(binary, &strict, merged(&fresh), boundaries))
+            let boundaries =
+                strict_pass(binary, &strict, &pre, &syms, base_funcs, split, &mut fresh, threads);
+            Arc::new(assemble_analysis(binary, &strict, merged(fresh), boundaries))
         }
     };
     Arc::clone(locked(&cache.stricts).entry(key).or_insert(analysis))
@@ -1131,33 +1173,74 @@ pub fn derive_strict_analysis(
 
 /// One in-order pass of [`derive_strict_analysis`] over `syms`:
 /// re-analyse under `strict` every function that `redo` selects or
-/// whose strict boundary prefix differs from the rewrite's, unless
-/// `fresh` already holds it, and record the new CFGs in `fresh`.
-/// Returns the final strict boundary set.
+/// whose strict boundary prefix differs from the rewrite's (`base`),
+/// unless `fresh` already holds it, and record the new CFGs in `fresh`.
+/// A re-analysed CFG equal to the rewrite's is recorded as the
+/// rewrite's own `Arc`, not as a second copy. Returns the final strict
+/// boundary set.
 ///
 /// A CFG already in `fresh` is kept: every function before it has the
 /// same jump tables as in the pass that computed it, so its prefix is
-/// unchanged.
+/// unchanged. With more than one thread, the selected functions are
+/// first re-analysed in parallel against the rewrite's prefix; the pass
+/// keeps such a result only where the strict prefix is that prefix, and
+/// re-analyses the others on the calling thread.
+#[allow(clippy::too_many_arguments)]
 fn strict_pass(
     binary: &Binary,
     strict: &AnalysisConfig,
     pre: &Prepass,
     syms: &[&Symbol],
-    base: &BinaryAnalysis,
+    base: &FuncMap,
     redo: impl Fn(&Symbol, &FuncCfg) -> bool,
     fresh: &mut BTreeMap<u64, Arc<FuncCfg>>,
+    threads: usize,
 ) -> BTreeSet<u64> {
+    let reanalyse = |sym: &Symbol, prefix: &BTreeSet<u64>| {
+        let cfg = analyze_function_isolated(binary, sym, strict, prefix);
+        let b = base.get_shared(&sym.addr).expect("the rewrite analysed every function");
+        if **b == cfg {
+            Arc::clone(b)
+        } else {
+            Arc::new(cfg)
+        }
+    };
+
+    // The rewrite's prefix of each selected function; consecutive
+    // functions between table discoveries share one Arc'd set.
+    let mut work: Vec<(&Symbol, Arc<BTreeSet<u64>>)> = Vec::new();
+    let mut set = pre.set.clone();
+    let mut snap: Option<Arc<BTreeSet<u64>>> = None;
+    for &sym in syms {
+        let b = &base[&sym.addr];
+        if threads > 1 && !fresh.contains_key(&sym.addr) && redo(sym, b) {
+            let prefix = snap.get_or_insert_with(|| Arc::new(set.clone()));
+            work.push((sym, Arc::clone(prefix)));
+        }
+        for jt in &b.jump_tables {
+            if set.insert(jt.table_addr) {
+                snap = None;
+            }
+        }
+    }
+    let cfgs = pool::map(threads, &work, |_, (sym, prefix)| reanalyse(sym, prefix));
+    let mut guessed: BTreeMap<u64, Arc<FuncCfg>> =
+        work.iter().map(|(sym, _)| sym.addr).zip(cfgs).collect();
+    drop(work);
+
     // The strict prefix, and the table addresses only one side's
     // prefix holds: the two prefixes agree iff both are empty.
     let mut set = pre.set.clone();
     let mut only_strict: BTreeSet<u64> = BTreeSet::new();
     let mut only_base: BTreeSet<u64> = BTreeSet::new();
     for sym in syms {
-        let b = &base.funcs[&sym.addr];
+        let b = &base[&sym.addr];
         let same_prefix = only_strict.is_empty() && only_base.is_empty();
-        if !fresh.contains_key(&sym.addr) && (!same_prefix || redo(sym, b)) {
-            let cfg = analyze_function_isolated(binary, sym, strict, &set);
-            fresh.insert(sym.addr, Arc::new(cfg));
+        let guess = guessed.remove(&sym.addr);
+        let selected = if threads > 1 { guess.is_some() } else { redo(sym, b) };
+        if !fresh.contains_key(&sym.addr) && (selected || !same_prefix) {
+            let cfg = guess.filter(|_| same_prefix).unwrap_or_else(|| reanalyse(sym, &set));
+            fresh.insert(sym.addr, cfg);
         }
         for jt in &b.jump_tables {
             let a = jt.table_addr;
@@ -1279,6 +1362,30 @@ mod tests {
         }
         assert!(fired > 0, "the workload has functions where a heuristic fires");
         assert!(Arc::ptr_eq(&strict, &derive_strict_analysis(&bin, &config, &cache, 2)));
+    }
+
+    /// A CFG decoded from the store is vouched for by a checksum and a
+    /// read-set only: the memo marks every one of them, and the
+    /// derivation re-analyses them (sharing those that come out equal).
+    #[test]
+    fn strict_derivation_reanalyses_every_cfg_from_the_store() {
+        let bin = icfgp_workloads::firefox_like(Arch::X64, 1).binary;
+        let config = AnalysisConfig::default();
+        let (bfp, cfp) = (binary_fingerprint(&bin), config.fingerprint());
+        let dir = std::env::temp_dir().join(format!("icfgp-strict-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = RewriteCache::with_store(Arc::new(crate::store::CacheStore::open(&dir)));
+        let _ = analyze_incremental(&bin, &config, &cold, 2);
+        assert!(cold.analysis_memo(bfp, cfp).expect("memoised").loaded.is_empty());
+        cold.flush_store();
+        let warm = RewriteCache::with_store(Arc::new(crate::store::CacheStore::open(&dir)));
+        let _ = analyze_incremental(&bin, &config, &warm, 2);
+        let memo = warm.analysis_memo(bfp, cfp).expect("memoised");
+        assert_eq!(memo.loaded.len(), bin.functions().count(), "every CFG came from the store");
+        let strict = derive_strict_analysis(&bin, &config, &warm, 2);
+        assert_eq!(*strict, analyze(&bin, &config.strictened()));
+        drop((cold, warm));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub mod trace;
 pub mod tramp;
 
 pub use cache::{
-    analyze_incremental, binary_fingerprint, derive_strict_analysis, ladder_key, AnalysisRun, LadderRound, LadderStep,
-    RewriteCache, RewriteStats, StageStats, StageTimings,
+    analyze_incremental, binary_fingerprint, derive_strict_analysis, ladder_key, AnalysisRun,
+    LadderRound, LadderStep, RewriteCache, RewriteStats, StageStats, StageTimings,
 };
 pub use cfl::{cfl_blocks, effective_cfl_blocks, CflReason};
 pub use config::{

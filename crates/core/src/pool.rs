@@ -5,8 +5,8 @@
 //! building, emission) and the benchmark harness (`icfgp-bench`
 //! Table 3). The degradation ladder forks nothing of its own: the
 //! verifier's strict analysis is derived from the rewrite's after it
-//! ([`crate::cache::derive_strict_analysis`]) and re-analyses only a
-//! handful of functions, on the calling thread. Work is distributed
+//! ([`crate::cache::derive_strict_analysis`]), whose re-analyses run
+//! on [`map`]. Work is distributed
 //! by an atomic cursor — idle workers steal the next unclaimed item —
 //! so load balances dynamically, while results are returned **in item
 //! order**, which keeps every consumer deterministic regardless of

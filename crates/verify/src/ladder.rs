@@ -22,7 +22,8 @@
 //! rewrite ([`derive_strict_analysis`]): it shares every CFG of the
 //! rewrite's own analysis that strictening cannot change and
 //! re-analyses only the functions where a tail-call heuristic fired,
-//! an injected fault is anchored or the analysis failed, so it equals
+//! an injected fault is anchored, the analysis failed or the CFG was
+//! decoded from a store record, so it equals
 //! [`icfgp_cfg::analyze`] under the strictened config without running
 //! it. Later rounds get it from the cache's memo. Each executed round
 //! derives (or looks up) it in a [`SpanKind::Strict`] span and
